@@ -3,39 +3,31 @@
 from __future__ import annotations
 
 
-class SaturatingCounter:
-    """An n-bit saturating counter predicting taken when >= midpoint."""
-
-    def __init__(self, bits: int = 2, value: int = None):
-        self.max = (1 << bits) - 1
-        self.mid = 1 << (bits - 1)
-        self.value = self.mid if value is None else value
-
-    @property
-    def taken(self) -> bool:
-        return self.value >= self.mid
-
-    def update(self, taken: bool) -> None:
-        if taken:
-            self.value = min(self.max, self.value + 1)
-        else:
-            self.value = max(0, self.value - 1)
-
-
 class BimodalPredictor:
-    """PC-indexed table of 2-bit counters."""
+    """PC-indexed table of 2-bit counters.
+
+    The counters are plain ints in one flat list (0..3, taken when
+    >= 2), not one object per entry: a core builds a 4,096-entry table
+    per cell, so the table must cost one allocation, not thousands.
+    """
 
     def __init__(self, entries: int = 4096):
         if entries & (entries - 1):
             raise ValueError("entries must be a power of two")
         self.entries = entries
-        self.table = [SaturatingCounter() for _ in range(entries)]
+        self.table = [2] * entries
 
     def _index(self, pc: int) -> int:
         return pc & (self.entries - 1)
 
     def predict(self, pc: int) -> bool:
-        return self.table[self._index(pc)].taken
+        return self.table[self._index(pc)] >= 2
 
     def update(self, pc: int, taken: bool) -> None:
-        self.table[self._index(pc)].update(taken)
+        table = self.table
+        index = self._index(pc)
+        if taken:
+            if table[index] < 3:
+                table[index] += 1
+        elif table[index] > 0:
+            table[index] -= 1

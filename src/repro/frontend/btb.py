@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from typing import Optional
 
 
@@ -14,7 +14,9 @@ class BranchTargetBuffer:
             raise ValueError("sets must be a power of two")
         self.sets = sets
         self.ways = ways
-        self._table = [OrderedDict() for _ in range(sets)]
+        # set index -> OrderedDict (pc -> target, LRU order), built the
+        # first time the set is touched
+        self._table = defaultdict(OrderedDict)
         self.hits = 0
         self.misses = 0
 

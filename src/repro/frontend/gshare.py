@@ -2,27 +2,22 @@
 
 from __future__ import annotations
 
-from .bimodal import SaturatingCounter
+from .bimodal import BimodalPredictor
 
 
-class GsharePredictor:
-    """Global-history predictor with a shared 2-bit counter table."""
+class GsharePredictor(BimodalPredictor):
+    """Global-history predictor: the bimodal 2-bit counter table,
+    indexed by the PC XOR the last ``history_bits`` outcomes."""
 
     def __init__(self, entries: int = 4096, history_bits: int = 12):
-        if entries & (entries - 1):
-            raise ValueError("entries must be a power of two")
-        self.entries = entries
+        super().__init__(entries)
         self.history_bits = history_bits
         self.history = 0
-        self.table = [SaturatingCounter() for _ in range(entries)]
 
     def _index(self, pc: int) -> int:
         return (pc ^ self.history) & (self.entries - 1)
 
-    def predict(self, pc: int) -> bool:
-        return self.table[self._index(pc)].taken
-
     def update(self, pc: int, taken: bool) -> None:
-        self.table[self._index(pc)].update(taken)
+        super().update(pc, taken)
         self.history = ((self.history << 1) | int(taken)) \
             & ((1 << self.history_bits) - 1)

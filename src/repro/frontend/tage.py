@@ -12,21 +12,20 @@ a few percent and are omitted; DESIGN.md records the substitution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from .bimodal import BimodalPredictor
 
 
-@dataclass
-class TageEntry:
-    tag: int = 0
-    counter: int = 4        # 3-bit, midpoint 4, taken when >= 4
-    useful: int = 0         # 2-bit useful counter
-
-
 class TagePredictor:
-    """TAGE with a bimodal base and tagged geometric components."""
+    """TAGE with a bimodal base and tagged geometric components.
+
+    Each tagged component is three flat int lists indexed by entry —
+    ``tags[t]``, ``counters[t]`` (3-bit, midpoint 4, taken when >= 4)
+    and ``useful[t]`` (2-bit) — rather than one object per entry, so
+    building the predictor allocates a handful of lists, not thousands
+    of entries.
+    """
 
     def __init__(self, num_tables: int = 6, table_entries: int = 512,
                  min_history: int = 4, max_history: int = 128,
@@ -47,9 +46,12 @@ class TagePredictor:
         for _ in range(num_tables):
             self.history_lengths.append(int(round(length)))
             length *= ratio
-        self.tables: List[List[TageEntry]] = [
-            [TageEntry() for _ in range(table_entries)]
-            for _ in range(num_tables)]
+        self.tags: List[List[int]] = [
+            [0] * table_entries for _ in range(num_tables)]
+        self.counters: List[List[int]] = [
+            [4] * table_entries for _ in range(num_tables)]
+        self.useful: List[List[int]] = [
+            [0] * table_entries for _ in range(num_tables)]
         self.history = 0
         self.history_bits = max_history
         self._updates = 0
@@ -91,15 +93,15 @@ class TagePredictor:
         found_alt = False
         for table in range(self.num_tables - 1, -1, -1):
             index = self._index(table, pc)
-            entry = self.tables[table][index]
-            if entry.tag == self._tag(table, pc):
+            if self.tags[table][index] == self._tag(table, pc):
+                counter = self.counters[table][index]
                 if self._provider is None:
                     self._provider = table
                     self._provider_index = index
-                    self._provider_pred = entry.counter >= 4
+                    self._provider_pred = counter >= 4
                     prediction = self._provider_pred
                 else:
-                    self._alt_pred = entry.counter >= 4
+                    self._alt_pred = counter >= 4
                     found_alt = True
                     break
         if self._provider is not None and not found_alt:
@@ -112,16 +114,18 @@ class TagePredictor:
         """Update with the outcome of the most recent predict(pc)."""
         mispredicted = False
         if self._provider is not None:
-            entry = self.tables[self._provider][self._provider_index]
+            index = self._provider_index
+            useful = self.useful[self._provider]
+            counters = self.counters[self._provider]
             mispredicted = self._provider_pred != taken
             if self._provider_pred != self._alt_pred:
-                entry.useful = min(3, entry.useful + 1) \
+                useful[index] = min(3, useful[index] + 1) \
                     if self._provider_pred == taken \
-                    else max(0, entry.useful - 1)
+                    else max(0, useful[index] - 1)
             if taken:
-                entry.counter = min(7, entry.counter + 1)
+                counters[index] = min(7, counters[index] + 1)
             else:
-                entry.counter = max(0, entry.counter - 1)
+                counters[index] = max(0, counters[index] - 1)
         else:
             mispredicted = self.base.predict(pc) != taken
         self.base.update(pc, taken)
@@ -139,18 +143,16 @@ class TagePredictor:
         start = (self._provider + 1) if self._provider is not None else 0
         for table in range(start, self.num_tables):
             index = self._index(table, pc)
-            entry = self.tables[table][index]
-            if entry.useful == 0:
-                entry.tag = self._tag(table, pc)
-                entry.counter = 4 if taken else 3
-                entry.useful = 0
+            if self.useful[table][index] == 0:
+                self.tags[table][index] = self._tag(table, pc)
+                self.counters[table][index] = 4 if taken else 3
                 return
         # no victim: decay useful bits along the allocation path
         for table in range(start, self.num_tables):
-            entry = self.tables[table][self._index(table, pc)]
-            entry.useful = max(0, entry.useful - 1)
+            useful = self.useful[table]
+            index = self._index(table, pc)
+            useful[index] = max(0, useful[index] - 1)
 
     def _age_useful(self) -> None:
-        for table in self.tables:
-            for entry in table:
-                entry.useful >>= 1
+        for table, useful in enumerate(self.useful):
+            self.useful[table] = [value >> 1 for value in useful]

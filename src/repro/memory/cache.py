@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from typing import Optional, Tuple
 
 
@@ -21,8 +21,11 @@ class Cache:
         self.num_sets = size_bytes // (ways * line_size)
         if self.num_sets & (self.num_sets - 1):
             raise ValueError(f"{name}: set count must be a power of two")
-        # per-set OrderedDict: line_id -> dirty flag, LRU order
-        self._sets = [OrderedDict() for _ in range(self.num_sets)]
+        # set index -> OrderedDict (line_id -> dirty flag, LRU order),
+        # built the first time the set is touched: a short cell touches
+        # few of the sets, so building a cache costs one dict, not one
+        # per set
+        self._sets = defaultdict(OrderedDict)
         self.accesses = 0
         self.hits = 0
         self.misses = 0
@@ -50,7 +53,8 @@ class Cache:
     def contains(self, addr: int) -> bool:
         """Probe without statistics or LRU effects (snooping/tests)."""
         line = self.line_id(addr)
-        return line in self._set_for(line)
+        cache_set = self._sets.get(line & (self.num_sets - 1))
+        return cache_set is not None and line in cache_set
 
     def insert(self, addr: int, dirty: bool = False
                ) -> Optional[Tuple[int, bool]]:
@@ -70,8 +74,8 @@ class Cache:
 
     def invalidate(self, addr: int) -> bool:
         line = self.line_id(addr)
-        cache_set = self._set_for(line)
-        if line in cache_set:
+        cache_set = self._sets.get(line & (self.num_sets - 1))
+        if cache_set is not None and line in cache_set:
             del cache_set[line]
             return True
         return False

@@ -28,6 +28,7 @@ See DESIGN.md for the substitutions relative to gem5's O3CPU.
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 from ..isa import Trace
@@ -84,7 +85,7 @@ class O3Core:
         squash = SquashUnit(state)
         memory = MemoryStage(state, squash)
         commit = CommitStage(state, squash)
-        commit.core = self
+        commit.core_ref = weakref.ref(self)
         self.stages = (
             commit,
             WritebackStage(state, memory, commit, squash),

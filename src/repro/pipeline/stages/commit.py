@@ -8,9 +8,9 @@ in-order / at-completion / deferred resource release, zombie tracking
 and the precise-exception flush.
 
 Commit policies receive the :class:`~repro.pipeline.core.O3Core`
-facade (``self.core``), which forwards ``retire`` and the legality
-checks back here — so existing policies and tests keep working
-unchanged.
+facade (read through the weak ``self.core_ref`` each tick), which
+forwards ``retire`` and the legality checks back here — so existing
+policies and tests keep working unchanged.
 """
 
 from __future__ import annotations
@@ -33,14 +33,18 @@ class CommitStage:
         self.s = state
         self.squash = squash
         self._grants = np.empty(state.config.rob_size, dtype=bool)
-        #: the O3Core facade, wired by the driver after construction;
-        #: commit policies and the exception flush are invoked through
-        #: it so monkeypatched cores keep intercepting them.
-        self.core = None
+        #: weak reference to the O3Core facade, wired by the driver
+        #: after construction; commit policies and the exception flush
+        #: are invoked through it so monkeypatched cores keep
+        #: intercepting them.  Weak so that nothing inside a core refers
+        #: back to it: a finished core is freed by reference counting,
+        #: not left for the cyclic garbage collector.
+        self.core_ref = None
 
     def tick(self, cycle: int) -> None:
         s = self.s
-        committed = s.commit_policy.commit(self.core, cycle)
+        core = self.core_ref()
+        committed = s.commit_policy.commit(core, cycle)
         if committed:
             s.progress_cycle = cycle
         elif s.window:
@@ -58,7 +62,7 @@ class CommitStage:
                     s.bus.publish(CommitStall(cycle))
             head = next(iter(s.window.values()))
             if head.fault_pending:
-                self.core._exception_flush(head, cycle)
+                core._exception_flush(head, cycle)
         self.release_inorder()
 
     def _account_commit_ready(self, weight: int = 1):

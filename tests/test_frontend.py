@@ -1,27 +1,95 @@
 """Branch predictors, BTB, RAS, and the trace-driven fetch unit."""
 
+import random
+
 import pytest
 
 from repro.frontend import (BimodalPredictor, BranchTargetBuffer, FetchUnit,
                             GsharePredictor, ReturnAddressStack,
-                            SaturatingCounter, TagePredictor, make_predictor)
+                            TagePredictor, make_predictor)
 from repro.isa import ProgramBuilder, trace_program
 
+# gshare with no history bits indexes by PC alone, so one PC keeps
+# hitting one counter and the counter rules show through predict()
+TWO_BIT_PREDICTORS = {
+    "BimodalPredictor": lambda: BimodalPredictor(entries=256),
+    "GsharePredictor": lambda: GsharePredictor(entries=256, history_bits=0),
+}
 
-class TestSaturatingCounter:
-    def test_saturates_high_and_low(self):
-        c = SaturatingCounter(bits=2)
-        for _ in range(10):
-            c.update(True)
-        assert c.value == 3 and c.taken
-        for _ in range(10):
-            c.update(False)
-        assert c.value == 0 and not c.taken
 
-    def test_hysteresis(self):
-        c = SaturatingCounter(bits=2, value=3)
-        c.update(False)
-        assert c.taken            # still predicts taken after one miss
+class ReferenceTwoBit:
+    """Reference model: one 2-bit saturating counter object per index,
+    indexed by PC XOR a global history of ``history_bits`` outcomes."""
+
+    def __init__(self, entries, history_bits=0):
+        self.entries = entries
+        self.history_bits = history_bits
+        self.history = 0
+        self.counters = {}
+
+    def _index(self, pc):
+        return (pc ^ self.history) % self.entries
+
+    def predict(self, pc):
+        return self.counters.get(self._index(pc), 2) >= 2
+
+    def update(self, pc, taken):
+        index = self._index(pc)
+        value = self.counters.get(index, 2)
+        self.counters[index] = min(3, value + 1) if taken \
+            else max(0, value - 1)
+        self.history = ((self.history << 1) | taken) \
+            % (1 << self.history_bits)
+
+
+@pytest.mark.parametrize("make", TWO_BIT_PREDICTORS.values(),
+                         ids=TWO_BIT_PREDICTORS.keys())
+class TestTwoBitCounters:
+    def test_saturates_high_and_low(self, make):
+        p = make()
+        for _ in range(10):
+            p.update(12, True)
+        assert p.predict(12)
+        p.update(12, False)
+        assert p.predict(12)      # 3 -> 2: ten takens counted only to 3
+        p.update(12, False)
+        assert not p.predict(12)
+        for _ in range(10):
+            p.update(12, False)
+        p.update(12, True)
+        assert not p.predict(12)  # 0 -> 1: saturated at 0
+        p.update(12, True)
+        assert p.predict(12)
+
+    def test_hysteresis(self, make):
+        p = make()
+        for _ in range(3):
+            p.update(12, True)
+        p.update(12, False)
+        assert p.predict(12)      # still predicts taken after one miss
+        for _ in range(3):
+            p.update(12, False)
+        p.update(12, True)
+        assert not p.predict(12)  # and not-taken after one hit
+
+
+@pytest.mark.parametrize("cls,history_bits", [
+    (BimodalPredictor, 0), (GsharePredictor, 4), (GsharePredictor, 12)])
+def test_two_bit_predictors_match_reference_model(cls, history_bits):
+    rng = random.Random(history_bits)
+    if cls is BimodalPredictor:
+        p = cls(entries=64)
+    else:
+        p = cls(entries=64, history_bits=history_bits)
+    ref = ReferenceTwoBit(64, history_bits)
+    pcs = [rng.randrange(1 << 16) for _ in range(40)]
+    for _ in range(5000):
+        pc = rng.choice(pcs)
+        # biased per-PC outcomes so counters walk the whole 0..3 range
+        taken = rng.random() < (0.9 if pc & 1 else 0.2)
+        assert p.predict(pc) == ref.predict(pc)
+        p.update(pc, taken)
+        ref.update(pc, taken)
 
 
 class TestDirectionPredictors:
@@ -71,6 +139,29 @@ class TestDirectionPredictors:
         lengths = p.history_lengths
         assert lengths[0] == 4 and lengths[-1] == 64
         assert all(a < b for a, b in zip(lengths, lengths[1:]))
+
+    def test_tage_useful_aging_halves_useful_only(self):
+        """Every ``useful_reset_period`` updates, all useful counters
+        halve; tags and prediction counters are untouched.  A twin that
+        never ages sees the same stream, so after exactly one period
+        the two differ only in the halved useful values."""
+        period = 512
+        aging = TagePredictor(num_tables=4, table_entries=64,
+                              useful_reset_period=period)
+        twin = TagePredictor(num_tables=4, table_entries=64,
+                             useful_reset_period=10 ** 9)
+        for n in range(period):
+            pc, taken = (42 if n % 3 else 17), n % 8 != 7
+            for p in (aging, twin):
+                p.predict(pc)
+                p.update(pc, taken)
+            if n == period - 2:
+                assert aging.useful == twin.useful    # not aged yet
+        assert any(u >= 2 for table in twin.useful for u in table)
+        assert aging.useful == [[u >> 1 for u in table]
+                                for table in twin.useful]
+        assert aging.tags == twin.tags
+        assert aging.counters == twin.counters
 
 
 class TestBTB:

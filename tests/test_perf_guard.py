@@ -15,19 +15,27 @@ what the convention governs.)
 Set ``REPRO_NO_PERF_GUARD=1`` to skip the guard, e.g. when bisecting
 an unrelated failure on a machine where the engine is being hacked on.
 
+Core construction is guarded too: building an :class:`O3Core` must
+create fewer than ``CONSTRUCTION_OBJECT_BUDGET`` GC-tracked objects
+(config-sized tables are flat int lists or lazily built containers,
+never one Python object per entry), and a finished core must be freed
+by reference counting alone (nothing inside a core refers back to it).
+
 The second half exercises ``REPRO_CHECK=1``: with checking latched on,
 the incremental ready/commit-eligible caches recompute every answer
 from the full matrix reduction and must agree over whole runs.
 """
 
+import gc
 import os
 import unittest.mock
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.core import check
-from repro.pipeline import O3Core, base_config
+from repro.pipeline import O3Core, base_config, lanes, ultra_config
 from repro.pipeline.lanes import LaneBatch, LaneCell, _Lane
 from repro.workloads import build_trace
 
@@ -38,6 +46,9 @@ pytestmark = pytest.mark.skipif(
 CONSTRUCTORS = ("zeros", "empty", "ones", "full", "arange")
 WARMUP_STEPS = 400
 GUARDED_STEPS = 200
+#: GC-tracked objects one core construction may create (about 220
+#: today; one object per predictor/cache/BTB entry would be ~9,500)
+CONSTRUCTION_OBJECT_BUDGET = 1000
 
 
 def _counting_shim(counts):
@@ -121,6 +132,59 @@ def test_vectorized_lane_loop_allocates_nothing():
         f"vectorized lane steps constructed NumPy arrays: {counts} "
         f"over {GUARDED_STEPS} steps — an engine scratch buffer "
         f"regressed")
+
+
+@pytest.fixture
+def gc_disabled():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("make_config", [base_config, ultra_config])
+def test_core_construction_allocates_few_objects(make_config, gc_disabled):
+    """Deterministic count, not a timing: the growth of the GC-tracked
+    object set across one ``O3Core(...)`` call."""
+    trace = build_trace("gcc.mix", scale=0.05)
+    config = make_config()
+    O3Core(trace, config)                    # warm imports and caches
+    gc.collect()
+    before = len(gc.get_objects())
+    core = O3Core(trace, config)  # noqa: F841 (kept alive while counting)
+    created = len(gc.get_objects()) - before
+    assert created < CONSTRUCTION_OBJECT_BUDGET, (
+        f"O3Core construction created {created} GC-tracked objects — a "
+        f"config-sized table went back to one object per entry")
+
+
+def test_finished_serial_core_freed_by_refcount(gc_disabled):
+    core = O3Core(build_trace("gcc.mix", scale=0.05), base_config())
+    core.run()
+    ref = weakref.ref(core)
+    del core
+    assert ref() is None, "a reference cycle keeps the finished core alive"
+
+
+def test_finished_lane_cores_freed_by_refcount(gc_disabled, monkeypatch):
+    refs = []
+
+    def recording_core(*args, **kwargs):
+        core = O3Core(*args, **kwargs)
+        refs.append(weakref.ref(core))
+        return core
+
+    monkeypatch.setattr(lanes, "O3Core", recording_core)
+    trace = build_trace("gcc.mix", scale=0.05)
+    config = base_config(scheduler="age", commit="ioc")
+    batch = LaneBatch(2, config.iq_size, config.rob_size)
+    report = batch.run([LaneCell(i, trace, config) for i in range(3)])
+    assert len(report.outcomes) == 3 and len(refs) == 3
+    assert all(outcome.error is None for outcome in report.outcomes)
+    assert all(ref() is None for ref in refs), \
+        "a reference cycle keeps finished lane cores alive"
 
 
 class TestReproCheck:

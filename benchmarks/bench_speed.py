@@ -112,7 +112,7 @@ def _parallel_pass(traces, scheduler, commit, jobs, chunk,
     total_cycles = sum(stats.cycles for stats in result.stats.values())
     return {
         "jobs": jobs,
-        "chunk": chunk if chunk is not None else "auto",
+        "chunk": chunk if chunk is not None else "factoring",
         "wall_seconds": round(wall, 4),
         "serial_wall_seconds": round(serial_wall, 4),
         "speedup": round(serial_wall / wall, 3) if wall > 0 else 0.0,
@@ -326,7 +326,7 @@ def main(argv=None) -> int:
                              "executor workers (chunked dispatch)")
     parser.add_argument("--chunk", type=int, default=None, metavar="K",
                         help="cells per dispatch chunk for --jobs "
-                             "(default auto-tuned)")
+                             "(default: factoring)")
     parser.add_argument("--gate", type=float, default=None, metavar="R",
                         help="fail if parallel wall > R x serial wall "
                              "(requires --jobs; skipped on 1-CPU hosts); "

@@ -32,10 +32,10 @@ def scale() -> float:
 
 def jobs() -> int:
     """Parallel simulation workers (``$REPRO_JOBS``, default 1)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_JOBS", "1")))
-    except ValueError:
-        return 1
+    # imported on use: pytest also loads this conftest for
+    # benchmarks/e2e, whose tests never import the program
+    from repro.harness import default_workers
+    return default_workers()
 
 
 def publish(name: str, text: str) -> None:

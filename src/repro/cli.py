@@ -26,10 +26,11 @@ Experiment commands accept ``--jobs N`` (parallel simulation workers,
 default ``$REPRO_JOBS``), ``--no-cache`` (bypass the on-disk result
 cache under ``benchmarks/.cache/``), ``--timeout S`` (per-cell limit
 on the worker path, default ``$REPRO_CELL_TIMEOUT``), ``--chunk K``
-(cells per worker dispatch batch, default ``$REPRO_CHUNK`` or
-auto-tuned) and ``--lanes L`` (lane-batch width: up to L compatible
-cells simulated in lockstep per batch, default ``$REPRO_LANES`` or 1;
-``repro profile`` requires ``--lanes 1``).
+(fixed cells per worker dispatch batch, default ``$REPRO_CHUNK``,
+else factoring: chunks shrink as the queue drains) and ``--lanes L``
+(lane-batch width: up to L compatible cells simulated in lockstep per
+batch, default ``$REPRO_LANES`` or 1; ``repro profile`` requires
+``--lanes 1``).
 """
 
 from __future__ import annotations
@@ -66,9 +67,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "with workers (default $REPRO_CELL_TIMEOUT; "
                              "timed-out cells are reported, not fatal)")
     parser.add_argument("--chunk", type=int, default=None, metavar="K",
-                        help="cells per worker dispatch batch (default "
-                             "$REPRO_CHUNK, else auto-tuned from per-cell "
-                             "time estimates; 1 disables batching)")
+                        help="fixed cells per worker dispatch batch "
+                             "(default $REPRO_CHUNK, else factoring: each "
+                             "idle worker takes half its share of the "
+                             "remaining cells, so chunks shrink as the "
+                             "queue drains and never mix workloads; 1 "
+                             "disables batching)")
     parser.add_argument("--lanes", type=int, default=None, metavar="L",
                         help="lane-batch width: simulate up to L "
                              "compatible cells in lockstep over shared "

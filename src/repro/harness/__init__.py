@@ -10,8 +10,8 @@ from .diagnostics import (ReplayReport, build_crash_bundle,
 from .experiments import (ExperimentResult, FIG15_CONFIGS, fig14, fig15,
                           fig16, stall_breakdown, table1)
 from .parallel import (Job, default_lanes, default_use_cache,
-                       default_workers, estimate_cell_seconds, jobs_for,
-                       run_suite, shutdown_pools)
+                       default_workers, jobs_for, run_suite,
+                       shutdown_pools)
 from .plots import grouped_bars, hbar_chart, sparkline
 from .report import format_speedup_matrix, format_table, percent
 from .resilience import (CellFailure, CellStatus, SuiteInterrupted,
@@ -32,8 +32,7 @@ __all__ = ["KernelProfile", "characterize", "format_characterization",
            "run_criticality_suite", "resolve_execution", "speedups",
            "ResultCache", "cache_key", "config_fingerprint",
            "Job", "default_lanes", "default_use_cache", "default_workers",
-           "estimate_cell_seconds", "jobs_for", "run_suite",
-           "shutdown_pools",
+           "jobs_for", "run_suite", "shutdown_pools",
            "CellFailure", "CellStatus", "SuiteInterrupted",
            "default_cell_timeout", "default_chunk_size",
            "default_max_retries",

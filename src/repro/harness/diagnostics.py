@@ -39,6 +39,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..envutil import env_int
 from ..isa import OpClass
 from ..memory import HierarchyConfig
 from ..pipeline import ENGINE_VERSION, CoreConfig, EventTail, O3Core
@@ -59,10 +60,7 @@ _evict_warned: set = set()          # crash dirs already warned about
 
 
 def _crash_keep() -> int:
-    try:
-        return int(os.environ.get("REPRO_CRASH_KEEP", CRASH_KEEP))
-    except ValueError:
-        return CRASH_KEEP
+    return env_int("REPRO_CRASH_KEEP", CRASH_KEEP)
 
 
 def _evict_old_bundles(root: pathlib.Path) -> None:

@@ -71,8 +71,7 @@ from .resilience import (CellFailure, CellStatus, SuiteInterrupted,
                          get_pool, next_task_id, shutdown_pools)
 
 __all__ = ["Job", "ProfileData", "default_lanes", "default_use_cache",
-           "default_workers", "estimate_cell_seconds", "jobs_for",
-           "run_suite", "shutdown_pools"]
+           "default_workers", "jobs_for", "run_suite", "shutdown_pools"]
 
 #: pc_l1_misses, pc_mispredicts — the profile payload fed to the tagger
 ProfileData = Tuple[Dict[int, int], Dict[int, int]]
@@ -97,10 +96,7 @@ class Job:
 
 def default_workers() -> int:
     """Worker count from ``$REPRO_JOBS`` (default 1 = in-process)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_JOBS", "1")))
-    except ValueError:
-        return 1
+    return max(1, env_int("REPRO_JOBS", 1))
 
 
 def default_use_cache() -> bool:
@@ -112,26 +108,6 @@ def default_use_cache() -> bool:
 def default_lanes() -> int:
     """Lane-batch width from ``$REPRO_LANES`` (default 1 = off)."""
     return max(1, env_int("REPRO_LANES", 1))
-
-
-#: crude generation-parameter-to-seconds calibration for chunk sizing:
-#: suite kernels emit ~12 trace instructions per size-parameter unit
-#: and the engine sustains ~20 kcycles/sec at ~1.3 cycles/instr
-_SECONDS_PER_PARAM_UNIT = 1.0 / 1300.0
-
-
-def estimate_cell_seconds(workload: str, scale: float = 1.0) -> float:
-    """Order-of-magnitude wall-clock estimate for one cell.
-
-    Only used to auto-size dispatch chunks (``TaskSpec.est_seconds``);
-    an estimate that is off by a few× merely changes how many cells
-    share a pipe round-trip, never what they compute.
-    """
-    try:
-        units = get_target(workload).cost_estimate(scale)
-    except ValueError:
-        return 0.0
-    return units * _SECONDS_PER_PARAM_UNIT
 
 
 def _workload_spec(workload: str):
@@ -446,12 +422,13 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
     ``timeout`` (seconds; ``None`` reads ``$REPRO_CELL_TIMEOUT``)
     bounds each cell on the worker path; ``retries`` (``None`` reads
     ``$REPRO_RETRIES``) bounds crash retries.  ``chunk`` (``None``
-    reads ``$REPRO_CHUNK``, 0/unset → auto-size from per-cell timing
-    estimates) sets how many cells share one dispatch round-trip; the
-    dispatch order additionally groups cells by (workload, scale) so
-    chunk-mates hit the worker-side trace LRU.  Failed cells come
-    back as annotated holes in the :class:`SuiteResult`, never as
-    raised exceptions.
+    reads ``$REPRO_CHUNK``) fixes how many cells share one dispatch
+    round-trip; 0/unset sizes chunks by factoring, so they shrink as
+    the queue drains and the workers finish together.  The dispatch
+    order groups cells by (workload, scale) so chunk-mates hit the
+    worker-side trace LRU, and a factored chunk never spans two such
+    groups.  Failed cells come back as annotated holes in the
+    :class:`SuiteResult`, never as raised exceptions.
 
     ``lanes`` (``None`` reads ``$REPRO_LANES``; 1 = off) batches
     lane-compatible cells through the lockstep engine
@@ -540,7 +517,7 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
                             _guarded_profile,
                             (f"profile/{name}", config, name, scale,
                              _workload_spec(name), faults_text),
-                            est_seconds=estimate_cell_seconds(name, scale))
+                            affinity=(name, scale))
             specs.append(spec)
             key_of[spec.task_id] = key
 
@@ -615,11 +592,7 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
                         ([(jobs[i].label, jobs[i].config,
                            jobs[i].workload, jobs[i].scale,
                            _workload_spec(jobs[i].workload))
-                          for i in part], lanes, timeout),
-                        est_seconds=sum(
-                            estimate_cell_seconds(jobs[i].workload,
-                                                  jobs[i].scale)
-                            for i in part))
+                          for i in part], lanes, timeout))
                     group_specs.append(spec)
                     members_of[spec.task_id] = part
 
@@ -679,9 +652,11 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
         specs, index_of = [], {}
         # affinity scheduling: dispatch same-(workload, scale) cells
         # adjacently so they land in the same chunk (and therefore the
-        # same worker), maximising the worker-side trace-LRU hit rate.
-        # Outcomes are keyed by task id and assembled in job order
-        # below, so dispatch order never affects results.
+        # same worker), maximising the worker-side trace-LRU hit rate;
+        # a factored chunk ends where the key changes, so two costly
+        # workloads never share one.  Outcomes are keyed by task id
+        # and assembled in job order below, so dispatch order never
+        # affects results.
         ordered = sorted((i for i in task_indices if i not in lane_set),
                          key=lambda i: (jobs[i].workload, jobs[i].scale,
                                         jobs[i].label))
@@ -705,8 +680,7 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
                             (job.label, job.config, job.workload,
                              job.scale, _workload_spec(job.workload),
                              profile, job.profile_config, faults_text),
-                            est_seconds=estimate_cell_seconds(
-                                job.workload, job.scale))
+                            affinity=(job.workload, job.scale))
             specs.append(spec)
             index_of[spec.task_id] = index
 

@@ -14,19 +14,21 @@ built for graceful degradation:
   none) and never wedges the parent.
 * **Batched (chunked) dispatch.**  Short cells used to pay one pipe
   round-trip each; :meth:`ResilientPool.run` now sends each worker a
-  *chunk* of tasks per message, sized automatically from the per-cell
-  timing estimates carried on :class:`TaskSpec` (``--chunk`` /
-  ``$REPRO_CHUNK`` override).  The worker streams **one result per
-  cell** back up the pipe as it finishes, so per-cell statuses,
-  timeout accounting, and interrupt reporting are unchanged — the
-  chunk is a transport optimisation, not a unit of failure.  The cell
-  a worker is executing is always the first chunk member without a
-  result (cells run in order), which is how a mid-chunk death is
-  attributed to the right cell: finished chunk-mates keep their
-  results, the in-flight cell is retried or failed, and not-yet-
-  started chunk-mates are re-queued with no attempt penalty.  Cells
-  on their retry attempt are dispatched alone so a hard-crashing cell
-  cannot repeatedly evict innocent chunk-mates.
+  *chunk* of tasks per message, sized by factoring: each idle worker
+  takes half its even share of the fresh backlog, so chunks shrink as
+  the queue drains, and a chunk never spans two affinity keys
+  (``--chunk`` / ``$REPRO_CHUNK`` fix the size instead).  The worker
+  streams **one result per cell** back up the pipe as it finishes, so
+  per-cell statuses, timeout accounting, and interrupt reporting are
+  unchanged — the chunk is a transport optimisation, not a unit of
+  failure.  The cell a worker is executing is always the first chunk
+  member without a result (cells run in order), which is how a
+  mid-chunk death is attributed to the right cell: finished
+  chunk-mates keep their results, the in-flight cell is retried or
+  failed, and not-yet-started chunk-mates are re-queued with no
+  attempt penalty.  Cells on their retry attempt are dispatched alone
+  so a hard-crashing cell cannot repeatedly evict innocent
+  chunk-mates.
 * **Per-cell timeouts.**  Every in-flight cell carries a deadline
   (``timeout`` argument, ``$REPRO_CELL_TIMEOUT`` default); a cell past
   its deadline has its worker killed, the cell is recorded as
@@ -64,7 +66,7 @@ import signal
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
 from ..envutil import env_float, env_int
 
@@ -126,9 +128,10 @@ class TaskSpec:
     cell_id: str
     func: Callable
     payload: tuple
-    #: rough wall-clock estimate for this cell (seconds; 0 = unknown),
-    #: used only to auto-size dispatch chunks — never affects results
-    est_seconds: float = 0.0
+    #: tasks with equal keys cost about the same and share worker-side
+    #: caches (the harness keys cells by ``(workload, scale)``); a
+    #: factored chunk never spans two keys
+    affinity: Hashable = None
 
 
 @dataclass
@@ -167,7 +170,8 @@ def default_max_retries() -> int:
 
 
 def default_chunk_size() -> Optional[int]:
-    """Dispatch chunk size from ``$REPRO_CHUNK`` (unset/0 → auto)."""
+    """Fixed dispatch chunk size from ``$REPRO_CHUNK`` (unset/0 →
+    ``None``: :meth:`ResilientPool.run` sizes chunks by factoring)."""
     value = env_int("REPRO_CHUNK", 0)
     return value if value > 0 else None
 
@@ -282,13 +286,8 @@ class ResilientPool:
     BACKOFF_CAP = 4.0
     #: dispatch-loop poll ceiling (seconds)
     POLL = 0.5
-    #: auto chunk sizing: aim for ~this much estimated work per
-    #: round-trip; small enough that timeouts and load balancing keep
-    #: their granularity, large enough to amortise dispatch overhead
-    CHUNK_TARGET_SECONDS = 1.0
-    #: auto chunk size when tasks carry no timing estimates
-    CHUNK_DEFAULT = 4
-    #: hard ceiling on auto-sized chunks
+    #: hard ceiling on factored chunks: limits how much of a long
+    #: single-key sweep one early chunk can hold
     CHUNK_CAP = 32
 
     def __init__(self, workers: int):
@@ -334,20 +333,21 @@ class ResilientPool:
             chunk: Optional[int] = None) -> Dict[int, TaskOutcome]:
         """Execute every task; return ``{task_id: TaskOutcome}``.
 
-        ``chunk`` fixes the number of cells per dispatch message
-        (``None`` auto-sizes from the tasks' ``est_seconds``).  The
-        ``timeout`` stays **per cell**: the deadline re-arms each time
-        a chunk member's result arrives.  Never raises for a failing
-        *task*; raises :class:`SuiteInterrupted` on Ctrl-C after
-        killing the pool.
+        ``chunk`` fixes the number of cells per dispatch message;
+        ``None`` sizes each chunk by factoring as it is sent (see
+        :meth:`_factored`), so chunks shrink as the queue drains, stay
+        within one affinity key, and the workers finish close
+        together.  The ``timeout`` stays **per cell**: the deadline
+        re-arms each time a chunk member's result arrives.  Never
+        raises for a failing *task*; raises :class:`SuiteInterrupted`
+        on Ctrl-C after killing the pool.
         """
         start = time.monotonic()
         outcomes: Dict[int, TaskOutcome] = {}
         pending: List[_Pending] = [_Pending(task, enqueued_at=start)
                                    for task in tasks]
         completed_cells: List[str] = []
-        chunk_size = chunk if chunk and chunk > 0 else \
-            self._auto_chunk(tasks)
+        fixed = chunk if chunk and chunk > 0 else None
 
         def finish(task: TaskSpec, outcome: TaskOutcome) -> None:
             outcomes[task.task_id] = outcome
@@ -359,7 +359,7 @@ class ResilientPool:
         try:
             while len(outcomes) < len(tasks):
                 now = time.monotonic()
-                self._assign(pending, now, timeout, chunk_size)
+                self._assign(pending, now, timeout, fixed)
                 busy = [h for h in self.handles if h.busy]
                 if not busy:
                     if not pending:
@@ -403,25 +403,24 @@ class ResilientPool:
 
     # -- loop steps --------------------------------------------------------
 
-    def _auto_chunk(self, tasks: Sequence[TaskSpec]) -> int:
-        """Chunk size targeting ``CHUNK_TARGET_SECONDS`` of estimated
-        work per round-trip, never starving a worker of its share."""
-        if not tasks:
-            return 1
-        estimates = sorted(t.est_seconds for t in tasks
-                           if t.est_seconds > 0)
-        if estimates:
-            typical = estimates[len(estimates) // 2]
-            size = int(self.CHUNK_TARGET_SECONDS / typical) \
-                if typical > 0 else self.CHUNK_CAP
-        else:
-            size = self.CHUNK_DEFAULT
-        fair_share = -(-len(tasks) // max(1, len(self.handles) or
-                                          self.workers))
-        return max(1, min(size, fair_share, self.CHUNK_CAP))
+    def _factored(self, pending: List[_Pending],
+                  fresh: List[int]) -> List[int]:
+        """Factoring (Hummel, Schonberg & Flynn, CACM 1992): an idle
+        worker takes the first ``ceil(len(fresh) / (2 * workers))``
+        fresh cells, capped at ``CHUNK_CAP`` and cut where the
+        affinity key changes.  Early chunks amortise the round-trip;
+        the tail is single cells, so no worker is left running a long
+        last chunk while the others sit idle.  Factoring assumes cells
+        of about equal cost, which holds within a key but not across
+        keys: the cut keeps two adjacent costly workloads from riding
+        in one chunk."""
+        size = min(self.CHUNK_CAP, -(-len(fresh) // (2 * self.workers)))
+        key = pending[fresh[0]].task.affinity
+        return list(itertools.takewhile(
+            lambda i: pending[i].task.affinity == key, fresh[:size]))
 
     def _assign(self, pending: List[_Pending], now: float,
-                timeout: Optional[float], chunk_size: int) -> None:
+                timeout: Optional[float], chunk: Optional[int]) -> None:
         for handle in self.handles:
             if handle.busy:
                 continue
@@ -434,8 +433,9 @@ class ResilientPool:
             if pending[eligible[0]].attempt > 1:
                 take = eligible[:1]
             else:
-                take = [i for i in eligible
-                        if pending[i].attempt == 1][:chunk_size]
+                fresh = [i for i in eligible if pending[i].attempt == 1]
+                take = fresh[:chunk] if chunk else \
+                    self._factored(pending, fresh)
             items = [pending[i] for i in take]
             if not handle.proc.is_alive():   # died while idle
                 handle = self._respawn(handle)

@@ -348,8 +348,7 @@ def run_campaign(seed: int, count: int, jobs: int = 1, lanes: int = 1,
                     task_id=task_id,
                     cell_id=f"verify/{programs[i].name}",
                     func=_run_program,
-                    payload=(programs[i].to_dict(), lanes, faults_text),
-                    est_seconds=0.2))
+                    payload=(programs[i].to_dict(), lanes, faults_text)))
             pool = get_pool(jobs)
 
             def on_complete(task: TaskSpec, outcome) -> None:

@@ -107,10 +107,6 @@ class ScenarioTarget(WorkloadTarget):
         return (f"scenario: {self.family()} of "
                 f"{', '.join(self.components)} (seed {self.seed})")
 
-    def cost_estimate(self, scale: float = 1.0) -> float:
-        return sum(get_target(name).cost_estimate(scale)
-                   for name in self.components)
-
 
 class InterleaveTarget(ScenarioTarget):
     """SMT-style round-robin merge of component streams."""

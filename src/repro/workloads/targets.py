@@ -103,14 +103,6 @@ class WorkloadTarget:
         """
         return ("registry", self.name)
 
-    def cost_estimate(self, scale: float = 1.0) -> float:
-        """Relative wall-clock weight (generation-parameter units).
-
-        Feeds dispatch chunk sizing only — a bad estimate changes how
-        cells share a worker round-trip, never what they compute.
-        """
-        return 0.0
-
     def sweeps(self) -> bool:
         """Whether the target joins default (``names=None``) sweeps."""
         return True
@@ -148,9 +140,6 @@ class SyntheticTarget(WorkloadTarget):
 
     def provenance(self) -> str:
         return f"generated: kernels.{self.factory.__name__}"
-
-    def cost_estimate(self, scale: float = 1.0) -> float:
-        return float(sum(self.params(scale).values()))
 
 
 class TraceFileTarget(WorkloadTarget):
@@ -196,11 +185,6 @@ class TraceFileTarget(WorkloadTarget):
 
     def worker_spec(self) -> Tuple:
         return ("trace-file", self.name, str(self.path), self.sha256)
-
-    def cost_estimate(self, scale: float = 1.0) -> float:
-        # suite kernels emit ~12 trace instructions per parameter unit;
-        # invert that so file targets weigh like equivalent kernels
-        return self.header.get("count", 0) / 12.0
 
 
 # -- the registry -----------------------------------------------------------

@@ -83,7 +83,7 @@ class TestDeterminism:
                                                       serial_reference,
                                                       chunk):
         """Batched dispatch is a transport optimisation: any chunk
-        size (including auto-tuned) must be invisible in the stats."""
+        size (fixed or factored) must be invisible in the stats."""
         for label, config in CONFIGS:
             result = run_config(label, config, traces, workers=2,
                                 use_cache=False, chunk=chunk)

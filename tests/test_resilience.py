@@ -11,20 +11,23 @@ through every scenario bit-identical to the serial reference.
 
 import _thread
 import json
+import os
 import threading
 import time
 import warnings
 
 import pytest
 
+from repro import envutil
 from repro.envutil import env_flag, env_float, env_int
 from repro.harness import (CellStatus, SuiteInterrupted, hbar_chart,
                            replay_bundle, run_suite)
 from repro.harness.cache import (ResultCache, _reset_corrupt_warning,
                                  cache_key, payload_checksum,
                                  stats_to_dict)
-from repro.harness.diagnostics import load_bundle
-from repro.harness.parallel import Job, default_use_cache
+from repro.harness.diagnostics import CRASH_KEEP, _crash_keep, load_bundle
+from repro.harness.parallel import Job, default_use_cache, default_workers
+from repro.harness.resilience import ResilientPool, TaskSpec, next_task_id
 from repro.harness.runner import SuiteResult, speedups
 from repro.pipeline import base_config
 from repro.testing import faults
@@ -37,6 +40,18 @@ def _jobs(label, workloads=WORKLOADS, config=None, profile_config=None):
     config = config or base_config()
     return [Job(label, config, name, SCALE, profile_config)
             for name in workloads]
+
+
+def _noop(payload, attempt):
+    """Pool task that does no work, so only the schedule is tested."""
+    return "ok", payload
+
+
+def _crash_first_attempt(payload, attempt):
+    """Pool task whose worker dies on the first attempt only."""
+    if attempt == 1:
+        os._exit(3)
+    return "ok", payload
 
 
 @pytest.fixture
@@ -83,6 +98,21 @@ class TestEnvParsing:
         monkeypatch.setenv("REPRO_TEST_NUM", "junk")
         with pytest.warns(RuntimeWarning):
             assert env_int("REPRO_TEST_NUM", 3) == 3
+
+    @pytest.mark.parametrize("name, read, default", [
+        ("REPRO_JOBS", default_workers, 1),
+        ("REPRO_CRASH_KEEP", _crash_keep, CRASH_KEEP)],
+        ids=["jobs", "crash_keep"])
+    def test_malformed_count_warns_once(self, monkeypatch, name, read,
+                                        default):
+        monkeypatch.setattr(envutil, "_warned", set())
+        monkeypatch.setenv(name, "two")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert read() == default
+            assert read() == default
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert name in str(caught[0].message)
 
     def test_repro_cache_false_disables_cache(self, monkeypatch):
         """Regression: REPRO_CACHE=false/off used to *enable* caching."""
@@ -305,9 +335,10 @@ class TestInterrupt:
 
 
 class TestChunkedDispatch:
-    """Partial-chunk failure semantics: a fault in one chunk cell must
-    never poison its chunk-mates — finished mates keep their results,
-    unstarted mates are re-queued and complete bit-identically."""
+    """The factored chunk schedule, and partial-chunk failure
+    semantics: a fault in one chunk cell must never poison its
+    chunk-mates — finished mates keep their results, unstarted mates
+    are re-queued and complete bit-identically."""
 
     CHUNK_WORKLOADS = ("gcc.mix", "mcf.chase", "perl.branchy")
 
@@ -316,6 +347,105 @@ class TestChunkedDispatch:
         result = run_suite(_jobs("ref3", self.CHUNK_WORKLOADS),
                            workers=1)["ref3"]
         return result.stats
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        pool = ResilientPool(2)
+        yield pool
+        pool.shutdown(kill=True)
+
+    @staticmethod
+    def _record(pool, monkeypatch):
+        """Record every chunk ``pool`` sends, as a list of
+        ``[(task, attempt), ...]`` lists."""
+        sent, seen = [], []
+        assign = pool._assign
+
+        def recording(*args):
+            assign(*args)
+            for handle in pool.handles:
+                if handle.chunk and \
+                        not any(handle.chunk is chunk for chunk in seen):
+                    seen.append(handle.chunk)
+                    sent.append([(p.task, p.attempt) for p in handle.chunk])
+
+        monkeypatch.setattr(pool, "_assign", recording)
+        return sent
+
+    def _run_recorded(self, pool, monkeypatch, funcs, keys=None, **kwargs):
+        """Run one task per entry of ``funcs`` (affinity keys from
+        ``keys``, default none); return the tasks, their outcomes and
+        every chunk sent."""
+        sent = self._record(pool, monkeypatch)
+        keys = keys or [None] * len(funcs)
+        tasks = [TaskSpec(next_task_id(), f"noop/{i}", func, i,
+                          affinity=key)
+                 for i, (func, key) in enumerate(zip(funcs, keys))]
+        return tasks, pool.run(tasks, **kwargs), sent
+
+    def test_factoring_schedule(self, pool, monkeypatch):
+        # the sizes depend only on the fresh backlog, never on which
+        # worker asks first, so the sequence is exact
+        tasks, outcomes, sent = self._run_recorded(
+            pool, monkeypatch, [_noop] * 50)
+        assert [len(chunk) for chunk in sent] == \
+            [13, 10, 7, 5, 4, 3, 2, 2, 1, 1, 1, 1]
+        assert [outcomes[t.task_id].status for t in tasks] == \
+            [CellStatus.OK] * 50
+        assert [outcomes[t.task_id].value for t in tasks] == list(range(50))
+
+    def test_factored_chunks_stay_within_one_key(self, pool, monkeypatch):
+        # three affinity runs of 20, 4 and 26 cells: each factored
+        # chunk ends where the key changes, so two runs of costly
+        # cells can never land on one worker as a single chunk
+        keys = ["a"] * 20 + ["b"] * 4 + ["c"] * 26
+        tasks, outcomes, sent = self._run_recorded(
+            pool, monkeypatch, [_noop] * 50, keys=keys)
+        assert [len(chunk) for chunk in sent] == \
+            [13, 7, 4, 7, 5, 4, 3, 2, 2, 1, 1, 1]
+        assert all(len({task.affinity for task, _ in chunk}) == 1
+                   for chunk in sent)
+        assert all(outcomes[t.task_id].status is CellStatus.OK
+                   for t in tasks)
+
+    def test_run_suite_keys_chunks_by_workload(self, monkeypatch):
+        # 4 cells per workload: the second factored chunk (3 cells)
+        # would take gcc.mix's last cell and two of mcf.chase's
+        from repro.harness.resilience import get_pool
+        monkeypatch.delenv("REPRO_CHUNK", raising=False)
+        sent = self._record(get_pool(2), monkeypatch)
+        workloads = ("gcc.mix", "mcf.chase", "sjeng.listupd")
+        jobs = [job for label in "ABCD" for job in _jobs(label, workloads)]
+        results = run_suite(jobs, workers=2, lanes=1)
+        assert all(result.complete() for result in results.values())
+        assert [[task.cell_id for task, _ in chunk] for chunk in sent][:2] \
+            == [["A/gcc.mix", "B/gcc.mix", "C/gcc.mix"], ["D/gcc.mix"]]
+        assert all(len({task.affinity for task, _ in chunk}) == 1
+                   for chunk in sent)
+
+    def test_factored_chunks_are_capped(self, pool, monkeypatch):
+        _, outcomes, sent = self._run_recorded(pool, monkeypatch,
+                                               [_noop] * 300)
+        assert len(sent[0]) == ResilientPool.CHUNK_CAP == 32
+        assert sum(len(chunk) for chunk in sent) == len(outcomes) == 300
+
+    def test_explicit_chunk_stays_fixed(self, pool, monkeypatch):
+        # a fixed size is taken as given, across affinity keys too
+        _, _, sent = self._run_recorded(pool, monkeypatch, [_noop] * 50,
+                                        keys=["a", "b"] * 25, chunk=4)
+        assert [len(chunk) for chunk in sent] == [4] * 12 + [2]
+
+    def test_crash_retry_is_sent_alone(self, pool, monkeypatch):
+        funcs = [_noop] * 10
+        funcs[1] = _crash_first_attempt
+        tasks, outcomes, sent = self._run_recorded(pool, monkeypatch,
+                                                   funcs, retries=1)
+        crasher = tasks[1]
+        assert len(sent[0]) == 3 and sent[0][1] == (crasher, 1)
+        assert [(crasher, 2)] in sent
+        assert outcomes[crasher.task_id].attempts == 2
+        assert all(outcomes[t.task_id].status is CellStatus.OK
+                   for t in tasks)
 
     def test_mid_chunk_crash_names_the_right_cell(self, monkeypatch,
                                                   chunk_reference):

@@ -2,12 +2,12 @@
 
 The lane-batched engine (:mod:`repro.pipeline.lanes`) steps N
 independent (config, workload) cells in lockstep.  Each cell's matrix
-state — the IQ age matrix, the wakeup matrix, and the merged ROB
-age/SPEC matrix — would normally live in per-core ``np.zeros`` blocks
-scattered across the heap.  :class:`LaneStack` instead allocates one
-3-D array per plane with a leading **lane axis**::
+state — the wakeup matrix and the merged ROB age/SPEC matrix — would
+normally live in per-core ``np.zeros`` blocks scattered across the
+heap.  :class:`LaneStack` instead allocates one 3-D array per plane
+with a leading **lane axis**::
 
-    iq_age_bits   : (lanes, iq_size, iq_size)   bool
+    wakeup_bits   : (lanes, iq_size, iq_size)   bool
     wakeup_pending: (lanes, iq_size)            intp
     rob_age_bits  : (lanes, rob_size, rob_size) bool
     ...
@@ -92,19 +92,16 @@ class MergedPlanes:
 class LaneSlot:
     """One lane's worth of views into a :class:`LaneStack`."""
 
-    __slots__ = ("lane", "iq_size", "rob_size", "iq_age", "wakeup",
-                 "merged", "rob_scratch", "issue_ready", "iq_stamp",
-                 "iq_fu")
+    __slots__ = ("lane", "iq_size", "rob_size", "wakeup", "merged",
+                 "rob_scratch", "issue_ready", "iq_stamp", "iq_fu")
 
     def __init__(self, lane: int, iq_size: int, rob_size: int,
-                 iq_age: AgePlanes, wakeup: WakeupPlanes,
-                 merged: MergedPlanes, rob_scratch: np.ndarray,
-                 issue_ready: np.ndarray, iq_stamp: np.ndarray,
-                 iq_fu: np.ndarray):
+                 wakeup: WakeupPlanes, merged: MergedPlanes,
+                 rob_scratch: np.ndarray, issue_ready: np.ndarray,
+                 iq_stamp: np.ndarray, iq_fu: np.ndarray):
         self.lane = lane
         self.iq_size = iq_size
         self.rob_size = rob_size
-        self.iq_age = iq_age
         self.wakeup = wakeup
         self.merged = merged
         self.rob_scratch = rob_scratch
@@ -132,11 +129,6 @@ class LaneStack:
         self.rob_size = rob_size
         shape_iq = (lanes, iq_size, iq_size)
         shape_rob = (lanes, rob_size, rob_size)
-        # IQ age matrix planes
-        self.iq_age_bits = np.zeros(shape_iq, dtype=bool)
-        self.iq_age_and = np.empty(shape_iq, dtype=bool)
-        self.iq_age_valid = np.zeros((lanes, iq_size), dtype=bool)
-        self.iq_age_critical = np.zeros((lanes, iq_size), dtype=bool)
         # wakeup matrix planes
         self.wakeup_bits = np.zeros(shape_iq, dtype=bool)
         self.wakeup_and = np.empty(shape_iq, dtype=bool)
@@ -158,10 +150,11 @@ class LaneStack:
         # kernel needs, promoted to lane-axis planes.  ``issue_ready``
         # mirrors each lane's ``PipelineState.ready_set`` bit-for-bit
         # (maintained by the MirroredReadySet wrapper); ``iq_stamp`` /
-        # ``iq_fu`` hold the occupant's dispatch stamp and FU code,
-        # written at dispatch.  Freed entries keep stale stamps — the
-        # kernels mask with ``issue_ready``, which only covers live
-        # ready entries, so stale values are never read.
+        # ``iq_fu`` hold the occupant's order key (repro.scheduler.
+        # order_key) and FU code, written at dispatch.  Freed entries
+        # keep stale keys — the kernels mask with ``issue_ready``,
+        # which only covers live ready entries, so stale values are
+        # never read.
         self.issue_ready = np.zeros((lanes, iq_size), dtype=bool)
         self.iq_stamp = np.zeros((lanes, iq_size), dtype=np.int64)
         self.iq_fu = np.zeros((lanes, iq_size), dtype=np.int8)
@@ -170,9 +163,6 @@ class LaneStack:
         """Views for one lane, ready to back a ``PipelineState``."""
         if not 0 <= lane < self.lanes:
             raise IndexError(f"lane {lane} out of range 0..{self.lanes - 1}")
-        iq_age = AgePlanes(
-            BitPlanes(self.iq_age_bits[lane], self.iq_age_and[lane]),
-            self.iq_age_valid[lane], self.iq_age_critical[lane])
         wakeup = WakeupPlanes(
             BitPlanes(self.wakeup_bits[lane], self.wakeup_and[lane]),
             self.wakeup_valid[lane], self.wakeup_pending[lane],
@@ -182,8 +172,8 @@ class LaneStack:
                 BitPlanes(self.rob_age_bits[lane], self.rob_age_and[lane]),
                 self.rob_age_valid[lane], self.rob_age_critical[lane]),
             self.spec[lane], self.blockers[lane], self.safe[lane])
-        return LaneSlot(lane, self.iq_size, self.rob_size, iq_age,
-                        wakeup, merged, self.rob_scratch[lane],
+        return LaneSlot(lane, self.iq_size, self.rob_size, wakeup,
+                        merged, self.rob_scratch[lane],
                         self.issue_ready[lane], self.iq_stamp[lane],
                         self.iq_fu[lane])
 
@@ -191,7 +181,7 @@ class LaneStack:
 
     def iq_occupancy(self) -> np.ndarray:
         """Valid-IQ-entry count per lane: one reduction over the stack."""
-        return np.count_nonzero(self.iq_age_valid, axis=1)
+        return np.count_nonzero(self.wakeup_valid, axis=1)
 
     def rob_occupancy(self) -> np.ndarray:
         """Valid-ROB-entry count per lane."""

@@ -115,7 +115,7 @@ class O3Core:
         # mirrored; they keep reading through __getattr__.
         for attr in ("trace", "config", "stats", "rng", "predictor",
                      "fetch", "rename", "commit_policy", "select_policy",
-                     "iq_queue", "iq_age", "wakeup", "iq_ops",
+                     "iq_queue", "wakeup", "iq_ops",
                      "rob_queue", "merged", "rob_scratch", "lsq",
                      "hierarchy", "tlb",
                      "fupool", "window", "ops", "zombies",

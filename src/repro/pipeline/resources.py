@@ -114,11 +114,6 @@ class FUPool:
         return self.acquire_fu(fu_type_for(op_class), latency,
                                op_class in _UNPIPELINED)
 
-    def all_free(self) -> bool:
-        """Nothing issued this cycle and no unpipelined op in flight —
-        every unit of every type can accept an operation."""
-        return not self._issued_total and not self._n_busy
-
     def availability_vector(self) -> List[int]:
         """Per-type free-unit counts, indexed by :class:`FUType`.
 

@@ -16,6 +16,7 @@ import heapq
 from typing import Optional
 
 from ...isa import DynInstr, OpClass, Opcode
+from ...scheduler import order_key
 from ..events import DispatchEvent, DispatchStall, EventType
 from .state import InflightOp, PipelineState
 
@@ -33,7 +34,6 @@ class DispatchStage:
         self._g_rob: list = []
         self._g_spec: list = []
         self._g_iq: list = []
-        self._g_crit: list = []
         self._g_prods: list = []
         # cross-lane fused landing (repro.pipeline.vectorstages): with
         # ``defer_flush`` the accumulators survive the tick and the
@@ -75,12 +75,10 @@ class DispatchStage:
         write per structure (oldest group member first)."""
         s = self.s
         s.merged.dispatch_group(self._g_rob, self._g_spec)
-        s.iq_age.dispatch_group(self._g_iq, self._g_crit)
         s.wakeup.dispatch_group(self._g_iq, self._g_prods)
         self._g_rob.clear()
         self._g_spec.clear()
         self._g_iq.clear()
-        self._g_crit.clear()
         self._g_prods.clear()
 
     # -- stall attribution ---------------------------------------------
@@ -124,12 +122,14 @@ class DispatchStage:
         op.latency = self._latency(dyn.op_class, 1)
         s.dispatch_counter += 1
         op.dispatch_stamp = s.dispatch_counter
+        op.order_key = order_key(op.dispatch_stamp,
+                                 s.config.criticality and dyn.critical)
         op.rob_entry = s.rob_queue.allocate()
         op.iq_entry = s.iq_queue.allocate()
         op.in_iq = True
         if s.iq_stamp is not None:
             # struct-of-arrays issue columns for the vectorized kernels
-            s.iq_stamp[op.iq_entry] = op.dispatch_stamp
+            s.iq_stamp[op.iq_entry] = op.order_key
             s.iq_fu[op.iq_entry] = op.fu
         if dyn.is_load:
             s.lsq.allocate_load(dyn.seq)
@@ -185,9 +185,7 @@ class DispatchStage:
         self._g_rob.append(op.rob_entry)
         self._g_spec.append(speculative)
         op.spec_resolved = not speculative
-        critical = s.config.criticality and dyn.critical
         self._g_iq.append(op.iq_entry)
-        self._g_crit.append(critical)
         self._g_prods.append(producer_entries)
         s.stats.iq_writes += 1
         s.stats.rob_writes += 1
@@ -212,17 +210,16 @@ class DispatchStage:
         op.latency = self._latency(fetched.instr.op_class, 1)
         op.wrong_path = True
         s.dispatch_counter += 1
-        op.dispatch_stamp = s.dispatch_counter
+        op.dispatch_stamp = op.order_key = s.dispatch_counter
         op.rob_entry = s.rob_queue.allocate()
         op.iq_entry = s.iq_queue.allocate()
         op.in_iq = True
         if s.iq_stamp is not None:
-            s.iq_stamp[op.iq_entry] = op.dispatch_stamp
+            s.iq_stamp[op.iq_entry] = op.order_key
             s.iq_fu[op.iq_entry] = op.fu
         self._g_rob.append(op.rob_entry)
         self._g_spec.append(False)
         self._g_iq.append(op.iq_entry)
-        self._g_crit.append(False)
         self._g_prods.append(())
         s.window[op.seq] = op
         s.ops[op.seq] = op

@@ -23,7 +23,7 @@ from typing import List
 
 import numpy as np
 
-from ...scheduler import AgeSelect, SelectContext
+from ...scheduler import SelectContext, grant_age
 from ..events import EventType, IssueEvent, SelectEvent
 from .execute import ExecuteStage
 from .state import InflightOp, PipelineState
@@ -44,15 +44,7 @@ class IssueStage:
         iq_ops = state.iq_ops
         self._fu_of = lambda entry: iq_ops[entry].fu
         self._age_of = lambda entry: iq_ops[entry].dispatch_stamp
-        # direct-grant fast path eligibility: for the stock AGE policy
-        # without criticality the matrix oldest is exactly the
-        # min-dispatch-stamp ready entry (dispatch order == age order),
-        # so small ready sets can be granted without building a
-        # SelectContext or touching the matrix.  Bit-exact: the grant
-        # list and the rng entropy consumed are identical to
-        # AgeSelect.select (a shuffle of < 2 elements consumes none).
-        self._age_fast = (type(state.select_policy) is AgeSelect
-                          and not state.config.criticality)
+        self._priority_of = lambda entry: iq_ops[entry].order_key
         # cross-lane fused wakeup broadcast (repro.pipeline.
         # vectorstages): with ``defer_broadcast`` the issued entries
         # collect in ``deferred`` and the vector engine performs every
@@ -81,47 +73,27 @@ class IssueStage:
         width = s.config.issue_width
         if len(ready) > width:
             s.stats.ready_excess_cycles += 1
+        s.stats.iq_select_ops += 1
         bus = s.bus
-        if self._age_fast and len(ready) <= width \
-                and s.fupool.all_free():
-            # satellite fast path: grant directly, skipping the
-            # SelectContext build and the matrix select
-            s.stats.iq_select_ops += 1
-            if bus.live[_SELECT]:
-                bus.publish(SelectEvent(cycle, len(ready), width))
-            if len(ready) == 1:
-                entry = next(iter(ready))
-                avail = s.fupool.availability_vector()
-                granted = [entry] if avail[s.iq_ops[entry].fu] > 0 \
-                    else []
-            else:
-                iq_ops = s.iq_ops
-                oldest = min(ready,
-                             key=lambda e: iq_ops[e].dispatch_stamp)
-                granted = self._grant_age(oldest,
-                                          s.fupool.availability_vector())
-        else:
-            ctx = SelectContext(
-                entries=sorted(ready),
-                fu_of=self._fu_of,
-                age_of=self._age_of,
-                age_matrix=s.iq_age,
-                fu_available=s.fupool.availability_vector(),
-                width=width,
-                rng=s.rng)
-            s.stats.iq_select_ops += 1
-            if bus.live[_SELECT]:
-                bus.publish(SelectEvent(cycle, len(ready), width))
-            granted = s.select_policy.select(ctx)
+        if bus.live[_SELECT]:
+            bus.publish(SelectEvent(cycle, len(ready), width))
+        granted = s.select_policy.select(SelectContext(
+            entries=sorted(ready),
+            fu_of=self._fu_of,
+            age_of=self._age_of,
+            priority_of=self._priority_of,
+            fu_available=s.fupool.availability_vector(),
+            width=width,
+            rng=s.rng))
         self.issue_granted(granted, cycle)
 
     def tick_vec(self, cycle: int, oldest: int) -> None:
         """Issue tick for a vector-engine lane.
 
         The cross-lane select kernel already computed this lane's
-        matrix-oldest ready entry (``oldest``; meaningless when the
-        ready set is empty — guarded here).  The wrong-path drain ran
-        in the engine's pre-pass.  Only valid for lanes passing
+        lowest-key ready entry (``oldest``; meaningless when the ready
+        set is empty — guarded here).  The wrong-path drain ran in the
+        engine's pre-pass.  Only valid for lanes passing
         :func:`~repro.pipeline.vectorstages.lane_vectorizable`.
         """
         s = self.s
@@ -132,44 +104,9 @@ class IssueStage:
         if len(ready) > width:
             s.stats.ready_excess_cycles += 1
         s.stats.iq_select_ops += 1
-        granted = self._grant_age(oldest, s.fupool.availability_vector())
+        granted = grant_age(oldest, sorted(ready), self._fu_of,
+                            s.fupool.availability_vector(), width, s.rng)
         self.issue_granted(granted, cycle)
-
-    def _grant_age(self, oldest: int, avail, rng=None) -> List[int]:
-        """AGE grant from the precomputed oldest ready entry.
-
-        Replicates ``AgeSelect.select`` + ``_fill_greedy`` exactly —
-        grant order, FU feasibility, and rng entropy included — with
-        the matrix sense replaced by the stamp-derived ``oldest``.
-        ``rng`` overrides the state rng (the ``REPRO_CHECK`` select
-        cross-check passes clones).
-        """
-        s = self.s
-        if rng is None:
-            rng = s.rng
-        iq_ops = s.iq_ops
-        granted: List[int] = []
-        if avail[iq_ops[oldest].fu] > 0:
-            granted.append(oldest)
-            rest = [e for e in sorted(s.ready_set) if e != oldest]
-        else:
-            rest = sorted(s.ready_set)
-        if len(rest) > 1:
-            # a shuffle of < 2 elements consumes no rng entropy, so
-            # skipping the call is bit-exact
-            rng.shuffle(rest)
-        avail = list(avail)
-        if granted:
-            avail[iq_ops[oldest].fu] -= 1
-        width = s.config.issue_width
-        for entry in rest:
-            if len(granted) >= width:
-                break
-            fu = iq_ops[entry].fu
-            if avail[fu] > 0:
-                granted.append(entry)
-                avail[fu] -= 1
-        return granted
 
     def issue_granted(self, granted: List[int], cycle: int) -> None:
         """Common tail: acquire FUs, leave the IQ, begin execution."""
@@ -234,9 +171,9 @@ class IssueStage:
         free = s.iq_queue.free
         discard = s.ready_set.discard
         if self.defer_broadcast:
-            # the vector engine's broadcast kernel performs both the
-            # wakeup column clears and the age-matrix valid clears for
-            # every lane's issued entries in fused stores
+            # the vector engine's broadcast kernel performs the wakeup
+            # column clears for every lane's issued entries in fused
+            # stores
             self.deferred.extend(entries)
             for op in issued:
                 entry = op.iq_entry
@@ -247,11 +184,9 @@ class IssueStage:
                 op.iq_entry = None
         else:
             s.wakeup.issue(entries)
-            remove = s.iq_age.remove
             for op in issued:
                 entry = op.iq_entry
                 free(entry)
-                remove(entry)
                 discard(entry)
                 del iq_ops[entry]
                 op.in_iq = False

@@ -97,7 +97,6 @@ class SquashUnit:
         entry = op.iq_entry
         s.wakeup.squash([entry])
         s.iq_queue.free(entry)
-        s.iq_age.remove(entry)
         s.ready_set.discard(entry)
         s.iq_ops.pop(entry, None)
         op.in_iq = False

@@ -15,7 +15,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ...core import AgeMatrix, MergedCommitMatrix, WakeupMatrix
+from ...core import MergedCommitMatrix, WakeupMatrix
 from ...frontend import FetchUnit, make_predictor
 from ...isa import DynInstr, Trace
 from ...lsq import LSQUnit
@@ -40,7 +40,7 @@ class InflightOp:
         "translated", "addr_resolved", "fault_pending", "mem_nonspec",
         "spec_resolved", "committed", "zombie", "resources_released",
         "prev_writer", "exec_token", "wrong_path", "dispatch_stamp",
-        "dispatched_at", "completed_at", "committed_at")
+        "order_key", "dispatched_at", "completed_at", "committed_at")
 
     def __init__(self, dyn: DynInstr, mispredicted: bool):
         self.dyn = dyn
@@ -73,6 +73,9 @@ class InflightOp:
         self.exec_token = 0               # invalidates stale completions
         self.wrong_path = False
         self.dispatch_stamp = 0           # true dispatch (age) order
+        #: issue-select rank (repro.scheduler.order_key): the dispatch
+        #: stamp, shifted older when criticality tags the instruction
+        self.order_key = 0
         self.dispatched_at: Optional[int] = None
         self.completed_at: Optional[int] = None
         self.committed_at: Optional[int] = None
@@ -146,7 +149,8 @@ class PipelineState:
         self.commit_policy = make_commit_policy(config.commit)
         self.select_policy = make_select_policy(config.scheduler)
 
-        # IQ: non-collapsible free list + age matrix + wakeup matrix.
+        # IQ: non-collapsible free list + wakeup matrix; relative age
+        # is each op's order key (the select policies rank by it).
         # With a lane ``slot`` (repro.core.lanestack.LaneSlot) the
         # matrices operate on views into 3-D lane-stacked arrays — a
         # struct-of-arrays layout over batch-mates; without one they
@@ -155,9 +159,6 @@ class PipelineState:
             self.iq_queue = CircularQueue(config.iq_size)
         else:
             self.iq_queue = RandomQueue(config.iq_size)
-        self.iq_age = AgeMatrix(
-            config.iq_size,
-            storage=None if slot is None else slot.iq_age)
         self.wakeup = WakeupMatrix(
             config.iq_size,
             storage=None if slot is None else slot.wakeup)
@@ -206,8 +207,8 @@ class PipelineState:
         self.frontend_pipe: Deque[Tuple[int, object]] = deque()
         self.dispatch_buffer: Deque[object] = deque()
         # struct-of-arrays issue columns: with a lane slot the ready
-        # set mirrors into the stack's issue_ready plane and dispatch
-        # stamps/FU codes land in per-entry columns so the vectorized
+        # set mirrors into the stack's issue_ready plane and order
+        # keys/FU codes land in per-entry columns so the vectorized
         # select kernel can read all lanes at once; the scalar path
         # keeps the plain set (and None columns) unchanged
         if slot is None:

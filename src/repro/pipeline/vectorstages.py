@@ -10,35 +10,35 @@ every lane's writeback tick, …— legal because lane state is disjoint)
 and fuses the dominant per-cycle array work into single NumPy
 operations over the stack's lane axis:
 
-* **select** — the stock AGE policy's matrix sense.  For a lane
-  running :class:`~repro.scheduler.AgeSelect` without criticality,
-  dispatch order *is* age order (stamps strictly increase and every
-  dispatch writes a full row), so the matrix's single-oldest grant is
-  exactly the minimum dispatch stamp over the ready set.  The kernel
-  gathers every lane's ready plane and stamp plane, masks non-ready
-  entries to ``int64`` max, and one ``argmin`` over the entry axis
-  yields every lane's oldest ready entry; the per-lane
-  :meth:`IssueStage.tick_vec` then reproduces ``AgeSelect.select``
-  bit-exactly (grant order and rng entropy included) from that hint.
+* **select** — the stock AGE policy's oldest-entry search.  The
+  oldest ready entry is the one with the lowest order key
+  (:func:`~repro.scheduler.order_key`), which dispatch writes into
+  the stack's ``iq_stamp`` plane.  The kernel gathers every lane's
+  ready plane and key plane, masks non-ready entries to ``int64``
+  max, and one ``argmin`` over the entry axis yields every lane's
+  oldest ready entry; the per-lane :meth:`IssueStage.tick_vec` then
+  hands it to :func:`~repro.scheduler.grant_age`, the same grant
+  ``AgeSelect.select`` makes.
 * **wakeup broadcast** — issued entries' column clears and pending
   decrements, deferred by the issue stage and landed for all lanes in
   one fancy-indexed clear plus one ``reduceat`` of the gathered
   columns (flushed before dispatch can reuse a freed entry).
-* **dispatch-group landing** — the per-lane age/wakeup/merged
+* **dispatch-group landing** — the per-lane wakeup/merged
   ``dispatch_group`` matrix stores, deferred by the dispatch stage
   (``defer_flush``) and landed for all lanes at once: one batched
   column clear and one batched row store per bit-plane stack, with the
-  per-lane valid snapshots gathered before any valid bit is set and
-  the intra-group triangles patched exactly as the scalar fast path
-  does.  The small per-entry counter updates (wakeup pending, merged
-  SPEC/blockers) stay per-lane Python — they are O(dispatch width).
+  per-lane ROB valid snapshots gathered before any valid bit is set
+  and the intra-group triangles patched exactly as the scalar fast
+  path does.  The small per-entry counter updates (wakeup pending,
+  merged SPEC/blockers) stay per-lane Python — they are O(dispatch
+  width).
 * **commit eligibility** — the merged matrix's lazy
   ``safe = (blockers == 0) & valid`` refresh, computed for every
   dirty lane in one batched pass before the commit ticks.
 
 Lanes that cannot take the vectorized path — a non-``AgeSelect``
-policy, criticality scheduling (matrix order diverges from stamp
-order), or a live ``SELECT`` event subscriber (the vector path skips
+policy, criticality scheduling (profiled cells never reach the lane
+engine), or a live ``SELECT`` event subscriber (the vector path skips
 the per-cycle ``SelectEvent``) — are stepped by the driver through the
 unchanged scalar ``core.step()``; mixed batches are routine.  A lane
 that raises mid-iteration is excluded from the remaining phases (its
@@ -46,23 +46,21 @@ state is mid-cycle, exactly as a scalar ``step()`` abort) and returned
 to the driver for retirement; batch-mates are untouched.
 
 Under ``REPRO_CHECK=1`` every vectorized kernel is cross-checked per
-cycle: the select kernel's grants are compared against a scalar
-``AgeSelect.select`` run with a cloned rng (grant list *and* rng state
-must match), and the fused broadcast/landing stores are validated by
-the stack-wide counter re-derivation (:meth:`LaneStack.verify`) after
-every engine step.
+cycle: the select kernel's oldest entry is compared against the
+lowest order key of the lane's scalar ready set, and the fused
+broadcast/landing stores are validated by the stack-wide counter
+re-derivation (:meth:`LaneStack.verify`) after every engine step.
 """
 
 from __future__ import annotations
 
-import random
 import traceback
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..core import check
-from ..scheduler import AgeSelect, SelectContext
+from ..scheduler import AgeSelect
 from .core import DeadlockError
 from .events import EventType
 
@@ -79,12 +77,11 @@ _COMMIT, _WRITEBACK, _MEMORY, _EXECUTE, _ISSUE_S, _DISPATCH_S, _FETCH = \
 def lane_vectorizable(core) -> bool:
     """Static per-lane eligibility for the vectorized kernels.
 
-    The select kernel's stamp-order shortcut requires the stock
-    :class:`AgeSelect` policy with criticality off (critical dispatch
-    breaks the stamp ≡ matrix-age equivalence), and the lane must be
-    slot-backed so its issue columns live in the stack.  The dynamic
-    part — no live ``SELECT`` subscriber — is checked per iteration by
-    the driver.
+    The select kernel serves the stock :class:`AgeSelect` policy with
+    criticality off (``run_suite`` never sends profiled cells to
+    lanes), and the lane must be slot-backed so its issue columns live
+    in the stack.  The dynamic part — no live ``SELECT`` subscriber —
+    is checked per iteration by ``LaneBatch.run``.
     """
     s = core.state
     return (type(s.select_policy) is AgeSelect
@@ -133,7 +130,6 @@ class VectorEngine:
         self._dl_lanes = np.empty(cap, dtype=np.intp)
         self._dl_iq = np.empty(cap, dtype=np.intp)
         self._dl_rob = np.empty(cap, dtype=np.intp)
-        self._dl_rows_iq = np.empty((cap, n), dtype=bool)
         self._dl_rows_rob = np.empty((cap, r), dtype=bool)
         self._dl_rows_wk = np.empty((cap, n), dtype=bool)
         self._dl_cnt = np.empty(cap, dtype=np.intp)
@@ -150,7 +146,6 @@ class VectorEngine:
         self._dl_lanes = np.empty(cap, dtype=np.intp)
         self._dl_iq = np.empty(cap, dtype=np.intp)
         self._dl_rob = np.empty(cap, dtype=np.intp)
-        self._dl_rows_iq = np.empty((cap, n), dtype=bool)
         self._dl_rows_rob = np.empty((cap, r), dtype=bool)
         self._dl_rows_wk = np.empty((cap, n), dtype=bool)
         self._dl_cnt = np.empty(cap, dtype=np.intp)
@@ -300,9 +295,9 @@ class VectorEngine:
     def _select_kernel(self, alive: List) -> Tuple[np.ndarray, np.ndarray]:
         """Every lane's oldest ready entry in one ``argmin``.
 
-        Gathers the ready and stamp planes of the given lanes, masks
-        non-ready entries to ``int64`` max, and argmins over the entry
-        axis.  Returns ``(oldest, anyready)``; a lane with an empty
+        Gathers the ready and order-key planes of the given lanes,
+        masks non-ready entries to ``int64`` max, and argmins over the
+        entry axis.  Returns ``(oldest, anyready)``; a lane with an empty
         ready set has ``anyready`` False (and a meaningless oldest) —
         the engine skips its issue call entirely.
         """
@@ -329,13 +324,11 @@ class VectorEngine:
 
         Scalar equivalent (per lane): ``WakeupMatrix.issue(entries)``
         — valid off, pending minus the issued columns, columns
-        cleared — plus the issued entries' ``AgeMatrix.remove`` valid
-        clears (their column/row bits stay stale, as in the scalar
-        non-collapsible structure).  The column block is gathered
-        *before* the clear, and per-lane segment sums reproduce the
-        per-entry subtractions.  Runs before the dispatch phase, so a
-        freed entry reused by this cycle's dispatch group lands on
-        clean planes exactly as under the scalar interleave.
+        cleared.  The column block is gathered *before* the clear,
+        and per-lane segment sums reproduce the per-entry
+        subtractions.  Runs before the dispatch phase, so a freed
+        entry reused by this cycle's dispatch group lands on clean
+        planes exactly as under the scalar interleave.
         """
         m = 0
         groups = []                 # (state, slot, start)
@@ -373,9 +366,6 @@ class VectorEngine:
         stack.wakeup_pending[uslots] -= seg
         stack.wakeup_valid[lr, ef] = False
         bits3[lr, :, ef] = False
-        # the deferred AgeMatrix.remove of every issued entry (the
-        # critical plane stays all-False on vectorizable lanes)
-        stack.iq_age_valid[lr, ef] = False
         for state, _, _ in groups:
             state.wakeup._dirty = True
 
@@ -383,16 +373,15 @@ class VectorEngine:
         """Fused landing of every lane's deferred dispatch group.
 
         Scalar equivalent (per lane, in ``DispatchStage._flush_group``
-        order): ``merged.dispatch_group``, ``iq_age.dispatch_group``,
-        ``wakeup.dispatch_group`` — all with the all-non-critical fast
-        path (vectorizable lanes never dispatch critical entries).
-        The valid-plane snapshots for the age rows are gathered before
-        any valid bit is set; all column clears precede all row
-        writes, so intra-group triangles and intra-group wakeup
-        producer bits come out exactly as under the scalar stores.
-        Scalar ``dispatch_group``'s already-valid guard is preserved
-        as one batched check over the gathered entries; an offending
-        lane is failed (appended to ``failures``, ``None``-ed out of
+        order): ``merged.dispatch_group`` (all-non-critical fast path)
+        and ``wakeup.dispatch_group``.  The ROB valid-plane snapshots
+        for the age rows are gathered before any valid bit is set; all
+        column clears precede all row writes, so intra-group triangles
+        and intra-group wakeup producer bits come out exactly as under
+        the scalar stores.  Scalar ``dispatch_group``'s already-valid
+        guard is preserved as one batched check over the gathered
+        entries (the IQ side reads ``wakeup_valid``); an offending lane
+        is failed (appended to ``failures``, ``None``-ed out of
         ``alive``) before any store lands.  Returns whether any lane
         was failed.
         """
@@ -435,9 +424,9 @@ class VectorEngine:
         # group member's entry is still valid; one batched gather
         # checks every lane's group at once (the per-lane attribution
         # below only runs on the exceptional path)
-        if (stack.iq_age_valid[lr, iq_e].any()
+        if (stack.wakeup_valid[lr, iq_e].any()
                 or stack.rob_age_valid[lr, rob_e].any()):
-            bad_iq = stack.iq_age_valid[lr, iq_e]
+            bad_iq = stack.wakeup_valid[lr, iq_e]
             bad_rob = stack.rob_age_valid[lr, rob_e]
             still = []
             for stage, lane, li, start, k in groups:
@@ -456,7 +445,6 @@ class VectorEngine:
             # re-collect the surviving groups and land them
             self._land_groups(alive, failures)
             return dead
-        rows_iq = self._dl_rows_iq[:m]
         rows_rob = self._dl_rows_rob[:m]
         rows_wk = self._dl_rows_wk[:m]
         cnt = self._dl_cnt[:m]
@@ -464,17 +452,14 @@ class VectorEngine:
         spec = self._dl_spec[:m]
         blk = self._dl_blk[:m]
         # valid snapshots (before any valid bit is set)
-        np.take(stack.iq_age_valid, lr, axis=0, out=rows_iq)
         np.take(stack.rob_age_valid, lr, axis=0, out=rows_rob)
         rows_wk[:] = False
         # per-lane small work: triangles, wakeup rows, counter values
         # into the flat buffers — all O(group width) Python; the
         # per-entry counter planes land in fused scatters below
         for stage, lane, li, start, k in groups:
-            g_iq = stage._g_iq
             g_rob = stage._g_rob
             for i in range(k - 1):
-                rows_iq[start + i + 1:start + k, g_iq[i]] = True
                 rows_rob[start + i + 1:start + k, g_rob[i]] = True
             for j, prods in enumerate(stage._g_prods):
                 row = rows_wk[start + j]
@@ -496,18 +481,13 @@ class VectorEngine:
             stage._g_rob.clear()
             stage._g_spec.clear()
             stage._g_iq.clear()
-            stage._g_crit.clear()
             stage._g_prods.clear()
         # fused stores: all column clears, then all row writes, then
         # the point planes (valid flags and the per-entry counters)
-        stack.iq_age_bits[lr, :, iq_e] = False
         stack.wakeup_bits[lr, :, iq_e] = False
         stack.rob_age_bits[lr, :, rob_e] = False
-        stack.iq_age_bits[lr, iq_e, :] = rows_iq
         stack.wakeup_bits[lr, iq_e, :] = rows_wk
         stack.rob_age_bits[lr, rob_e, :] = rows_rob
-        stack.iq_age_valid[lr, iq_e] = True
-        stack.iq_age_critical[lr, iq_e] = False
         stack.wakeup_valid[lr, iq_e] = True
         stack.rob_age_valid[lr, rob_e] = True
         stack.rob_age_critical[lr, rob_e] = False
@@ -523,33 +503,13 @@ class VectorEngine:
     # ------------------------------------------------------------------
 
     def _check_select(self, core, oldest: int) -> None:
-        """Cross-check the select kernel against the scalar policy.
-
-        Runs ``AgeSelect.select`` with a cloned rng and the stamp-based
-        ``_grant_age`` with another clone: the grant lists *and* the
-        resulting rng states must match, proving the stamp-order
-        shortcut and its entropy consumption identical to the matrix
-        path for this cycle.
-        """
+        """Cross-check the select kernel against the scalar ready set:
+        its ``argmin`` over the mirrored ready and key planes must name
+        the lane's lowest-key ready entry."""
         s = core.state
-        stage = core.stages[_ISSUE_S]
-        clone_a = random.Random()
-        clone_a.setstate(s.rng.getstate())
-        clone_b = random.Random()
-        clone_b.setstate(s.rng.getstate())
-        avail = s.fupool.availability_vector()
-        ctx = SelectContext(
-            entries=sorted(s.ready_set),
-            fu_of=stage._fu_of,
-            age_of=stage._age_of,
-            age_matrix=s.iq_age,
-            fu_available=list(avail),
-            width=s.config.issue_width,
-            rng=clone_a)
-        want = s.select_policy.select(ctx)
-        got = stage._grant_age(oldest, avail, rng=clone_b)
-        if got != want or clone_a.getstate() != clone_b.getstate():
+        want = min(s.ready_set, key=core.stages[_ISSUE_S]._priority_of)
+        if oldest != want:
             raise check.CheckError(
                 f"vectorized select diverged at cycle {s.cycle}: "
-                f"kernel granted {got}, scalar policy granted {want} "
-                f"(ready={sorted(s.ready_set)}, oldest hint={oldest})")
+                f"kernel picked {oldest}, lowest order key is {want} "
+                f"(ready={sorted(s.ready_set)})")

@@ -1,9 +1,9 @@
-"""Issue selection policies over the IQ age matrix."""
+"""Issue selection policies ranked by per-entry order keys."""
 
 from .policies import (AgeSelect, IdealSelect, MultSelect, OrinocoSelect,
                        RandomSelect, SelectContext, SelectPolicy,
-                       make_select_policy)
+                       grant_age, make_select_policy, order_key)
 
 __all__ = ["AgeSelect", "IdealSelect", "MultSelect", "OrinocoSelect",
-           "RandomSelect", "SelectContext", "SelectPolicy",
-           "make_select_policy"]
+           "RandomSelect", "SelectContext", "SelectPolicy", "grant_age",
+           "make_select_policy", "order_key"]

@@ -4,10 +4,19 @@ All policies answer the same question each cycle: given the set of
 ready IQ entries, the per-type functional unit availability and the
 issue width IW, which instructions issue?
 
+Relative age comes from one per-entry **order key**, stamped at
+dispatch (:func:`order_key`): the dispatch stamp, shifted below every
+non-critical key when criticality tags the instruction.  Ranking ready
+entries by that key is exactly the order the paper's IQ age matrix
+encodes (§3.1, Figure 3's critical insert included), so the policies
+rank by key instead of sensing an IQ-sized matrix;
+``tests/test_scheduler.py`` checks every policy's grant list and rng
+draws against selection over a real :class:`~repro.core.AgeMatrix`.
+
 * ``RandomSelect`` — RAND: no age information at all.
 * ``AgeSelect`` — AGE (state of the art): the single oldest ready
-  instruction is prioritized through the age matrix; the remaining
-  issue slots are filled without regard to age.
+  instruction is prioritized; the remaining issue slots are filled
+  without regard to age.
 * ``MultSelect`` — MULT: one age matrix per instruction type; the
   single oldest ready instruction *of each type* is prioritized,
   the rest filled randomly.
@@ -19,8 +28,8 @@ issue width IW, which instructions issue?
   a collapsible SHIFT queue would make positionally.
 
 CRI (criticality scheduling) is not a separate selector: criticality is
-encoded at dispatch into the age matrix (critical instructions inserted
-as "older"), after which ``OrinocoSelect`` or ``AgeSelect`` run
+encoded at dispatch into the order key (critical instructions rank as
+"older"), after which ``OrinocoSelect`` or ``AgeSelect`` run
 unchanged — exactly the paper's design.
 """
 
@@ -30,27 +39,37 @@ import abc
 import random
 from typing import Callable, Dict, List, Sequence
 
-import numpy as np
-
-from ..core import AgeMatrix
 from ..pipeline.resources import FUType
+
+#: Order-key offset of criticality-tagged instructions: larger than any
+#: dispatch stamp, so every critical key ranks below (older than) every
+#: non-critical one while each group keeps dispatch order.  Keys stay
+#: within int64 (the lane engine's ``iq_stamp`` plane).
+CRITICAL_SHIFT = 1 << 62
+
+
+def order_key(stamp: int, critical: bool) -> int:
+    """Rank of an instruction dispatched with ``stamp``: lower is older."""
+    return stamp - CRITICAL_SHIFT if critical else stamp
 
 
 class SelectContext:
     """What a policy may look at when selecting.
 
-    ``entries`` are the ready IQ entry indices.  ``fu_of`` maps an entry
-    to its FU type, ``age_of`` to its dispatch order (oracle — only
-    IdealSelect uses it), ``age_matrix`` is the IQ's age matrix.
+    ``entries`` are the ready IQ entry indices, in ascending order.
+    ``fu_of`` maps an entry to its FU type, ``age_of`` to its dispatch
+    order (oracle — only IdealSelect uses it) and ``priority_of`` to
+    its order key (:func:`order_key`).
     """
 
     def __init__(self, entries: Sequence[int], fu_of: Callable[[int], FUType],
-                 age_of: Callable[[int], int], age_matrix: AgeMatrix,
+                 age_of: Callable[[int], int],
+                 priority_of: Callable[[int], int],
                  fu_available, width: int, rng: random.Random):
         self.entries = list(entries)
         self.fu_of = fu_of
         self.age_of = age_of
-        self.age_matrix = age_matrix
+        self.priority_of = priority_of
         # flat per-type list indexed by FUType (what FUPool hands over);
         # a dict (convenient in tests) is normalised here once.  The
         # policies never mutate it — they copy before decrementing — so
@@ -64,14 +83,41 @@ class SelectContext:
         self.width = width
         self.rng = rng
 
-    def request_mask(self, entries: Sequence[int],
-                     out: np.ndarray = None) -> np.ndarray:
-        mask = out if out is not None else np.zeros(self.age_matrix.size,
-                                                    dtype=bool)
-        mask[:] = False
-        for entry in entries:
-            mask[entry] = True
-        return mask
+
+def _fill_greedy(granted: List[int], candidates: Sequence[int],
+                 fu_of: Callable[[int], FUType], fu_available,
+                 width: int) -> List[int]:
+    """Grant candidates in the given order subject to constraints."""
+    avail = list(fu_available)
+    for entry in granted:
+        avail[fu_of(entry)] -= 1
+    for entry in candidates:
+        if len(granted) >= width:
+            break
+        if entry in granted:
+            continue
+        fu = fu_of(entry)
+        if avail[fu] > 0:
+            granted.append(entry)
+            avail[fu] -= 1
+    return granted
+
+
+def grant_age(oldest: int, entries: Sequence[int],
+              fu_of: Callable[[int], FUType], fu_available, width: int,
+              rng: random.Random) -> List[int]:
+    """AGE grant: ``oldest`` first if its unit is free, then the other
+    ready ``entries`` (ascending) shuffled and filled greedily.
+
+    The one AGE implementation: ``AgeSelect.select`` (what the serial
+    issue tick runs) and the lane engine's vector select (which finds
+    ``oldest`` with one ``argmin`` over every lane's order keys) both
+    call it.
+    """
+    granted = [oldest] if fu_available[fu_of(oldest)] > 0 else []
+    rest = [e for e in entries if e not in granted]
+    rng.shuffle(rest)
+    return _fill_greedy(granted, rest, fu_of, fu_available, width)
 
 
 class SelectPolicy(abc.ABC):
@@ -79,39 +125,9 @@ class SelectPolicy(abc.ABC):
 
     name = "abstract"
 
-    def __init__(self) -> None:
-        # per-policy-instance select scratch (one mask + one grant
-        # vector, sized to the IQ on first use) so steady-state
-        # selection allocates nothing
-        self._mask: np.ndarray = None
-        self._grant: np.ndarray = None
-
-    def _buffers(self, size: int):
-        if self._mask is None or len(self._mask) != size:
-            self._mask = np.empty(size, dtype=bool)
-            self._grant = np.empty(size, dtype=bool)
-        return self._mask, self._grant
-
     @abc.abstractmethod
     def select(self, ctx: SelectContext) -> List[int]:
         """Return the granted IQ entries (<= width, FU-feasible)."""
-
-    def _fill_greedy(self, ctx: SelectContext, granted: List[int],
-                     candidates: Sequence[int]) -> List[int]:
-        """Grant candidates in the given order subject to constraints."""
-        avail = list(ctx.fu_available)
-        for entry in granted:
-            avail[ctx.fu_of(entry)] -= 1
-        for entry in candidates:
-            if len(granted) >= ctx.width:
-                break
-            if entry in granted:
-                continue
-            fu = ctx.fu_of(entry)
-            if avail[fu] > 0:
-                granted.append(entry)
-                avail[fu] -= 1
-        return granted
 
 
 class RandomSelect(SelectPolicy):
@@ -122,7 +138,8 @@ class RandomSelect(SelectPolicy):
     def select(self, ctx: SelectContext) -> List[int]:
         candidates = list(ctx.entries)
         ctx.rng.shuffle(candidates)
-        return self._fill_greedy(ctx, [], candidates)
+        return _fill_greedy([], candidates, ctx.fu_of, ctx.fu_available,
+                            ctx.width)
 
 
 class AgeSelect(SelectPolicy):
@@ -131,17 +148,11 @@ class AgeSelect(SelectPolicy):
     name = "age"
 
     def select(self, ctx: SelectContext) -> List[int]:
-        granted: List[int] = []
-        mask, grant = self._buffers(ctx.age_matrix.size)
-        request = ctx.request_mask(ctx.entries, out=mask)
-        oldest = ctx.age_matrix.select_single_oldest(request, out=grant)
-        if oldest.any():
-            entry = int(oldest.argmax())     # first (only) set grant bit
-            if ctx.fu_available[ctx.fu_of(entry)] > 0:
-                granted.append(entry)
-        rest = [e for e in ctx.entries if e not in granted]
-        ctx.rng.shuffle(rest)
-        return self._fill_greedy(ctx, granted, rest)
+        if not ctx.entries:
+            return []
+        oldest = min(ctx.entries, key=ctx.priority_of)
+        return grant_age(oldest, ctx.entries, ctx.fu_of, ctx.fu_available,
+                         ctx.width, ctx.rng)
 
 
 class MultSelect(SelectPolicy):
@@ -155,19 +166,17 @@ class MultSelect(SelectPolicy):
         by_type: Dict[FUType, List[int]] = {}
         for entry in ctx.entries:
             by_type.setdefault(ctx.fu_of(entry), []).append(entry)
-        mask, grant = self._buffers(ctx.age_matrix.size)
-        for fu, members in sorted(by_type.items(), key=lambda kv: kv[0].value):
+        # per-type arbitration in FUType value order (the order decides
+        # which type a full issue width shuts out)
+        for fu in sorted(by_type):
             if avail[fu] <= 0 or len(granted) >= ctx.width:
                 continue
-            request = ctx.request_mask(members, out=mask)
-            oldest = ctx.age_matrix.select_single_oldest(request, out=grant)
-            if oldest.any():
-                entry = int(oldest.argmax())
-                granted.append(entry)
-                avail[fu] -= 1
+            granted.append(min(by_type[fu], key=ctx.priority_of))
+            avail[fu] -= 1
         rest = [e for e in ctx.entries if e not in granted]
         ctx.rng.shuffle(rest)
-        return self._fill_greedy(ctx, granted, rest)
+        return _fill_greedy(granted, rest, ctx.fu_of, ctx.fu_available,
+                            ctx.width)
 
 
 class OrinocoSelect(SelectPolicy):
@@ -176,7 +185,9 @@ class OrinocoSelect(SelectPolicy):
     Per-type arbitration under the partial ordering (Figure 13): each
     execution-unit type selects its oldest ready instructions up to its
     unit count; a final bit-count pass clips the union to the IW oldest
-    overall.
+    overall.  Each type's grants (types in first-appearance order) and
+    a clipped union come out in ascending entry order, as the matrix's
+    grant vectors read.
     """
 
     name = "orinoco"
@@ -186,19 +197,18 @@ class OrinocoSelect(SelectPolicy):
         by_type: Dict[FUType, List[int]] = {}
         for entry in ctx.entries:
             by_type.setdefault(ctx.fu_of(entry), []).append(entry)
-        mask, grant = self._buffers(ctx.age_matrix.size)
+        key = ctx.priority_of
+        width = ctx.width
         for fu, members in by_type.items():
-            cap = min(ctx.fu_available[fu], ctx.width)
+            cap = min(ctx.fu_available[fu], width)
             if cap <= 0:
                 continue
-            request = ctx.request_mask(members, out=mask)
-            grants = ctx.age_matrix.select_oldest(request, cap, out=grant)
-            union.extend(int(i) for i in np.flatnonzero(grants))
-        if len(union) <= ctx.width:
+            if len(members) > cap:
+                members = sorted(sorted(members, key=key)[:cap])
+            union.extend(members)
+        if len(union) <= width:
             return union
-        request = ctx.request_mask(union, out=mask)
-        grants = ctx.age_matrix.select_oldest(request, ctx.width, out=grant)
-        return [int(i) for i in np.flatnonzero(grants)]
+        return sorted(sorted(union, key=key)[:width])
 
 
 class IdealSelect(SelectPolicy):
@@ -208,7 +218,8 @@ class IdealSelect(SelectPolicy):
 
     def select(self, ctx: SelectContext) -> List[int]:
         ordered = sorted(ctx.entries, key=ctx.age_of)
-        return self._fill_greedy(ctx, [], ordered)
+        return _fill_greedy([], ordered, ctx.fu_of, ctx.fu_available,
+                            ctx.width)
 
 
 _POLICIES = {

@@ -65,7 +65,7 @@ class TestCleanFinalState:
         assert core.lsq.lq_occupancy() == 0
         assert core.lsq.sq_occupancy() == 0
         assert not core.merged.valid.any()
-        assert not core.iq_age.valid.any()
+        assert not core.wakeup.valid.any()
         # every physical register beyond the architectural mappings is free
         assert core.rename.int_freelist.occupancy() == 32
         assert core.rename.fp_freelist.occupancy() == 32

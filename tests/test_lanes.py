@@ -46,23 +46,23 @@ class TestLaneStack:
     def test_slot_views_alias_the_stack(self):
         stack = LaneStack(2, 4, 8)
         slot = stack.slot(1)
-        slot.iq_age.bit.bits[2, 3] = True
+        slot.wakeup.bit.bits[2, 3] = True
         slot.merged.blockers[5] = 7
         slot.wakeup.pending[0] = 3
-        assert stack.iq_age_bits[1, 2, 3]
+        assert stack.wakeup_bits[1, 2, 3]
         assert stack.blockers[1, 5] == 7
         assert stack.wakeup_pending[1, 0] == 3
 
     def test_no_cross_lane_aliasing(self):
         stack = LaneStack(3, 4, 8)
         slot = stack.slot(0)
-        slot.iq_age.bit.bits[...] = True
+        slot.wakeup.bit.bits[...] = True
         slot.wakeup.valid[...] = True
         slot.merged.spec[...] = True
         slot.rob_scratch[...] = True
         for lane in (1, 2):
             other = stack.slot(lane)
-            assert not other.iq_age.bit.bits.any()
+            assert not other.wakeup.bit.bits.any()
             assert not other.wakeup.valid.any()
             assert not other.merged.spec.any()
             assert not other.rob_scratch.any()
@@ -82,7 +82,7 @@ class TestLaneStack:
 
     def test_occupancy_reductions(self):
         stack = LaneStack(2, 4, 8)
-        stack.iq_age_valid[0, :2] = True
+        stack.wakeup_valid[0, :2] = True
         stack.rob_age_valid[1, :5] = True
         assert list(stack.iq_occupancy()) == [2, 0]
         assert list(stack.rob_occupancy()) == [0, 5]

@@ -28,6 +28,12 @@ CONFIGS = [
     ("age+ioc", base_config(scheduler="age", commit="ioc")),
     ("orinoco", base_config(scheduler="orinoco", commit="orinoco")),
 ]
+MULT_CONFIG = base_config(scheduler="mult", commit="ioc")
+#: Figure 14's criticality configurations (profiled under base AGE)
+CRI_CONFIGS = [
+    ("CRI w/ AGE", base_config(scheduler="age", criticality=True)),
+    ("CRI w/ Orinoco", base_config(scheduler="cri")),
+]
 
 
 def fields(stats):
@@ -65,6 +71,25 @@ class TestDeterminism:
                 got = fields(serial_reference[label][name])
                 assert got == golden[label][name], \
                     f"{label}/{name} diverged from the pre-refactor golden"
+
+    def test_mult_and_cri_match_golden(self, traces):
+        """The remaining Figure 14 policies, pinned the same way: MULT
+        serially, and both CRI configurations through fig14's
+        profile → tag → run flow (criticality reaches selection only
+        through the order key, so these pins guard its critical
+        shift)."""
+        golden = json.loads(GOLDEN_PATH.read_text())
+        got = {"mult+ioc": {
+            name: O3Core(trace, MULT_CONFIG).run()
+            for name, trace in traces.items()}}
+        results = run_criticality_suite(CRI_CONFIGS, traces,
+                                        base_config(), use_cache=False)
+        for label, _ in CRI_CONFIGS:
+            got[label] = results[label].stats
+        for label, stats in got.items():
+            for name in WORKLOADS:
+                assert fields(stats[name]) == golden[label][name], \
+                    f"{label}/{name} diverged from the golden"
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_workers_bit_identical_to_serial(self, traces,

@@ -1,13 +1,14 @@
 """Property tests for the cross-lane vectorized select path.
 
-The vector engine's select kernel replaces the age matrix's
-single-oldest sense with an ``argmin`` over dispatch stamps, and
-``IssueStage._grant_age`` replays ``AgeSelect.select`` from that hint.
-The equivalence claim is exact: for any ready set, dispatch (age)
-order, FU assignment, FU availability and issue width, the granted
-entries — including the grant *order* and the rng entropy consumed by
-the tie-break shuffle — must match the scalar policy running against a
-real :class:`AgeMatrix` built in the same dispatch order.
+The vector engine's select kernel finds each lane's oldest ready entry
+with an ``argmin`` over the order-key plane, and ``IssueStage.tick_vec``
+hands that hint to :func:`~repro.scheduler.grant_age`.  The
+equivalence claim is exact: for any ready set, dispatch order,
+critical tags, FU assignment, FU availability and issue width, the
+granted entries — including the grant *order* and the rng entropy
+consumed by the tie-break shuffle — must match ``AgeSelect.select``,
+and the ``argmin`` must name the single-oldest entry a real
+:class:`AgeMatrix` built in the same dispatch order senses.
 
 A directed test then pins the engine-level contract: a mixed batch
 (one vectorizable AGE lane + one fallback RAND lane) produces SimStats
@@ -16,7 +17,6 @@ field-identical to serial runs of the same cells.
 
 import dataclasses
 import random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,73 +29,63 @@ from repro.pipeline import O3Core, base_config            # noqa: E402
 from repro.pipeline.lanes import (LaneBatch, LaneCell,    # noqa: E402
                                   lane_key)
 from repro.pipeline.resources import FUType               # noqa: E402
-from repro.pipeline.stages.issue import IssueStage        # noqa: E402
-from repro.scheduler import AgeSelect, SelectContext      # noqa: E402
+from repro.scheduler import (AgeSelect, SelectContext,    # noqa: E402
+                             grant_age, order_key)
 from repro.workloads import build_trace                   # noqa: E402
 
 IQ_SIZE = 16
 _I64_MAX = np.iinfo(np.int64).max
 
 
-def _make_stage(iq_ops, ready, width, rng):
-    """A real IssueStage over a duck-typed minimal pipeline state."""
-    state = SimpleNamespace(
-        iq_ops=iq_ops,
-        ready_set=ready,
-        rng=rng,
-        select_policy=AgeSelect(),
-        config=SimpleNamespace(issue_width=width, criticality=False),
-    )
-    return IssueStage(state, execute=None)
-
-
 @st.composite
 def select_cases(draw):
-    """Random (dispatch order, ready set, FUs, availability, width)."""
+    """Random (dispatch order, critical tags, ready set, FUs,
+    availability, width, seed)."""
     entries = sorted(draw(st.sets(st.integers(0, IQ_SIZE - 1),
                                   min_size=1, max_size=IQ_SIZE)))
     order = draw(st.permutations(entries))
+    critical = {entry: draw(st.booleans()) for entry in entries}
     ready = sorted(draw(st.sets(st.sampled_from(entries), min_size=1)))
     fus = {entry: draw(st.sampled_from(list(FUType)))
            for entry in entries}
     avail = [draw(st.integers(0, 2)) for _ in FUType]
     width = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2**32 - 1))
-    return order, ready, fus, avail, width, seed
+    return order, critical, ready, fus, avail, width, seed
+
+
+def _kernel_oldest(order, critical, ready):
+    """The select kernel's sense: order keys in an int64 plane,
+    non-ready entries masked to int64 max, one argmin."""
+    keys = np.full(IQ_SIZE, _I64_MAX, dtype=np.int64)
+    for stamp, entry in enumerate(order, start=1):
+        if entry in ready:
+            keys[entry] = order_key(stamp, critical[entry])
+    return int(np.argmin(keys))
 
 
 @settings(max_examples=120, deadline=None)
 @given(select_cases())
 def test_stamp_argmin_grant_matches_age_select(case):
     """Vectorized select ≡ AgeSelect: grants, order, and rng state."""
-    order, ready, fus, avail, width, seed = case
-    matrix = AgeMatrix(IQ_SIZE)
-    iq_ops = {}
-    for stamp, entry in enumerate(order, start=1):
-        matrix.dispatch(entry)
-        iq_ops[entry] = SimpleNamespace(fu=fus[entry],
-                                        dispatch_stamp=stamp)
-
-    # the select kernel's sense: mask non-ready stamps, argmin
-    stamps = np.full(IQ_SIZE, _I64_MAX, dtype=np.int64)
-    for entry in ready:
-        stamps[entry] = iq_ops[entry].dispatch_stamp
-    oldest = int(np.argmin(stamps))
+    order, critical, ready, fus, avail, width, seed = case
+    keys = {entry: order_key(stamp, critical[entry])
+            for stamp, entry in enumerate(order, start=1)}
+    oldest = _kernel_oldest(order, critical, ready)
 
     rng_scalar = random.Random(seed)
     rng_vec = random.Random(seed)
     ctx = SelectContext(
         entries=list(ready),
-        fu_of=lambda e: iq_ops[e].fu,
-        age_of=lambda e: iq_ops[e].dispatch_stamp,
-        age_matrix=matrix,
+        fu_of=fus.__getitem__,
+        age_of=order.index,
+        priority_of=keys.__getitem__,
         fu_available=list(avail),
         width=width,
         rng=rng_scalar)
     want = AgeSelect().select(ctx)
-
-    stage = _make_stage(iq_ops, set(ready), width, rng_vec)
-    got = stage._grant_age(oldest, list(avail), rng=rng_vec)
+    got = grant_age(oldest, ready, fus.__getitem__, list(avail), width,
+                    rng_vec)
 
     assert got == want, (
         f"grants diverged: kernel {got} vs AgeSelect {want} "
@@ -107,19 +97,16 @@ def test_stamp_argmin_grant_matches_age_select(case):
 @settings(max_examples=60, deadline=None)
 @given(select_cases())
 def test_stamp_argmin_is_matrix_oldest(case):
-    """The stamp argmin picks exactly the matrix's single-oldest ready
-    entry (dispatch order ≡ age order when criticality is off)."""
-    order, ready, _fus, _avail, _width, _seed = case
+    """The key argmin picks exactly the matrix's single-oldest ready
+    entry, critical insert included."""
+    order, critical, ready, _fus, _avail, _width, _seed = case
     matrix = AgeMatrix(IQ_SIZE)
-    stamps = np.full(IQ_SIZE, _I64_MAX, dtype=np.int64)
-    for stamp, entry in enumerate(order, start=1):
-        matrix.dispatch(entry)
-        if entry in ready:
-            stamps[entry] = stamp
+    for entry in order:
+        matrix.dispatch(entry, critical[entry])
     request = np.zeros(IQ_SIZE, dtype=bool)
     request[ready] = True
     grant = matrix.select_single_oldest(request)
-    assert int(np.argmin(stamps)) == int(grant.argmax())
+    assert _kernel_oldest(order, critical, ready) == int(grant.argmax())
     assert grant.sum() == 1
 
 

@@ -185,7 +185,7 @@ def _saturated_pass(traces, scheduler, commit, lanes, serial,
     total_wall = 0.0
     for kernel, trace in traces.items():
         cells = [LaneCell(i, trace, config) for i in range(lanes)]
-        batch = LaneBatch(lanes, config.iq_size, config.rob_size)
+        batch = LaneBatch(lanes, config.iq_size)
         start = time.perf_counter()
         outcome = batch.run(cells)
         wall = time.perf_counter() - start

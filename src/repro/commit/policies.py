@@ -26,13 +26,14 @@ semantics using the policy's attribute flags.
 from __future__ import annotations
 
 import abc
+from operator import attrgetter
 from typing import List
-
-import numpy as np
 
 from ..pipeline.events import EventType, MatrixEvent
 
 _MATRIX = EventType.MATRIX
+_stamp = attrgetter("dispatch_stamp")
+_rob_entry = attrgetter("rob_entry")
 
 
 class CommitPolicy(abc.ABC):
@@ -72,10 +73,26 @@ class CommitPolicy(abc.ABC):
         return committed
 
 
+def grant_commits(safe, candidates: List, width: int) -> List:
+    """The merged matrix's commit grant (§3.2) from dispatch stamps.
+
+    Keeps the candidates ``safe`` (a dispatch-stamp predicate,
+    :meth:`~repro.pipeline.stages.PipelineState.commit_safe`) admits,
+    then the ``width`` oldest of them (lowest stamps — the bit count
+    encoding's grant), in ascending ROB-entry order.
+    """
+    granted = [op for op in candidates if safe(op.dispatch_stamp)]
+    if len(granted) > width:
+        granted.sort(key=_stamp)
+        del granted[width:]
+    granted.sort(key=_rob_entry)
+    return granted
+
+
 def _matrix_commit(core, cycle: int) -> int:
-    """Shared Orinoco-style commit: gather completed candidates, check
-    them against the merged age/SPEC matrix, grant up to CW oldest via
-    the bit count encoding, retire."""
+    """Shared Orinoco-style commit: gather the locally committable
+    candidates, keep those with no older speculative instruction,
+    grant up to CW oldest, retire."""
     if not core.commit_candidates:
         return 0
     depth = core.config.commit_depth
@@ -87,16 +104,13 @@ def _matrix_commit(core, cycle: int) -> int:
             if index == depth - 1:
                 horizon = seq
                 break
-    eligible = core.rob_scratch
-    eligible[:] = False
-    candidates = {}
+    candidates = []
     for seq in core.commit_candidates:
         if horizon is not None and seq > horizon:
             continue
         op = core.window.get(seq)
         if op is not None and core.locally_committable(op, ecl=False):
-            eligible[op.rob_entry] = True
-            candidates[op.rob_entry] = op
+            candidates.append(op)
     if not candidates:
         return 0
     core.stats.rob_check_ops += 1
@@ -104,13 +118,11 @@ def _matrix_commit(core, cycle: int) -> int:
     bus = core.bus
     if bus.live[_MATRIX]:
         bus.publish(MatrixEvent(cycle, "rob", "check", len(candidates)))
-    grants = core.merged.select_commit(eligible, core.config.commit_width)
-    committed = 0
-    if np.count_nonzero(grants):
-        for entry in np.flatnonzero(grants):
-            core.retire(candidates[int(entry)], cycle)
-            committed += 1
-    return committed
+    granted = grant_commits(core.commit_safe, candidates,
+                            core.config.commit_width)
+    for op in granted:
+        core.retire(op, cycle)
+    return len(granted)
 
 
 class InOrderCommit(CommitPolicy):
@@ -137,11 +149,12 @@ class InOrderCommit(CommitPolicy):
 
 
 class OrinocoCommit(CommitPolicy):
-    """Unordered commit through the merged age/SPEC matrix (§3.2).
+    """Unordered commit, the merged age/SPEC matrix's rule (§3.2).
 
     Completed instructions anywhere in the non-collapsible ROB commit
-    once no older instruction can raise misspeculation or an exception;
-    the bit count encoding picks up to CW oldest eligible per cycle.
+    once no older instruction can raise misspeculation or an exception
+    (dispatch stamp not younger than the oldest speculative one); up to
+    CW oldest eligible commit per cycle.
     """
 
     name = "orinoco"

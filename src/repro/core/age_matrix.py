@@ -38,23 +38,13 @@ from .bitmatrix import BitMatrix
 class AgeMatrix:
     """Relative-age tracker over the entries of a non-collapsible queue."""
 
-    def __init__(self, size: int, storage=None):
+    def __init__(self, size: int):
         self.size = size
-        if storage is None:
-            self.matrix = BitMatrix(size, size)
-            #: VLD — valid entries.
-            self.valid = np.zeros(size, dtype=bool)
-            #: CRI — entries holding critical-tagged instructions.
-            self.critical = np.zeros(size, dtype=bool)
-        else:
-            # lane-stacked backing (repro.core.lanestack.AgePlanes):
-            # adopt the views and re-zero the state for slot reuse;
-            # scratch buffers below stay instance-owned (small, 1-D)
-            self.matrix = BitMatrix(size, size, storage=storage.bit)
-            self.valid = storage.valid
-            self.valid[...] = False
-            self.critical = storage.critical
-            self.critical[...] = False
+        self.matrix = BitMatrix(size, size)
+        #: VLD — valid entries.
+        self.valid = np.zeros(size, dtype=bool)
+        #: CRI — entries holding critical-tagged instructions.
+        self.critical = np.zeros(size, dtype=bool)
         # select scratch (callers may still pass their own ``out``)
         self._req = np.empty(size, dtype=bool)
         self._counts = np.empty(size, dtype=np.intp)

@@ -18,10 +18,9 @@ so the scheduler classes above it read like the paper's figures.
 
 Hot-path contract: every read primitive takes an optional ``out``
 buffer, and the AND stage lands in a preallocated scratch plane, so a
-steady-state cycle of the simulator performs **zero numpy
-allocations** — callers that pass ``out`` (the pipeline does) get the
-answer written in place; callers that don't (tests, notebooks) get a
-fresh array as before.
+caller's steady-state loop performs **zero numpy allocations** —
+callers that pass ``out`` get the answer written in place; callers
+that don't (tests, notebooks) get a fresh array.
 """
 
 from __future__ import annotations
@@ -32,37 +31,19 @@ import numpy as np
 
 
 class BitMatrix:
-    """A rows × cols matrix of bits supporting PIM-style operations.
+    """A rows × cols matrix of bits supporting PIM-style operations."""
 
-    ``storage`` (any object with ``bits``/``and_plane`` array
-    attributes of the right shape, e.g. :class:`~repro.core.lanestack.
-    BitPlanes`) makes the matrix operate on caller-provided backing —
-    the lane-batched engine passes 2-D views into a 3-D lane-stacked
-    array.  The ``bits`` state is re-zeroed on adoption (slot reuse);
-    the ``and_plane`` scratch carries no state and is left as-is.
-    """
-
-    def __init__(self, rows: int, cols: Optional[int] = None,
-                 storage=None):
+    def __init__(self, rows: int, cols: Optional[int] = None):
         if cols is None:
             cols = rows
         if rows <= 0 or cols <= 0:
             raise ValueError("matrix dimensions must be positive")
         self.rows = rows
         self.cols = cols
-        if storage is None:
-            self.bits = np.zeros((rows, cols), dtype=bool)
-            # scratch plane for the AND stage of the read primitives;
-            # one allocation buys allocation-free reads for the run
-            self._and_plane = np.empty((rows, cols), dtype=bool)
-        else:
-            if storage.bits.shape != (rows, cols):
-                raise ValueError(
-                    f"storage shape {storage.bits.shape} != "
-                    f"({rows}, {cols})")
-            self.bits = storage.bits
-            self.bits[...] = False
-            self._and_plane = storage.and_plane
+        self.bits = np.zeros((rows, cols), dtype=bool)
+        # scratch plane for the AND stage of the read primitives; one
+        # allocation buys allocation-free reads for the run
+        self._and_plane = np.empty((rows, cols), dtype=bool)
 
     # -- row / column writes (dispatch, resolve) -----------------------
 

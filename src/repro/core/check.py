@@ -1,12 +1,18 @@
-"""REPRO_CHECK: self-verification mode for the incremental caches.
+"""REPRO_CHECK: self-verification mode for derived state.
 
-The hot-path engine keeps derived scheduler state — the wakeup
-matrix's ready vector, the merged commit matrix's commit-eligible
-vector — *incrementally*, updating it on dispatch/issue/resolve/
-remove/squash events instead of re-deriving it from the bit matrices
-every cycle.  ``REPRO_CHECK=1`` turns on a cross-check: every cached
-answer is recomputed from first principles (the full matrix reduction)
-and compared, raising :class:`CheckError` on the first divergence.
+``REPRO_CHECK=1`` turns on cross-checks that recompute a cached or
+fused answer from first principles and compare, raising
+:class:`CheckError` on the first divergence:
+
+* the matrix schedulers' incremental caches — the wakeup matrix's
+  ready vector and the merged commit matrix's commit-eligible vector
+  — against the full matrix reduction (the classes the tests and the
+  circuit model use; the cycle loop reads per-op state instead);
+* the lane engine's cross-lane select kernel against each lane's
+  scalar ready set, every cycle
+  (:mod:`repro.pipeline.vectorstages`);
+* a sampled lane-batched cell against a full serial re-run
+  (:func:`repro.pipeline.lanes.crosscheck`, called by the harness).
 
 The flag is read once and latched (matrices capture it at
 construction), so the steady-state cost of an unchecked run is a single

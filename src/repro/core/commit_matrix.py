@@ -20,6 +20,11 @@ Two implementations with identical semantics:
 
 ``tests/test_commit_matrix.py`` proves the two stay bit-identical under
 random operation streams (hypothesis).
+
+The pipeline answers the commit check from dispatch stamps instead
+(:meth:`repro.pipeline.stages.PipelineState.commit_safe`: no older
+speculative op still in the ROB) and builds no commit matrix; the same
+test module holds that rule to :class:`MergedCommitMatrix`.
 """
 
 from __future__ import annotations
@@ -96,26 +101,15 @@ class MergedCommitMatrix:
     compares (see :mod:`repro.core.check`).
     """
 
-    def __init__(self, size: int, storage=None):
+    def __init__(self, size: int):
         self.size = size
-        if storage is None:
-            self.age = AgeMatrix(size)
-            #: SPEC — entries that may still raise misspeculation.
-            self.spec = np.zeros(size, dtype=bool)
-            #: per-entry count of older speculative entries (valid rows)
-            self._blockers = np.zeros(size, dtype=np.intp)
-            #: cached safe-and-valid vector, re-derived when dirty
-            self._safe = np.zeros(size, dtype=bool)
-        else:
-            # lane-stacked backing (repro.core.lanestack.MergedPlanes):
-            # adopt the views and re-zero the state for slot reuse
-            self.age = AgeMatrix(size, storage=storage.age)
-            self.spec = storage.spec
-            self.spec[...] = False
-            self._blockers = storage.blockers
-            self._blockers[...] = 0
-            self._safe = storage.safe
-            self._safe[...] = False
+        self.age = AgeMatrix(size)
+        #: SPEC — entries that may still raise misspeculation.
+        self.spec = np.zeros(size, dtype=bool)
+        #: per-entry count of older speculative entries (valid rows)
+        self._blockers = np.zeros(size, dtype=np.intp)
+        #: cached safe-and-valid vector, re-derived when dirty
+        self._safe = np.zeros(size, dtype=bool)
         self._n_spec = 0
         self._dirty = True
         self._eligible = np.empty(size, dtype=bool)
@@ -206,8 +200,8 @@ class MergedCommitMatrix:
     def select_commit(self, completed: np.ndarray, width: int) -> np.ndarray:
         """Up to ``width`` oldest commit-eligible entries this cycle.
 
-        Returns a matrix-owned scratch vector, overwritten by the next
-        call — callers consume it within the cycle (the pipeline does).
+        Returns a matrix-owned scratch vector that the next call
+        overwrites.
         """
         eligible = self.can_commit(completed, out=self._eligible)
         if not eligible.any():

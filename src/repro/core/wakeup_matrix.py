@@ -10,6 +10,11 @@ its row reduction-NORs to zero.
 Unlike the original per-operand matrices, one matrix covers all source
 operands — what the PIM implementation makes cheap (§3.4).
 
+The pipeline answers the same question from per-op completion
+counters (:func:`repro.pipeline.stages.state.wait_on`) and builds no
+wakeup matrix; this class is the reference the tests hold the counters
+to, and what the circuit model and the benchmark probes measure.
+
 Hot-path notes: readiness is tracked *incrementally*.  ``_pending``
 holds, for every valid entry, the number of set bits in its row (its
 not-yet-issued producers); dispatch seeds it, every cleared column
@@ -37,25 +42,14 @@ from .bitmatrix import BitMatrix
 class WakeupMatrix:
     """Positional dependence tracker over IQ entries."""
 
-    def __init__(self, size: int, storage=None):
+    def __init__(self, size: int):
         self.size = size
-        if storage is None:
-            self.matrix = BitMatrix(size, size)
-            self.valid = np.zeros(size, dtype=bool)
-            #: per-entry count of set row bits (valid entries only)
-            self._pending = np.zeros(size, dtype=np.intp)
-            #: cached grant vector, re-derived when dirty
-            self._ready = np.zeros(size, dtype=bool)
-        else:
-            # lane-stacked backing (repro.core.lanestack.WakeupPlanes):
-            # adopt the views and re-zero the state for slot reuse
-            self.matrix = BitMatrix(size, size, storage=storage.bit)
-            self.valid = storage.valid
-            self.valid[...] = False
-            self._pending = storage.pending
-            self._pending[...] = 0
-            self._ready = storage.ready
-            self._ready[...] = False
+        self.matrix = BitMatrix(size, size)
+        self.valid = np.zeros(size, dtype=bool)
+        #: per-entry count of set row bits (valid entries only)
+        self._pending = np.zeros(size, dtype=np.intp)
+        #: cached grant vector, re-derived when dirty
+        self._ready = np.zeros(size, dtype=bool)
         self._dirty = True
         self._mask = np.zeros(size, dtype=bool)
         self._ones = np.ones(size, dtype=bool)

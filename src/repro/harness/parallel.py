@@ -249,7 +249,7 @@ def _guarded_lane_group(payload, attempt: int):
     """
     cells_data, lanes, timeout = payload
     try:
-        key = lane_key(cells_data[0][1])
+        (iq_size,) = lane_key(cells_data[0][1])
         cells, hits = [], []
         for pos, (label, config, workload, scale,
                   workload_spec) in enumerate(cells_data):
@@ -257,7 +257,7 @@ def _guarded_lane_group(payload, attempt: int):
             trace, hit = fetch_trace(workload, scale)
             cells.append(LaneCell(pos, trace, config))
             hits.append(hit)
-        batch = LaneBatch(min(lanes, len(cells)), key[0], key[1])
+        batch = LaneBatch(min(lanes, len(cells)), iq_size)
         report = batch.run(cells, timeout=timeout)
         if check.check_enabled():
             sample = next((o for o in report.outcomes
@@ -319,11 +319,12 @@ def _lane_groups(jobs: Sequence[Job], indices: Sequence[int]
                  ) -> List[List[int]]:
     """Partition lane-eligible job indices into compatible groups.
 
-    Cells sharing a :func:`~repro.pipeline.lanes.lane_key` (matrix
-    shapes, queue organisation, ROB release policy) may share a lane
-    stack; within a group, cells are ordered by (workload, scale) so
-    batch-mates share traces from the LRU.  Outcomes are keyed by job
-    index, so grouping never affects what a cell computes.
+    Cells sharing a :func:`~repro.pipeline.lanes.lane_key` (the IQ
+    size) may share a lane stack, whatever their commit policy or queue
+    organisation; within a group, cells are ordered by (workload,
+    scale) so batch-mates share traces from the LRU.  Outcomes are
+    keyed by job index, so grouping never affects what a cell
+    computes.
     """
     groups: Dict[tuple, List[int]] = {}
     for index in indices:
@@ -353,8 +354,8 @@ def _run_lane_batches(jobs: Sequence[Job], indices: Sequence[int],
             trace, hit = fetch_trace(job.workload, job.scale)
             cells.append(LaneCell(index, trace, job.config))
             hits[index] = hit
-        key = lane_key(jobs[members[0]].config)
-        batch = LaneBatch(min(lanes, len(cells)), key[0], key[1])
+        (iq_size,) = lane_key(jobs[members[0]].config)
+        batch = LaneBatch(min(lanes, len(cells)), iq_size)
         batch_id = next_task_id()
 
         def cell_done(outcome, hits=hits):

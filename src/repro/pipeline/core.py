@@ -2,13 +2,18 @@
 
 The timing model replays a dynamic trace through a superscalar OoO
 pipeline (fetch → rename → dispatch → issue → execute → writeback →
-commit) built around Orinoco's matrix schedulers:
+commit) built around Orinoco's non-collapsible queues.  The matrix
+schedulers' per-cycle answers are read from per-op state (the matrix
+classes in :mod:`repro.core` remain the reference the tests compare
+against and the circuit model prices):
 
-* the IQ is a free-list (non-collapsible) structure with an
-  :class:`~repro.core.AgeMatrix`; the configured
-  :class:`~repro.scheduler.SelectPolicy` arbitrates issue;
-* the ROB is non-collapsible with the merged age/SPEC matrix
-  (:class:`~repro.core.MergedCommitMatrix`); the configured
+* the IQ is a free-list (non-collapsible) structure; an entry is
+  ready when its completion counter reaches zero (the wakeup matrix's
+  row), and the configured :class:`~repro.scheduler.SelectPolicy`
+  ranks ready entries by order key (the age matrix's order);
+* the ROB is non-collapsible; an instruction may commit once its
+  dispatch stamp is not younger than the oldest speculative one (the
+  merged age/SPEC matrix's check), and the configured
   :class:`~repro.commit.CommitPolicy` retires instructions;
 * the LQ/SQ use the memory disambiguation matrix for speculative load
   issue and early (pre-performed-older-stores) load commit.
@@ -74,9 +79,9 @@ class O3Core:
 
     def __init__(self, trace: Trace, config: CoreConfig,
                  bus: Optional[EventBus] = None, slot=None):
-        # ``slot`` (repro.core.lanestack.LaneSlot) backs the matrix
-        # state with views into a lane-stacked 3-D arena; semantics
-        # are identical to owned storage (lane engine only)
+        # ``slot`` (repro.core.lanestack.LaneSlot) backs the issue
+        # columns with views into a lane-stacked arena; semantics are
+        # identical to the slot-free core (lane engine only)
         state = PipelineState(trace, config, bus, slot=slot)
         # bypass __setattr__-visible delegation: plain instance attrs
         self.state = state
@@ -115,8 +120,7 @@ class O3Core:
         # mirrored; they keep reading through __getattr__.
         for attr in ("trace", "config", "stats", "rng", "predictor",
                      "fetch", "rename", "commit_policy", "select_policy",
-                     "iq_queue", "wakeup", "iq_ops",
-                     "rob_queue", "merged", "rob_scratch", "lsq",
+                     "iq_queue", "iq_ops", "rob_queue", "lsq",
                      "hierarchy", "tlb",
                      "fupool", "window", "ops", "zombies",
                      "pending_release", "commit_candidates", "ready_set",
@@ -129,6 +133,7 @@ class O3Core:
         self.retire = commit.retire
         self.locally_committable = commit.locally_committable
         self.vb_committable = commit.vb_committable
+        self.commit_safe = state.commit_safe
 
     def __getattr__(self, name):
         # facade: anything not defined on the driver reads through to
@@ -197,11 +202,14 @@ class O3Core:
             self.stages[4].drain_wp(cycle)
 
     def vec_phase_d(self) -> None:
-        """Cycle suffix: fetch tick, per-cycle stats, cycle advance
-        and the no-progress watchdog — the scalar :meth:`step` tail."""
+        """Cycle suffix: dispatch and fetch ticks, per-cycle stats,
+        cycle advance and the no-progress watchdog — the scalar
+        :meth:`step` tail."""
         s = self.state
         cycle = s.cycle
-        self._ticks[6](cycle)
+        ticks = self._ticks
+        ticks[5](cycle)
+        ticks[6](cycle)
         self._tick_stats(cycle)
         s.cycle = cycle + 1
         if s.cycle - s.progress_cycle > 50_000:

@@ -3,7 +3,7 @@
 Figure sweeps are thousands of small, homogeneous (config, workload)
 cells.  :class:`LaneBatch` simulates up to ``lanes`` of them at once
 over one :class:`~repro.core.LaneStack` — a struct-of-arrays arena
-holding every cell's matrix state in 3-D lane-stacked NumPy arrays —
+holding every cell's issue columns in lane-stacked NumPy arrays —
 with a lockstep driver:
 
 * every driver iteration advances each **active** lane by one unit of
@@ -12,19 +12,19 @@ with a lockstep driver:
   the divergence mask);
 * a lane whose cell finishes (or raises) **retires**: its outcome is
   recorded, its slot returns to the free list, and the next queued
-  cell **refills** the slot (the slot's state planes are re-zeroed by
-  the new core's matrix constructors);
+  cell **refills** the slot (the new core's state re-zeroes the
+  slot's columns);
 * a :class:`~repro.pipeline.DeadlockError` (watchdog or cycle-budget)
   in one lane is caught per lane and never perturbs batch-mates —
-  their matrix state lives in disjoint planes of the stack.
+  their columns live in disjoint rows of the stack.
 
 Because each lane's stages run the *scalar* engine over views into
 the stack, per-cell results are field-identical to the serial
-reference by construction; cross-lane work (occupancy accounting and
-the batched ``REPRO_CHECK`` re-derivation) is vectorised over the
-lane axis.  Under ``REPRO_CHECK=1`` the harness additionally calls
-:func:`crosscheck` on a sampled cell per batch — a full serial re-run
-diffed field-by-field against the lane result.
+reference by construction; the one cross-lane operation is the select
+kernel (:mod:`repro.pipeline.vectorstages`).  Under ``REPRO_CHECK=1``
+the engine cross-checks that kernel every cycle, and the harness
+calls :func:`crosscheck` on a sampled cell per batch — a full serial
+re-run diffed field-by-field against the lane result.
 
 Lane batching is engine-internal: the harness builds fresh cores per
 cell, and the CLI paths that attach live per-cycle subscribers
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, List, Optional, Sequence
 
-from ..core import LaneStack, check
+from ..core import LaneStack
 from .config import CoreConfig
 from .core import DeadlockError, O3Core
 from .fastforward import FastForward
@@ -62,9 +62,6 @@ from .vectorstages import VectorEngine, lane_vectorizable, select_live
 __all__ = ["LaneBatch", "LaneCell", "LaneDivergence", "LaneOutcome",
            "LaneReport", "crosscheck", "lane_key"]
 
-#: lanes between batched REPRO_CHECK re-derivations over the stack
-_VERIFY_EVERY = 64
-
 
 class LaneDivergence(RuntimeError):
     """A lane-batched result differs from its serial re-run."""
@@ -73,12 +70,10 @@ class LaneDivergence(RuntimeError):
 def lane_key(config: CoreConfig) -> tuple:
     """Compatibility key: cells sharing a key may share a stack.
 
-    Matrix shapes must match for the slot views to fit; queue
-    organisation and ROB release policy are pinned too so batch-mates
-    exercise identical structure layouts.
+    The stack holds only the IQ-sized issue columns, so the IQ size is
+    all batch-mates must agree on; every other structure is per-lane.
     """
-    return (config.iq_size, config.rob_size, config.iq_org,
-            config.ooo_rob_release)
+    return (config.iq_size,)
 
 
 @dataclass
@@ -153,13 +148,11 @@ class _Lane:
 class LaneBatch:
     """Lockstep executor for lane-compatible cells over one stack."""
 
-    def __init__(self, lanes: int, iq_size: int, rob_size: int):
+    def __init__(self, lanes: int, iq_size: int):
         self.lanes = max(1, lanes)
         self.iq_size = iq_size
-        self.rob_size = rob_size
-        self.stack = LaneStack(self.lanes, iq_size, rob_size)
+        self.stack = LaneStack(self.lanes, iq_size)
         self.engine = VectorEngine(self.stack)
-        self._check = check.check_enabled()
 
     def run(self, cells: Sequence[LaneCell],
             on_cell: Optional[Callable[[LaneOutcome], None]] = None,
@@ -174,13 +167,10 @@ class LaneBatch:
         (cooperative: checked between lockstep iterations).
         """
         for cell in cells:
-            if (cell.config.iq_size, cell.config.rob_size) != \
-                    (self.iq_size, self.rob_size):
+            if cell.config.iq_size != self.iq_size:
                 raise ValueError(
-                    f"cell {cell.index!r} (iq={cell.config.iq_size}, "
-                    f"rob={cell.config.rob_size}) is not compatible "
-                    f"with this batch (iq={self.iq_size}, "
-                    f"rob={self.rob_size})")
+                    f"cell {cell.index!r} (iq={cell.config.iq_size}) is "
+                    f"not compatible with this batch (iq={self.iq_size})")
         # longest-trace-first fill order shrinks the end-of-batch tail
         # where one long cell runs with the other lanes drained (the
         # sort is stable, so equal-length cells — typically the same
@@ -242,7 +232,7 @@ class LaneBatch:
                 except Exception as exc:
                     # a failing lane (deadlock, assertion, anything) is
                     # an annotated outcome; batch-mates are untouched —
-                    # their state lives in disjoint planes of the stack
+                    # their state lives in disjoint rows of the stack
                     lane.elapsed += perf_counter() - start
                     retire(lane, LaneOutcome(
                         cell.index, error=exc,
@@ -313,11 +303,6 @@ class LaneBatch:
                         retired = True
             if retired:
                 active = [lane for lane in active if lane.core is not None]
-            if self._check and active and \
-                    report.steps % _VERIFY_EVERY == 0:
-                # batched cross-lane re-derivation: one vectorised op
-                # over the lane axis checks every active lane at once
-                self.stack.verify(lane.slot_id for lane in active)
         return report
 
 
@@ -326,7 +311,7 @@ def crosscheck(cell: LaneCell, stats: SimStats) -> None:
 
     The ``REPRO_CHECK=1`` sampled-lane cross-check: the harness picks
     one completed cell per batch and pays for a full serial re-run
-    (fresh :class:`O3Core`, owned matrix storage) to prove the
+    (fresh :class:`O3Core`, no lane slot) to prove the
     lane-batched result identical.  Raises :class:`LaneDivergence`
     naming the differing fields otherwise.
     """

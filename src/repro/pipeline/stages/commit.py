@@ -15,8 +15,6 @@ policies and tests keep working unchanged.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..events import CommitEvent, CommitStall, EventType, MemEvent
 from .squash import SquashUnit
 from .state import InflightOp, PipelineState
@@ -32,7 +30,6 @@ class CommitStage:
     def __init__(self, state: PipelineState, squash: SquashUnit):
         self.s = state
         self.squash = squash
-        self._grants = np.empty(state.config.rob_size, dtype=bool)
         #: weak reference to the O3Core facade, wired by the driver
         #: after construction; commit policies and the exception flush
         #: are invoked through it so monkeypatched cores keep
@@ -72,20 +69,19 @@ class CommitStage:
         s = self.s
         if not s.commit_candidates:
             return None
-        completed = s.rob_scratch
-        completed[:] = False
-        head_seq = next(iter(s.window))
-        head_entry = s.window[head_seq].rob_entry
+        window = s.window
+        head_seq = next(iter(window))
+        safe = s.commit_safe
+        ready_not_head = False
         for seq in s.commit_candidates:
-            op = s.window.get(seq)
-            if op is not None:
-                completed[op.rob_entry] = True
-        grants = s.merged.can_commit(completed, out=self._grants)
-        grants[head_entry] = False
+            if seq != head_seq:
+                op = window.get(seq)
+                if op is not None and safe(op.dispatch_stamp):
+                    ready_not_head = True
+                    break
         rob_full = s.rob_queue.is_full()
         if rob_full:
             s.stats.rob_full_commit_stall_cycles += weight
-        ready_not_head = bool(grants.any())
         if ready_not_head:
             s.stats.stalled_commit_ready_cycles += weight
             if rob_full:
@@ -137,8 +133,7 @@ class CommitStage:
         op.committed_at = cycle
         del s.window[op.seq]
         s.commit_candidates.discard(op.seq)
-        s.rob_queue.free(op.rob_entry)
-        s.merged.remove(op.rob_entry)
+        s.leave_rob(op)
         s.retired_total += 1
         s.stats.committed += 1
         s.progress_cycle = cycle

@@ -2,7 +2,7 @@
 
 Up to ``dispatch_width`` instructions per cycle leave the dispatch
 buffer, allocate their structural resources, rename, and register
-their dependences in the wakeup matrix / completion counters.  A cycle
+their dependences on their producers' completion counters.  A cycle
 that cannot dispatch charges its stall to exactly one resource: the
 first exhausted one — in fixed ``rob, iq, lq, sq, reg`` priority order
 — blocking the oldest not-yet-dispatched instruction.  Even when
@@ -13,12 +13,12 @@ accounted (no double counting).
 from __future__ import annotations
 
 import heapq
-from typing import Optional
+from typing import List, Optional
 
 from ...isa import DynInstr, OpClass, Opcode
 from ...scheduler import order_key
 from ..events import DispatchEvent, DispatchStall, EventType
-from .state import InflightOp, PipelineState
+from .state import InflightOp, PipelineState, wait_on
 
 _DISPATCH = EventType.DISPATCH
 _STALL = EventType.STALL
@@ -29,17 +29,6 @@ class DispatchStage:
 
     def __init__(self, state: PipelineState):
         self.s = state
-        # per-cycle group accumulators: the matrices are written once
-        # per cycle with batched group stores instead of per-op writes
-        self._g_rob: list = []
-        self._g_spec: list = []
-        self._g_iq: list = []
-        self._g_prods: list = []
-        # cross-lane fused landing (repro.pipeline.vectorstages): with
-        # ``defer_flush`` the accumulators survive the tick and the
-        # vector engine lands every lane's group in one batched store
-        # over the 3-D stack
-        self.defer_flush = False
         # the latency table is immutable after construction
         self._latency = state.config.latencies.get
 
@@ -65,21 +54,8 @@ class DispatchStage:
                 self._do_dispatch(fetched, cycle)
                 s.ops[fetched.instr.seq].dispatched_at = cycle
             dispatched += 1
-        if dispatched and not self.defer_flush:
-            self._flush_group()
         if dispatched and not stalled:
             s.progress_cycle = cycle
-
-    def _flush_group(self) -> None:
-        """Land this cycle's dispatch group in the matrices: one batched
-        write per structure (oldest group member first)."""
-        s = self.s
-        s.merged.dispatch_group(self._g_rob, self._g_spec)
-        s.wakeup.dispatch_group(self._g_iq, self._g_prods)
-        self._g_rob.clear()
-        self._g_spec.clear()
-        self._g_iq.clear()
-        self._g_prods.clear()
 
     # -- stall attribution ---------------------------------------------
 
@@ -142,51 +118,28 @@ class DispatchStage:
         # data (rs2) only gates completion — so a store can resolve its
         # address early, the key to precise disambiguation.
         if dyn.is_store:
-            addr_srcs = dyn.srcs[:1]
-            data_srcs = dyn.srcs[1:]
+            wait_on(op, self._live_writers(dyn.srcs[:1]), "op")
+            wait_on(op, self._live_writers(dyn.srcs[1:]), "data")
         else:
-            addr_srcs = dyn.srcs
-            data_srcs = ()
-        producer_entries = []
-        for src in set(addr_srcs):
-            writer = self._live_writer(src)
-            if writer is None:
-                continue
-            if writer.in_iq:
-                # positional dependence: tracked in the wakeup matrix
-                # until the producer issues (§3.4)
-                producer_entries.append(writer.iq_entry)
-            else:
-                op.producers_remaining += 1
-                writer.dependents.append((op, "op"))
-        for src in set(data_srcs):
-            writer = self._live_writer(src)
-            if writer is not None:
-                op.data_remaining += 1
-                writer.dependents.append((op, "data"))
+            wait_on(op, self._live_writers(dyn.srcs), "op")
         # fences order memory operations
         if dyn.opcode is Opcode.FENCE:
-            for other in s.window.values():
-                if other.dyn.is_mem and not other.completed:
-                    op.producers_remaining += 1
-                    other.dependents.append((op, "op"))
+            wait_on(op, [other for other in s.window.values()
+                         if other.dyn.is_mem and not other.completed], "op")
             s.active_fence = dyn.seq
         elif dyn.is_mem and s.active_fence is not None:
             fence = s.ops.get(s.active_fence)
             if fence is not None and not fence.completed:
-                op.producers_remaining += 1
-                fence.dependents.append((op, "op"))
+                wait_on(op, (fence,), "op")
 
         if dyn.dst is not None:
             op.prev_writer = (dyn.dst, s.last_writer.get(dyn.dst))
             s.last_writer[dyn.dst] = dyn.seq
 
         speculative = self._is_speculative_at_dispatch(dyn)
-        self._g_rob.append(op.rob_entry)
-        self._g_spec.append(speculative)
+        if speculative:
+            s.spec_stamps[op.dispatch_stamp] = None
         op.spec_resolved = not speculative
-        self._g_iq.append(op.iq_entry)
-        self._g_prods.append(producer_entries)
         s.stats.iq_writes += 1
         s.stats.rob_writes += 1
         s.stats.wakeup_writes += 1
@@ -194,7 +147,7 @@ class DispatchStage:
         s.window[dyn.seq] = op
         s.ops[dyn.seq] = op
         s.iq_ops[op.iq_entry] = op
-        if op.producers_remaining == 0 and not producer_entries:
+        if op.producers_remaining == 0:
             s.ready_set.add(op.iq_entry)
         s.stats.dispatched += 1
         bus = s.bus
@@ -217,10 +170,6 @@ class DispatchStage:
         if s.iq_stamp is not None:
             s.iq_stamp[op.iq_entry] = op.order_key
             s.iq_fu[op.iq_entry] = op.fu
-        self._g_rob.append(op.rob_entry)
-        self._g_spec.append(False)
-        self._g_iq.append(op.iq_entry)
-        self._g_prods.append(())
         s.window[op.seq] = op
         s.ops[op.seq] = op
         s.iq_ops[op.iq_entry] = op
@@ -232,14 +181,20 @@ class DispatchStage:
         if bus.live[_DISPATCH]:
             bus.publish(DispatchEvent(cycle, op, True))
 
-    def _live_writer(self, src: int) -> Optional[InflightOp]:
-        writer_seq = self.s.last_writer.get(src)
-        if writer_seq is None:
-            return None
-        writer = self.s.ops.get(writer_seq)
-        if writer is None or writer.completed:
-            return None
-        return writer
+    def _live_writers(self, srcs) -> List[InflightOp]:
+        """In-flight (not yet completed) producers of the distinct
+        source registers ``srcs``."""
+        last_writer = self.s.last_writer
+        ops = self.s.ops
+        writers = []
+        for src in set(srcs):
+            writer_seq = last_writer.get(src)
+            if writer_seq is None:
+                continue
+            writer = ops.get(writer_seq)
+            if writer is not None and not writer.completed:
+                writers.append(writer)
+        return writers
 
     def _is_speculative_at_dispatch(self, dyn: DynInstr) -> bool:
         if dyn.is_mem:

@@ -3,25 +3,17 @@
 The configured :class:`~repro.scheduler.SelectPolicy` sees the ready
 IQ entries, the per-FU-type availability and the issue width, and
 grants up to IW instructions (the paper's Figure 13/14 policies).
-Granted instructions leave the IQ — their wakeup column broadcasts,
-converting positional dependents to completion counters — and begin
-execution.
-
-The wakeup broadcast is batched: one column gather covers every
-instruction issued this cycle (a dependent waiting on several of them
-is walked once, not once per producer), and all issued columns clear
-in a single fancy-indexed store.  The conversion hand-off is one-way —
-this stage only *increments* completion counters; the writeback walk
-(:meth:`WritebackStage.complete`) is the sole waker that decrements
-them and re-checks readiness, so no dependent is ever woken twice.
+Granted instructions leave the IQ and begin execution.  Issue wakes
+nobody: every dependent registered on its producers' completion
+counters at dispatch, and the writeback walk
+(:meth:`WritebackStage.complete`) is the sole waker that counts them
+down and marks entries ready.
 """
 
 from __future__ import annotations
 
 import heapq
 from typing import List
-
-import numpy as np
 
 from ...scheduler import SelectContext, grant_age
 from ..events import EventType, IssueEvent, SelectEvent
@@ -45,15 +37,6 @@ class IssueStage:
         self._fu_of = lambda entry: iq_ops[entry].fu
         self._age_of = lambda entry: iq_ops[entry].dispatch_stamp
         self._priority_of = lambda entry: iq_ops[entry].order_key
-        # cross-lane fused wakeup broadcast (repro.pipeline.
-        # vectorstages): with ``defer_broadcast`` the issued entries
-        # collect in ``deferred`` and the vector engine performs every
-        # lane's column clears / pending decrements in one batched
-        # store over the 3-D stack (before any dispatch reuses a freed
-        # entry; nothing else in this lane's tick reads the wakeup
-        # planes of issued entries)
-        self.defer_broadcast = False
-        self.deferred: List[int] = []
 
     def drain_wp(self, cycle: int) -> None:
         """Move due wrong-path instructions into the ready set."""
@@ -141,54 +124,13 @@ class IssueStage:
     def _leave_iq(self, issued: List[InflightOp]) -> None:
         s = self.s
         iq_ops = s.iq_ops
-        bits = s.wakeup.matrix.bits
-        # wakeup broadcast: clear the issued producers' columns.
-        # Dependents whose rows drain switch to waiting on the value
-        # itself (the completion counter models the latency-delayed
-        # broadcast).  One batched column gather walks every dependent
-        # of the whole issue group at once.
-        entries = [op.iq_entry for op in issued]
-        if len(issued) == 1:
-            op = issued[0]
-            for dep_entry in np.flatnonzero(bits[:, entries[0]]):
-                dep = iq_ops.get(int(dep_entry))
-                if dep is None:
-                    continue
-                dep.producers_remaining += 1
-                op.dependents.append((dep, "op"))
-        else:
-            block = bits[:, entries]
-            for dep_entry in np.flatnonzero(block.any(axis=1)):
-                d = int(dep_entry)
-                dep = iq_ops.get(d)
-                if dep is None:
-                    continue
-                row = block[d]
-                for j, op in enumerate(issued):
-                    if row[j]:
-                        dep.producers_remaining += 1
-                        op.dependents.append((dep, "op"))
         free = s.iq_queue.free
         discard = s.ready_set.discard
-        if self.defer_broadcast:
-            # the vector engine's broadcast kernel performs the wakeup
-            # column clears for every lane's issued entries in fused
-            # stores
-            self.deferred.extend(entries)
-            for op in issued:
-                entry = op.iq_entry
-                free(entry)
-                discard(entry)
-                del iq_ops[entry]
-                op.in_iq = False
-                op.iq_entry = None
-        else:
-            s.wakeup.issue(entries)
-            for op in issued:
-                entry = op.iq_entry
-                free(entry)
-                discard(entry)
-                del iq_ops[entry]
-                op.in_iq = False
-                op.iq_entry = None
+        for op in issued:
+            entry = op.iq_entry
+            free(entry)
+            discard(entry)
+            del iq_ops[entry]
+            op.in_iq = False
+            op.iq_entry = None
         s.stats.wakeup_ops += len(issued)

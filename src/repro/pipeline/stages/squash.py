@@ -32,8 +32,7 @@ class SquashUnit:
             op.exec_token += 1
             if op.in_iq:
                 self.leave_iq_squash(op)
-            s.rob_queue.free(op.rob_entry)
-            s.merged.remove(op.rob_entry)
+            s.leave_rob(op)
             s.window.pop(op.seq, None)
             s.ops.pop(op.seq, None)
         s.wp_ready = []
@@ -59,8 +58,7 @@ class SquashUnit:
             if op.in_iq:
                 self.leave_iq_squash(op)
             if op.rob_entry is not None:
-                s.rob_queue.free(op.rob_entry)
-                s.merged.remove(op.rob_entry)
+                s.leave_rob(op)
             s.window.pop(op.seq, None)
             s.ops.pop(op.seq, None)
             s.commit_candidates.discard(op.seq)
@@ -95,7 +93,6 @@ class SquashUnit:
     def leave_iq_squash(self, op: InflightOp) -> None:
         s = self.s
         entry = op.iq_entry
-        s.wakeup.squash([entry])
         s.iq_queue.free(entry)
         s.ready_set.discard(entry)
         s.iq_ops.pop(entry, None)

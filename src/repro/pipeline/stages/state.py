@@ -1,9 +1,10 @@
-"""Shared pipeline state: the in-flight map, matrices, queues, LSQ.
+"""Shared pipeline state: the in-flight map, queues, LSQ.
 
 :class:`PipelineState` is the single structure every stage operates on.
 It owns no stage logic — only the machine's architectural and
-micro-architectural containers plus two helpers (completion scheduling
-and forward-progress stamping) that every stage needs.
+micro-architectural containers plus the helpers every stage needs
+(completion scheduling, forward-progress stamping and the
+speculative-stamp bookkeeping behind commit safety).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ...core import MergedCommitMatrix, WakeupMatrix
 from ...frontend import FetchUnit, make_predictor
 from ...isa import DynInstr, Trace
 from ...lsq import LSQUnit
@@ -90,6 +90,25 @@ class InflightOp:
                 f"{'c' if self.committed else ''}>")
 
 
+def wait_on(op: InflightOp, producers, kind: str) -> None:
+    """Make ``op`` wait for the completion of every one of ``producers``.
+
+    Each producer adds one count to ``op``'s completion counter
+    (``producers_remaining`` for ``kind`` ``"op"``, ``data_remaining``
+    for a store's ``"data"`` operand) and lists ``op`` among its
+    ``dependents``; :meth:`WritebackStage.complete` walks that list and
+    counts down.  A producer still in the IQ registers exactly like an
+    issued one — the counter is the row of the paper's wakeup matrix
+    (§3.4), so an IQ entry is ready once its counter reaches zero.
+    """
+    for producer in producers:
+        if kind == "data":
+            op.data_remaining += 1
+        else:
+            op.producers_remaining += 1
+        producer.dependents.append((op, kind))
+
+
 class MirroredReadySet(set):
     """A ready set that mirrors membership into a lane-stack bit plane.
 
@@ -128,12 +147,10 @@ class PipelineState:
         # level, so importing it here (not at state.py import time)
         # keeps the package import graph acyclic
         from ...commit import make_commit_policy
-        if slot is not None and (slot.iq_size != config.iq_size
-                                 or slot.rob_size != config.rob_size):
+        if slot is not None and slot.iq_size != config.iq_size:
             raise ValueError(
-                f"lane slot shape (iq={slot.iq_size}, "
-                f"rob={slot.rob_size}) does not match config "
-                f"(iq={config.iq_size}, rob={config.rob_size})")
+                f"lane slot shape (iq={slot.iq_size}) does not match "
+                f"config (iq={config.iq_size})")
         self.trace = trace
         self.config = config
         self.bus = bus if bus is not None else EventBus()
@@ -149,38 +166,26 @@ class PipelineState:
         self.commit_policy = make_commit_policy(config.commit)
         self.select_policy = make_select_policy(config.scheduler)
 
-        # IQ: non-collapsible free list + wakeup matrix; relative age
-        # is each op's order key (the select policies rank by it).
-        # With a lane ``slot`` (repro.core.lanestack.LaneSlot) the
-        # matrices operate on views into 3-D lane-stacked arrays — a
-        # struct-of-arrays layout over batch-mates; without one they
-        # own their arrays (the scalar reference path, unchanged).
+        # IQ: non-collapsible free list.  Readiness is each op's
+        # completion counter (producers_remaining) and relative age its
+        # order key — the wakeup and age matrices' answers, held per op
         if config.iq_org == "circ":
             self.iq_queue = CircularQueue(config.iq_size)
         else:
             self.iq_queue = RandomQueue(config.iq_size)
-        self.wakeup = WakeupMatrix(
-            config.iq_size,
-            storage=None if slot is None else slot.wakeup)
         self.iq_ops: Dict[int, InflightOp] = {}
 
-        # ROB: merged age/SPEC matrix over a non-collapsible (or, for
-        # in-order reclamation, circular) entry pool
+        # ROB: non-collapsible (or, for in-order reclamation, circular)
+        # entry pool.  ``spec_stamps`` holds the dispatch stamps of the
+        # in-ROB speculative ops in dispatch order (insertion order is
+        # stamp order), so its first key is the oldest speculative op —
+        # the merged age/SPEC matrix's commit check as one comparison
+        # (see :meth:`commit_safe`)
         if config.ooo_rob_release:
             self.rob_queue = RandomQueue(config.rob_size)
         else:
             self.rob_queue = CircularQueue(config.rob_size)
-        self.merged = MergedCommitMatrix(
-            config.rob_size,
-            storage=None if slot is None else slot.merged)
-        # ROB-sized bool scratch shared by the per-cycle eligibility
-        # gathers (commit policies, stall accounting) — never held
-        # across a cycle
-        if slot is None:
-            self.rob_scratch = np.zeros(config.rob_size, dtype=bool)
-        else:
-            self.rob_scratch = slot.rob_scratch
-            self.rob_scratch[...] = False
+        self.spec_stamps: Dict[int, None] = {}
 
         self.lsq = LSQUnit(config.lq_size, config.sq_size,
                            config.store_buffer_size, tso=config.tso,
@@ -261,5 +266,17 @@ class PipelineState:
         """Clear the SPEC bit of a no-longer-speculative instruction."""
         if not op.spec_resolved:
             op.spec_resolved = True
-            if not op.committed and op.rob_entry is not None:
-                self.merged.resolve(op.rob_entry)
+            self.spec_stamps.pop(op.dispatch_stamp, None)
+
+    def leave_rob(self, op: InflightOp) -> None:
+        """Free ``op``'s ROB entry (retire or squash); a still-set SPEC
+        bit leaves with it."""
+        self.rob_queue.free(op.rob_entry)
+        self.spec_stamps.pop(op.dispatch_stamp, None)
+
+    def commit_safe(self, stamp: int) -> bool:
+        """True when no op older than dispatch stamp ``stamp`` is still
+        speculative in the ROB (§3.2: ``NOR(age_row & SPEC)``).  An op's
+        own SPEC bit does not block it, hence ``<=``."""
+        spec = self.spec_stamps
+        return not spec or stamp <= next(iter(spec))

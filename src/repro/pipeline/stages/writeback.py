@@ -79,8 +79,7 @@ class WritebackStage:
                     s.schedule_completion(dep, cycle + 1)
             else:
                 dep.producers_remaining -= 1
-                if (dep.producers_remaining == 0 and dep.in_iq
-                        and s.wakeup.is_ready(dep.iq_entry)):
+                if dep.producers_remaining == 0 and dep.in_iq:
                     s.ready_set.add(dep.iq_entry)
         if s.active_fence == op.seq:
             s.active_fence = None

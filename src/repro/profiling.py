@@ -202,12 +202,9 @@ _LANE_STAGE_TARGETS = (
     (FetchStage, "tick", "fetch"),
 )
 
-#: (VectorEngine method, bucket label) — the cross-lane fused kernels
+#: (VectorEngine method, bucket label) — the cross-lane fused kernel
 _LANE_ENGINE_TARGETS = (
-    ("_refresh_commit", "vec:refresh-commit"),
     ("_select_kernel", "vec:select"),
-    ("_broadcast_kernel", "vec:broadcast"),
-    ("_land_groups", "vec:land-groups"),
 )
 
 
@@ -271,7 +268,7 @@ def profile_lanes(kernel: str, scale: float = 1.0, preset: str = "base",
     config = make_config(preset, scheduler=scheduler, commit=commit)
     cells = [LaneCell(i, trace, config, max_cycles)
              for i in range(lanes)]
-    batch = LaneBatch(lanes, config.iq_size, config.rob_size)
+    batch = LaneBatch(lanes, config.iq_size)
 
     stage_cells, saved = _patch_stage_classes()
     engine_cells = _patch_engine(batch.engine)

@@ -124,15 +124,13 @@ def verify_program(program: VerifyProgram, lanes: int = 1,
                        "traceback": tb})
 
     if lanes > 1:
-        # group by structural compatibility key; batch-mates must share
-        # matrix layout (all verify configs share iq/rob sizes, but the
-        # ROB release policy differs across commit policies)
+        # group by structural compatibility key (the IQ size, which
+        # every verify config shares — so one group in practice)
         groups: Dict[tuple, List[LaneCell]] = {}
         for cell in cells:
             groups.setdefault(lane_key(cell.config), []).append(cell)
-        for group in groups.values():
-            config = group[0].config
-            batch = LaneBatch(lanes, config.iq_size, config.rob_size)
+        for (iq_size,), group in groups.items():
+            batch = LaneBatch(lanes, iq_size)
             report = batch.run(group)
             for outcome in report.outcomes:
                 if outcome.error is not None:

@@ -137,6 +137,9 @@ def _tso_outcomes(program: VerifyProgram) -> Set[Outcome]:
 
     finals = explore(tuple(0 for _ in range(n)),
                      tuple(() for _ in range(n)), init_mem)
+    # ``explore`` refers to itself, so only the cyclic collector would
+    # free it and the memo it holds: drop the memo now
+    memo.clear()
     return {_canonical(binds, mem, addrs) for binds, mem in finals}
 
 
@@ -219,6 +222,7 @@ def _rvwmo_outcomes(program: VerifyProgram) -> Set[Outcome]:
         return result
 
     finals = explore(tuple(0 for _ in range(n)), init_mem)
+    memo.clear()                     # see _tso_outcomes
     return {_canonical(binds, mem, addrs) for binds, mem in finals}
 
 

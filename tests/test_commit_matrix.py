@@ -1,11 +1,22 @@
-"""Commit dependency matrix — explicit vs merged (SPEC vector) designs."""
+"""Commit dependency matrix — explicit vs merged (SPEC vector) designs.
+
+The pipeline decides commit safety from dispatch stamps instead of the
+merged matrix; the last property test holds the two to the same
+grants.
+"""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.commit.policies import grant_commits
 from repro.core import CommitDependencyMatrix, MergedCommitMatrix
+from repro.isa import OpClass, ProgramBuilder, trace_program
+from repro.pipeline import base_config
+from repro.pipeline.stages.state import InflightOp, PipelineState
 
 
 def mask(size, *indices):
@@ -165,3 +176,78 @@ def test_merged_equals_explicit(data):
         completed[completed_entries] = True
         assert (explicit.can_commit(completed)
                 == merged.can_commit(completed)).all()
+
+
+# -- the pipeline's keyed commit rule against the merged matrix ---------
+
+@pytest.fixture(scope="module")
+def tiny_trace():
+    b = ProgramBuilder("commit-prop")
+    b.halt()
+    return trace_program(b.build())
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_keyed_commit_equals_merged_matrix(tiny_trace, data):
+    """Property: the pipeline's commit rule — an op is safe when its
+    dispatch stamp is not younger than the oldest speculative stamp
+    still in the ROB (:meth:`PipelineState.commit_safe`), and the
+    width-limited grant keeps the lowest stamps in ROB-entry order
+    (:func:`~repro.commit.policies.grant_commits`) — grants exactly
+    what the merged age/SPEC matrix's ``can_commit`` and
+    ``select_commit`` grant, over random dispatch (random SPEC flag) /
+    resolve / retire / squash histories.  The stamp bookkeeping runs
+    through the pipeline's own ``resolve_spec`` and ``leave_rob``."""
+    size = data.draw(st.integers(min_value=2, max_value=16), label="size")
+    width = data.draw(st.integers(min_value=1, max_value=5), label="width")
+    state = PipelineState(tiny_trace, base_config(rob_size=size,
+                                                  commit="orinoco"))
+    merged = MergedCommitMatrix(size)
+    live = {}                           # stamp -> InflightOp
+    stamp = 0
+    for _ in range(data.draw(st.integers(1, 60), label="steps")):
+        action = data.draw(st.sampled_from(
+            ["dispatch", "dispatch", "resolve", "retire", "squash"]))
+        if action == "dispatch" and len(live) < size:
+            stamp += 1
+            spec = data.draw(st.booleans())
+            op = InflightOp(SimpleNamespace(seq=stamp,
+                                            op_class=OpClass.INT_ALU),
+                            False)
+            op.dispatch_stamp = stamp
+            op.rob_entry = state.rob_queue.allocate()
+            # DispatchStage._do_dispatch's SPEC bookkeeping
+            if spec:
+                state.spec_stamps[stamp] = None
+            op.spec_resolved = not spec
+            merged.dispatch(op.rob_entry, spec)
+            live[stamp] = op
+        elif action == "resolve" and live:
+            op = live[data.draw(st.sampled_from(sorted(live)))]
+            state.resolve_spec(op)
+            merged.resolve(op.rob_entry)
+        elif action == "retire" and live:
+            op = live.pop(data.draw(st.sampled_from(sorted(live))))
+            state.leave_rob(op)
+            merged.remove(op.rob_entry)
+        elif action == "squash" and live:
+            first = data.draw(st.sampled_from(sorted(live)))
+            for victim in sorted((s for s in live if s >= first),
+                                 reverse=True):
+                op = live.pop(victim)
+                state.leave_rob(op)
+                merged.remove(op.rob_entry)
+
+        done = data.draw(st.lists(st.sampled_from(sorted(live)),
+                                  unique=True) if live else st.just([]))
+        candidates = [live[s] for s in done]
+        completed = mask(size, *(op.rob_entry for op in candidates))
+        want = set(np.flatnonzero(merged.can_commit(completed)))
+        assert {op.rob_entry for op in candidates
+                if state.commit_safe(op.dispatch_stamp)} == want
+        grants = merged.select_commit(completed, width)
+        assert [op.rob_entry for op in grant_commits(
+            state.commit_safe, candidates, width)] == \
+            [int(e) for e in np.flatnonzero(grants)]

@@ -64,8 +64,8 @@ class TestCleanFinalState:
         assert core.rob_queue.occupancy() == 0
         assert core.lsq.lq_occupancy() == 0
         assert core.lsq.sq_occupancy() == 0
-        assert not core.merged.valid.any()
-        assert not core.wakeup.valid.any()
+        assert not core.state.spec_stamps
+        assert not core.iq_ops
         # every physical register beyond the architectural mappings is free
         assert core.rename.int_freelist.occupancy() == 32
         assert core.rename.fp_freelist.occupancy() == 32

@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 
 import repro.harness.parallel as parallel
 from repro.core import LaneStack, check
-from repro.harness import default_lanes, run_config, \
-    run_config_with_criticality
+from repro.harness import default_lanes, jobs_for, run_config, \
+    run_config_with_criticality, run_suite
 from repro.isa import ProgramBuilder, trace_program
 from repro.pipeline import (DeadlockError, LaneBatch, LaneCell,
                             LaneDivergence, O3Core, base_config)
+from repro.pipeline.config import COMMITS
 from repro.pipeline.lanes import crosscheck
 from repro.workloads import build_suite, build_trace
 
@@ -44,31 +45,29 @@ def traces():
 
 class TestLaneStack:
     def test_slot_views_alias_the_stack(self):
-        stack = LaneStack(2, 4, 8)
+        stack = LaneStack(2, 4)
         slot = stack.slot(1)
-        slot.wakeup.bit.bits[2, 3] = True
-        slot.merged.blockers[5] = 7
-        slot.wakeup.pending[0] = 3
-        assert stack.wakeup_bits[1, 2, 3]
-        assert stack.blockers[1, 5] == 7
-        assert stack.wakeup_pending[1, 0] == 3
+        slot.issue_ready[2] = True
+        slot.iq_stamp[3] = 7
+        slot.iq_fu[0] = 3
+        assert stack.issue_ready[1, 2]
+        assert stack.iq_stamp[1, 3] == 7
+        assert stack.iq_fu[1, 0] == 3
 
     def test_no_cross_lane_aliasing(self):
-        stack = LaneStack(3, 4, 8)
+        stack = LaneStack(3, 4)
         slot = stack.slot(0)
-        slot.wakeup.bit.bits[...] = True
-        slot.wakeup.valid[...] = True
-        slot.merged.spec[...] = True
-        slot.rob_scratch[...] = True
+        slot.issue_ready[...] = True
+        slot.iq_stamp[...] = 9
+        slot.iq_fu[...] = 2
         for lane in (1, 2):
             other = stack.slot(lane)
-            assert not other.wakeup.bit.bits.any()
-            assert not other.wakeup.valid.any()
-            assert not other.merged.spec.any()
-            assert not other.rob_scratch.any()
+            assert not other.issue_ready.any()
+            assert not other.iq_stamp.any()
+            assert not other.iq_fu.any()
 
     def test_lane_out_of_range(self):
-        stack = LaneStack(2, 4, 8)
+        stack = LaneStack(2, 4)
         with pytest.raises(IndexError):
             stack.slot(2)
         with pytest.raises(IndexError):
@@ -76,32 +75,9 @@ class TestLaneStack:
 
     def test_bad_dimensions(self):
         with pytest.raises(ValueError):
-            LaneStack(0, 4, 8)
+            LaneStack(0, 4)
         with pytest.raises(ValueError):
-            LaneStack(2, 0, 8)
-
-    def test_occupancy_reductions(self):
-        stack = LaneStack(2, 4, 8)
-        stack.wakeup_valid[0, :2] = True
-        stack.rob_age_valid[1, :5] = True
-        assert list(stack.iq_occupancy()) == [2, 0]
-        assert list(stack.rob_occupancy()) == [0, 5]
-
-    def test_verify_catches_corrupted_counter(self):
-        stack = LaneStack(2, 4, 8)
-        stack.verify([0, 1])                      # clean stack passes
-        stack.wakeup_valid[1, 2] = True
-        stack.wakeup_pending[1, 2] = 9            # bits say 0
-        stack.verify([0])                         # lane 0 still clean
-        with pytest.raises(check.CheckError, match="lane 1"):
-            stack.verify([0, 1])
-
-    def test_verify_catches_corrupted_blockers(self):
-        stack = LaneStack(1, 4, 8)
-        stack.rob_age_valid[0, 3] = True
-        stack.blockers[0, 3] = 2                  # no SPEC bits set
-        with pytest.raises(check.CheckError, match="blockers"):
-            stack.verify([0])
+            LaneStack(2, 0)
 
 
 # -- slot-backed cores -----------------------------------------------------
@@ -110,14 +86,14 @@ class TestSlotBackedCore:
     def test_identical_to_owned_storage(self, trace):
         config = base_config(scheduler="orinoco", commit="orinoco")
         want = fields(O3Core(trace, config).run())
-        stack = LaneStack(2, config.iq_size, config.rob_size)
+        stack = LaneStack(2, config.iq_size)
         got = fields(O3Core(trace, config, slot=stack.slot(1)).run())
         assert got == want
 
     def test_slot_reuse_resets_state(self, trace):
         """A retired lane's successor must see pristine planes."""
         config = base_config()
-        stack = LaneStack(1, config.iq_size, config.rob_size)
+        stack = LaneStack(1, config.iq_size)
         O3Core(trace, config, slot=stack.slot(0)).run()
         other = build_trace("x264.divint", SCALE)
         want = fields(O3Core(other, config).run())
@@ -126,7 +102,7 @@ class TestSlotBackedCore:
 
     def test_shape_mismatch_rejected(self, trace):
         config = base_config()
-        stack = LaneStack(1, config.iq_size + 1, config.rob_size)
+        stack = LaneStack(1, config.iq_size + 1)
         with pytest.raises(ValueError, match="does not match config"):
             O3Core(trace, config, slot=stack.slot(0))
 
@@ -140,7 +116,7 @@ class TestLaneBatch:
         config = base_config(scheduler="orinoco", commit="orinoco")
         want = {name: fields(O3Core(t, config).run())
                 for name, t in traces.items()}
-        batch = LaneBatch(2, config.iq_size, config.rob_size)
+        batch = LaneBatch(2, config.iq_size)
         cells = [LaneCell(name, t, config) for name, t in traces.items()]
         report = batch.run(cells)
         assert len(report.outcomes) == 3
@@ -157,7 +133,7 @@ class TestLaneBatch:
         names = list(traces)
         cells = [LaneCell(name, traces[name], config) for name in names]
         cells[1].max_cycles = 1                   # guaranteed budget blow
-        batch = LaneBatch(2, config.iq_size, config.rob_size)
+        batch = LaneBatch(2, config.iq_size)
         report = batch.run(cells)
         by_index = {o.index: o for o in report.outcomes}
         dead = by_index[names[1]]
@@ -172,21 +148,21 @@ class TestLaneBatch:
 
     def test_cooperative_timeout(self, trace):
         config = base_config()
-        batch = LaneBatch(2, config.iq_size, config.rob_size)
+        batch = LaneBatch(2, config.iq_size)
         report = batch.run([LaneCell("a", trace, config)], timeout=0.0)
         (outcome,) = report.outcomes
         assert outcome.timed_out and outcome.stats is None
 
     def test_incompatible_cell_rejected(self, trace):
         config = base_config()
-        batch = LaneBatch(2, config.iq_size + 1, config.rob_size)
+        batch = LaneBatch(2, config.iq_size + 1)
         with pytest.raises(ValueError, match="not compatible"):
             batch.run([LaneCell("a", trace, config)])
 
     def test_on_cell_fires_per_retirement(self, traces):
         config = base_config()
         seen = []
-        batch = LaneBatch(2, config.iq_size, config.rob_size)
+        batch = LaneBatch(2, config.iq_size)
         batch.run([LaneCell(n, t, config) for n, t in traces.items()],
                   on_cell=lambda o: seen.append(o.index))
         assert sorted(seen) == sorted(traces)
@@ -200,21 +176,22 @@ class TestLaneBatch:
         with pytest.raises(LaneDivergence, match="committed"):
             crosscheck(cell, stats)
 
-    def test_batched_verify_runs_under_check(self, trace, monkeypatch):
-        """REPRO_CHECK=1 wires the vectorised stack verification into
-        the lockstep loop (every _VERIFY_EVERY iterations)."""
-        from repro.pipeline import lanes as lanes_mod
+    def test_select_crosscheck_runs_under_check(self, trace, monkeypatch):
+        """REPRO_CHECK=1 wires the select kernel's cross-check against
+        each lane's scalar ready set into every vectorized step."""
         check.set_enabled(True)
         try:
             config = base_config()
-            batch = LaneBatch(2, config.iq_size, config.rob_size)
+            batch = LaneBatch(2, config.iq_size)
             calls = []
-            original = batch.stack.verify
+            original = batch.engine._check_select
             monkeypatch.setattr(
-                batch.stack, "verify",
-                lambda active: calls.append(1) or original(active))
-            monkeypatch.setattr(lanes_mod, "_VERIFY_EVERY", 8)
-            batch.run([LaneCell("a", trace, config)])
+                batch.engine, "_check_select",
+                lambda core, oldest: calls.append(oldest) or
+                original(core, oldest))
+            report = batch.run([LaneCell(i, trace, config)
+                                for i in range(2)])
+            assert all(o.error is None for o in report.outcomes)
             assert calls
         finally:
             check.reset()
@@ -276,7 +253,7 @@ def test_property_lane_batches_match_serial(data):
         else:
             want[i] = fields(O3Core(trace, cell_config).run(200_000))
         cells.append(cell)
-    batch = LaneBatch(lanes, config.iq_size, config.rob_size)
+    batch = LaneBatch(lanes, config.iq_size)
     report = batch.run(cells)
     assert len(report.outcomes) == n_cells
     for outcome in report.outcomes:
@@ -355,6 +332,28 @@ class TestHarnessWiring:
                             workers=1, use_cache=False, lanes=4)
         assert result.complete()
         assert not result.lane_batches
+
+    def test_fig15_commit_policies_share_one_batch(self, traces):
+        """The stack holds only IQ-sized columns, so Figure 15's ten
+        commit policies — in-order and out-of-order ROB release alike
+        — form one lane group: one batch at lanes=8, every cell equal
+        to its serial run."""
+        base = base_config(scheduler="age")
+        jobs = []
+        for commit in COMMITS:
+            jobs += jobs_for(commit, base.with_policies(commit=commit),
+                             traces)
+        results = run_suite(jobs, workers=1, lanes=8)
+        batches = {}
+        for result in results.values():
+            batches.update(result.lane_batches)
+        assert len(batches) == 1
+        for commit in COMMITS:
+            config = base.with_policies(commit=commit)
+            for name, trace in traces.items():
+                assert fields(results[commit].stats[name]) == \
+                    fields(O3Core(trace, config).run()), \
+                    f"{commit}/{name} diverged from serial"
 
     def test_single_cell_group_skips_lane_driver_on_workers(self):
         """A group of one gains nothing from lockstep; the worker path

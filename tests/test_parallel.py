@@ -19,7 +19,7 @@ from repro.harness import (Job, ResultCache, SuiteResult, cache_key,
                            run_config_with_criticality,
                            run_criticality_suite, run_suite)
 from repro.isa import Trace
-from repro.pipeline import O3Core, base_config
+from repro.pipeline import O3Core, base_config, ultra_config
 from repro.workloads import build_suite, build_trace, generation_params
 
 WORKLOADS = ["gcc.mix", "x264.divint", "perl.branchy"]
@@ -29,6 +29,16 @@ CONFIGS = [
     ("orinoco", base_config(scheduler="orinoco", commit="orinoco")),
 ]
 MULT_CONFIG = base_config(scheduler="mult", commit="ioc")
+#: commit paths the golden pins above leave out: deferred in-order
+#: release, the §6.2 limited commit depth, non-speculative branches at
+#: dispatch, and a 512-entry ROB with commit width 8
+COMMIT_PATH_CONFIGS = [
+    ("age+rob", base_config(scheduler="age", commit="rob")),
+    ("orinoco depth=32", base_config(scheduler="orinoco", commit="orinoco",
+                                     commit_depth=32)),
+    ("age+spec", base_config(scheduler="age", commit="spec")),
+    ("ultra orinoco", ultra_config(scheduler="orinoco", commit="orinoco")),
+]
 #: Figure 14's criticality configurations (profiled under base AGE)
 CRI_CONFIGS = [
     ("CRI w/ AGE", base_config(scheduler="age", criticality=True)),
@@ -89,6 +99,17 @@ class TestDeterminism:
         for label, stats in got.items():
             for name in WORKLOADS:
                 assert fields(stats[name]) == golden[label][name], \
+                    f"{label}/{name} diverged from the golden"
+
+    def test_commit_paths_match_golden(self, traces):
+        """The commit rule's remaining paths, pinned the same way:
+        ROB-only release, Orinoco with commit depth 32, SPEC commit and
+        ultra Orinoco+Orinoco."""
+        golden = json.loads(GOLDEN_PATH.read_text())
+        for label, config in COMMIT_PATH_CONFIGS:
+            for name in WORKLOADS:
+                got = fields(O3Core(traces[name], config).run())
+                assert got == golden[label][name], \
                     f"{label}/{name} diverged from the golden"
 
     @pytest.mark.parametrize("workers", [1, 4])

@@ -21,9 +21,10 @@ create fewer than ``CONSTRUCTION_OBJECT_BUDGET`` GC-tracked objects
 never one Python object per entry), and a finished core must be freed
 by reference counting alone (nothing inside a core refers back to it).
 
-The second half exercises ``REPRO_CHECK=1``: with checking latched on,
-the incremental ready/commit-eligible caches recompute every answer
-from the full matrix reduction and must agree over whole runs.
+The second half exercises ``REPRO_CHECK=1``: a checked run must match
+an unchecked one, and the reference matrices' incremental caches
+(which the cycle loop no longer uses) must still recompute and compare
+every answer.
 """
 
 import gc
@@ -98,14 +99,13 @@ def test_steady_state_cycles_allocate_nothing(scheduler, commit):
 
 
 def test_vectorized_lane_loop_allocates_nothing():
-    """The cross-lane fused kernels preallocate all their scratch
-    (select stamps, broadcast pairs, landing rows) in the engine
-    constructor, growing only on first contact with a bigger batch.
-    After warm-up, a window of full-batch engine steps must run
-    without a single Python-level NumPy constructor call."""
+    """The cross-lane select kernel preallocates all its scratch in
+    the engine constructor.  After warm-up, a window of full-batch
+    engine steps must run without a single Python-level NumPy
+    constructor call."""
     trace = build_trace("mcf.chase", scale=0.5)
     config = base_config(scheduler="age", commit="ioc")
-    batch = LaneBatch(4, config.iq_size, config.rob_size)
+    batch = LaneBatch(4, config.iq_size)
     lanes = []
     for slot_id in range(4):
         core = O3Core(trace, config, slot=batch.stack.slot(slot_id))
@@ -179,7 +179,7 @@ def test_finished_lane_cores_freed_by_refcount(gc_disabled, monkeypatch):
     monkeypatch.setattr(lanes, "O3Core", recording_core)
     trace = build_trace("gcc.mix", scale=0.05)
     config = base_config(scheduler="age", commit="ioc")
-    batch = LaneBatch(2, config.iq_size, config.rob_size)
+    batch = LaneBatch(2, config.iq_size)
     report = batch.run([LaneCell(i, trace, config) for i in range(3)])
     assert len(report.outcomes) == 3 and len(refs) == 3
     assert all(outcome.error is None for outcome in report.outcomes)
@@ -222,23 +222,30 @@ class TestReproCheck:
         assert dataclasses.asdict(checked) == dataclasses.asdict(baseline)
 
     def test_check_error_raised_on_seeded_divergence(self):
-        """Corrupting a cached pending counter must trip the cross-check
-        (proves the checked path actually compares)."""
+        """Corrupting a cached counter of the reference matrices must
+        trip their cross-check (proves the checked path compares):
+        the wakeup matrix's pending count and the merged commit
+        matrix's blocker count."""
+        from repro.core import MergedCommitMatrix, WakeupMatrix
         from repro.core.check import CheckError
-        trace = build_trace("gcc.mix", scale=0.2)
-        config = base_config(scheduler="age", commit="ioc")
         check.set_enabled(True)
         try:
-            core = O3Core(trace, config)
-            wakeup = core.state.wakeup
-            for _ in range(500):
-                if wakeup.valid.any():
-                    break
-                core.step()
-            entry = int(np.flatnonzero(wakeup.valid)[0])
-            wakeup._pending[entry] += 1                  # corrupt cache
+            wakeup = WakeupMatrix(8)
+            wakeup.dispatch(0, [])
+            wakeup.dispatch(3, [0])
+            wakeup.ready()                               # clean: passes
+            wakeup._pending[3] += 1                      # corrupt cache
             wakeup._dirty = True
-            with pytest.raises(CheckError):
+            with pytest.raises(CheckError, match="wakeup pending"):
                 wakeup.ready()
+
+            merged = MergedCommitMatrix(8)
+            merged.dispatch(5, speculative=True)
+            merged.dispatch(2, speculative=False)
+            completed = np.ones(8, dtype=bool)
+            merged.can_commit(completed)                 # clean: passes
+            merged._blockers[2] = 0                      # corrupt cache
+            with pytest.raises(CheckError, match="merged blockers"):
+                merged.can_commit(completed)
         finally:
             check.reset()

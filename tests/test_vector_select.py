@@ -124,7 +124,7 @@ class TestMixedBatchIdentity:
         ]
         key = lane_key(vec_config)
         assert key == lane_key(fallback_config)
-        batch = LaneBatch(2, key[0], key[1])
+        batch = LaneBatch(2, *key)
         report = batch.run([
             LaneCell(0, trace, vec_config),
             LaneCell(1, trace, fallback_config),

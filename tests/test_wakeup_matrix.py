@@ -1,4 +1,11 @@
-"""Wakeup matrix: positional dependence tracking in the IQ."""
+"""Wakeup matrix: positional dependence tracking in the IQ.
+
+The pipeline reads readiness from per-op completion counters instead
+of this matrix; the last property test holds the two to the same
+ready sets.
+"""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import WakeupMatrix
+from repro.isa import OpClass
+from repro.pipeline.stages.state import InflightOp, wait_on
 
 
 class TestWakeup:
@@ -115,3 +124,133 @@ def test_wakeup_matches_dependency_oracle(data):
             if wm.valid[entry]:
                 live_deps = {d for d in producers[entry] if wm.valid[d]}
                 assert wm.is_ready(entry) == (not live_deps)
+
+
+# -- the pipeline's counters-only dataflow against the matrix ----------
+
+class _RefWakeup:
+    """The pre-counter dataflow, kept here as the reference.
+
+    A producer still in the IQ is a positional bit in a
+    :class:`WakeupMatrix` row; an issued, not yet completed producer
+    is a completion count.  Issuing converts the producer's column
+    into counts on its dependents; completion counts them down.  An
+    IQ entry is ready when its row is clear *and* its count is zero.
+    Ops are keyed by identity, so a squashed op's stale registrations
+    never touch a re-dispatched op with the same sequence number.
+    """
+
+    def __init__(self, size):
+        self.matrix = WakeupMatrix(size)
+        self.count = {}                 # op -> outstanding completions
+        self.waiters = {}               # op -> dependents
+        self.entry_of = {}              # op -> IQ entry while in the IQ
+
+    def dispatch(self, op, entry, producers):
+        in_iq = [p for p in producers if p in self.entry_of]
+        issued = [p for p in producers if p not in self.entry_of]
+        self.matrix.dispatch(entry, [self.entry_of[p] for p in in_iq])
+        self.count[op] = len(issued)
+        self.waiters[op] = []
+        for p in issued:
+            self.waiters[p].append(op)
+        self.entry_of[op] = entry
+
+    def issue(self, op):
+        entry = self.entry_of.pop(op)
+        column = self.matrix.matrix.bits[:, entry]
+        for dep, dep_entry in self.entry_of.items():
+            if column[dep_entry]:
+                self.count[dep] += 1
+                self.waiters[op].append(dep)
+        self.matrix.issue([entry])
+
+    def complete(self, op):
+        for dep in self.waiters[op]:
+            if dep in self.count:
+                self.count[dep] -= 1
+
+    def squash(self, op):
+        if op in self.entry_of:
+            self.matrix.squash([self.entry_of.pop(op)])
+        del self.count[op]
+        del self.waiters[op]
+
+    def ready(self):
+        return {entry for op, entry in self.entry_of.items()
+                if self.count[op] == 0 and self.matrix.is_ready(entry)}
+
+
+def _counter_ready(ops):
+    """The pipeline's rule: an IQ entry is ready at a zero counter."""
+    return {op.iq_entry for op in ops.values()
+            if op.in_iq and op.producers_remaining == 0}
+
+
+def _complete(ops, op):
+    """WritebackStage.complete's dependent walk (``op`` kind)."""
+    op.completed = True
+    for dep, _kind in op.dependents:
+        if ops.get(dep.seq) is dep:
+            dep.producers_remaining -= 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_counters_equal_matrix_readiness(data):
+    """Property: registering every live producer — still in the IQ or
+    already issued — on a completion counter at dispatch
+    (:func:`~repro.pipeline.stages.state.wait_on`) yields exactly the
+    ready set the wakeup matrix plus counters gave, over random
+    dispatch / issue / complete / squash histories (squashed sequence
+    numbers are re-dispatched as fresh ops, as a refetch does)."""
+    size = data.draw(st.integers(min_value=2, max_value=12), label="size")
+    ref = _RefWakeup(size)
+    ops = {}                            # seq -> InflightOp, dispatch order
+    free = list(range(size))
+    next_seq = 0
+    for _ in range(data.draw(st.integers(1, 60), label="steps")):
+        issued = [seq for seq, op in ops.items()
+                  if not op.in_iq and not op.completed]
+        ready = sorted(ref.ready())
+        action = data.draw(st.sampled_from(
+            ["dispatch", "dispatch", "issue", "complete", "squash"]))
+        if action == "dispatch" and free:
+            entry = free.pop(data.draw(st.integers(0, len(free) - 1)))
+            chosen = data.draw(st.lists(st.sampled_from(sorted(ops)),
+                                        unique=True, max_size=3)
+                               if ops else st.just([]))
+            # completed producers are not live (the rename lookup
+            # drops them), exactly as DispatchStage._live_writers does
+            live = [ops[s] for s in chosen if not ops[s].completed]
+            op = InflightOp(SimpleNamespace(seq=next_seq,
+                                            op_class=OpClass.INT_ALU),
+                            False)
+            op.iq_entry = entry
+            op.in_iq = True
+            ref.dispatch(op, entry, live)
+            wait_on(op, live, "op")
+            ops[next_seq] = op
+            next_seq += 1
+        elif action == "issue" and ready:
+            entry = data.draw(st.sampled_from(ready))
+            op = next(o for o in ops.values() if o.iq_entry == entry)
+            ref.issue(op)
+            op.in_iq = False
+            op.iq_entry = None
+            free.append(entry)
+        elif action == "complete" and issued:
+            op = ops[data.draw(st.sampled_from(issued))]
+            ref.complete(op)
+            _complete(ops, op)
+        elif action == "squash" and ops:
+            first = data.draw(st.sampled_from(sorted(ops)))
+            for seq in sorted((s for s in ops if s >= first),
+                              reverse=True):
+                op = ops.pop(seq)
+                ref.squash(op)
+                if op.in_iq:
+                    free.append(op.iq_entry)
+                    op.in_iq = False
+            next_seq = first
+        assert _counter_ready(ops) == ref.ready()

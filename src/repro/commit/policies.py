@@ -26,13 +26,12 @@ semantics using the policy's attribute flags.
 from __future__ import annotations
 
 import abc
+from itertools import islice
 from operator import attrgetter
-from typing import List
 
 from ..pipeline.events import EventType, MatrixEvent
 
 _MATRIX = EventType.MATRIX
-_stamp = attrgetter("dispatch_stamp")
 _rob_entry = attrgetter("rob_entry")
 
 
@@ -73,55 +72,64 @@ class CommitPolicy(abc.ABC):
         return committed
 
 
-def grant_commits(safe, candidates: List, width: int) -> List:
-    """The merged matrix's commit grant (§3.2) from dispatch stamps.
-
-    Keeps the candidates ``safe`` (a dispatch-stamp predicate,
-    :meth:`~repro.pipeline.stages.PipelineState.commit_safe`) admits,
-    then the ``width`` oldest of them (lowest stamps — the bit count
-    encoding's grant), in ascending ROB-entry order.
-    """
-    granted = [op for op in candidates if safe(op.dispatch_stamp)]
-    if len(granted) > width:
-        granted.sort(key=_stamp)
-        del granted[width:]
-    granted.sort(key=_rob_entry)
-    return granted
-
-
 def _matrix_commit(core, cycle: int) -> int:
-    """Shared Orinoco-style commit: gather the locally committable
-    candidates, keep those with no older speculative instruction,
-    grant up to CW oldest, retire."""
-    if not core.commit_candidates:
+    """Shared Orinoco-style commit (§3.2): grant up to CW of the oldest
+    locally committable candidates that no older speculative
+    instruction blocks, and retire them in ROB-entry order.
+
+    The merged matrix's check is charged with the number of locally
+    committable candidates, read from the maintained count
+    (``commit_ready``, plus the SQ head store when it may commit).  The
+    grant is the bit-count select: a walk of the stamp-ordered
+    candidates that stops at the first stamp past the oldest
+    speculative one, or after CW grants."""
+    s = core.state
+    order = s.commit_order
+    if not order:
         return 0
-    depth = core.config.commit_depth
-    horizon = None
-    if depth is not None and len(core.window) > depth:
+    window = s.window
+    committable = core.locally_committable
+    depth = s.config.commit_depth
+    if depth is not None and len(window) > depth:
         # limited commit depth: only the `depth` oldest window entries
-        # are scanned (the contrast to Orinoco's unlimited window, §6.2)
-        for index, seq in enumerate(core.window):
-            if index == depth - 1:
-                horizon = seq
+        # are visible (the contrast to Orinoco's unlimited window,
+        # §6.2), so at most `depth` candidates are counted
+        horizon = next(islice(window, depth - 1, None))
+        rows = 0
+        for seq in order:
+            if seq > horizon:
                 break
-    candidates = []
-    for seq in core.commit_candidates:
-        if horizon is not None and seq > horizon:
-            continue
-        op = core.window.get(seq)
-        if op is not None and core.locally_committable(op, ecl=False):
-            candidates.append(op)
-    if not candidates:
+            rows += committable(window[seq], False)
+    else:
+        horizon = None
+        store = window.get(s.lsq.oldest_store_seq())
+        rows = s.commit_ready + (
+            store is not None and committable(store, False))
+    if not rows:
         return 0
-    core.stats.rob_check_ops += 1
-    core.stats.rob_check_rows += len(candidates)
-    bus = core.bus
+    s.stats.rob_check_ops += 1
+    s.stats.rob_check_rows += rows
+    bus = s.bus
     if bus.live[_MATRIX]:
-        bus.publish(MatrixEvent(cycle, "rob", "check", len(candidates)))
-    granted = grant_commits(core.commit_safe, candidates,
-                            core.config.commit_width)
+        bus.publish(MatrixEvent(cycle, "rob", "check", rows))
+    spec = s.spec_stamps
+    oldest_spec = next(iter(spec)) if spec else None
+    width = s.config.commit_width
+    granted = []
+    for seq in order:
+        if horizon is not None and seq > horizon:
+            break
+        op = window[seq]
+        if oldest_spec is not None and op.dispatch_stamp > oldest_spec:
+            break
+        if committable(op, False):
+            granted.append(op)
+            if len(granted) == width:
+                break
+    granted.sort(key=_rob_entry)
+    retire = core.retire
     for op in granted:
-        core.retire(op, cycle)
+        retire(op, cycle)
     return len(granted)
 
 
@@ -224,16 +232,19 @@ class CherryCommit(CommitPolicy):
     oracle_branches = True
 
     def commit(self, core, cycle: int) -> int:
+        # walk the stamp-ordered candidates; retiring one removes it
+        # from the order in place, so the index then already names the
+        # next candidate
         committed = 0
-        for seq in sorted(core.commit_candidates):
-            if committed >= core.config.commit_width:
-                break
-            op = core.window.get(seq)
-            if op is None:
-                continue
+        order = core.commit_order
+        index = 0
+        while index < len(order) and committed < core.config.commit_width:
+            op = core.window[order[index]]
             if core.locally_committable(op, ecl=False, ignore_global=True):
                 core.retire(op, cycle)
                 committed += 1
+            else:
+                index += 1
         return committed
 
 

@@ -183,10 +183,13 @@ class LSQUnit:
     # -- commit ----------------------------------------------------------------
 
     def oldest_store_seq(self) -> Optional[int]:
-        """Program-order next store to commit (stores commit in order)."""
-        if not self.sq:
-            return None
-        return min(store.seq for store in self.sq.values())
+        """Program-order next store to commit (stores commit in order).
+
+        Stores allocate in program order, commit from the oldest, and a
+        squash removes a youngest suffix, so ``_seq_to_sq``'s insertion
+        order is program order and its first key is the oldest store.
+        """
+        return next(iter(self._seq_to_sq), None)
 
     def commit_load(self, seq: int) -> bool:
         """Release the LQ entry of a committing load.

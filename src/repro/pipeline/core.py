@@ -123,7 +123,7 @@ class O3Core:
                      "iq_queue", "iq_ops", "rob_queue", "lsq",
                      "hierarchy", "tlb",
                      "fupool", "window", "ops", "zombies",
-                     "pending_release", "commit_candidates", "ready_set",
+                     "pending_release", "commit_order", "ready_set",
                      "completion_heap", "load_waiters",
                      "violated_load_pcs", "last_writer", "pc_l1_misses",
                      "pc_mispredicts"):
@@ -133,7 +133,6 @@ class O3Core:
         self.retire = commit.retire
         self.locally_committable = commit.locally_committable
         self.vb_committable = commit.vb_committable
-        self.commit_safe = state.commit_safe
 
     def __getattr__(self, name):
         # facade: anything not defined on the driver reads through to

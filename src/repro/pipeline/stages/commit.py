@@ -67,18 +67,15 @@ class CommitStage:
         head during commit-stall cycles (sampled, hence ``weight``).
         Returns ``(ready_not_head, rob_full)`` when evaluated."""
         s = self.s
-        if not s.commit_candidates:
+        order = s.commit_order
+        if not order:
             return None
+        # the oldest candidate other than the head has the lowest stamp
+        # among them, so if any of them is safe, it is
         window = s.window
-        head_seq = next(iter(window))
-        safe = s.commit_safe
-        ready_not_head = False
-        for seq in s.commit_candidates:
-            if seq != head_seq:
-                op = window.get(seq)
-                if op is not None and safe(op.dispatch_stamp):
-                    ready_not_head = True
-                    break
+        first = 1 if order[0] == next(iter(window)) else 0
+        ready_not_head = len(order) > first and \
+            s.commit_safe(window[order[first]].dispatch_stamp)
         rob_full = s.rob_queue.is_full()
         if rob_full:
             s.stats.rob_full_commit_stall_cycles += weight
@@ -129,32 +126,37 @@ class CommitStage:
                zombie: bool = False) -> None:
         """Remove ``op`` from the ROB and release resources per policy."""
         s = self.s
+        dyn = op.dyn
+        seq = dyn.seq
         op.committed = True
         op.committed_at = cycle
-        del s.window[op.seq]
-        s.commit_candidates.discard(op.seq)
+        del s.window[seq]
+        if op.completed:
+            # a completed correct-path op is in the commit order
+            s.commit_order.remove(seq)
+            if not dyn.is_store and (not dyn.is_load or op.mem_nonspec):
+                s.commit_ready -= 1
         s.leave_rob(op)
         s.retired_total += 1
         s.stats.committed += 1
         s.progress_cycle = cycle
-        early_load = op.dyn.is_load and not op.performed
+        early_load = dyn.is_load and not op.performed
         if early_load:
             s.stats.early_committed_loads += 1
         if zombie:
             op.zombie = True
-            s.zombies[op.seq] = op
+            s.zombies[seq] = op
             s.stats.zombie_commits += 1
         if s.bus.live[_COMMIT]:
             s.bus.publish(CommitEvent(cycle, op, zombie, early_load))
         if zombie:
             return
         if s.commit_policy.defer_release_inorder:
-            s.pending_release[op.seq] = op
-        elif s.commit_policy.release_at_completion:
-            # registers / LQ were released at completion; stores still
-            # need their in-order drain into the store buffer
-            self.release_resources(op)
+            s.pending_release[seq] = op
         else:
+            # under release_at_completion, registers / LQ entries went
+            # at completion and this drains only what is left (a store
+            # into the store buffer)
             self.release_resources(op)
 
     def release_resources(self, op: InflightOp) -> None:
@@ -208,8 +210,7 @@ class CommitStage:
         if op.dyn.is_load:
             # the checkpoint oracle absorbs any replay risk left
             if not op.mem_nonspec:
-                op.mem_nonspec = True
-                s.resolve_spec(op)
+                s.disambiguated(op)
             self._commit_load(op)
 
     def finish_zombie(self, op: InflightOp) -> None:

@@ -101,13 +101,14 @@ class MemoryStage:
         if not s.lsq.has_load(op.seq):
             return
         if s.lsq.load_is_nonspeculative(op.seq):
-            op.mem_nonspec = True
-            s.resolve_spec(op)
+            s.disambiguated(op)
 
     def replay_load(self, op: InflightOp, cycle: int) -> None:
         """Re-execute a violated load in place (oracle policies only)."""
         s = self.s
         op.exec_token += 1
+        if op.completed and op.mem_nonspec:
+            s.commit_ready -= 1     # until it completes again
         op.completed = False
         op.performed = False
         s.rename.producer_replayed(op.rename_rec)

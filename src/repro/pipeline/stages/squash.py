@@ -9,6 +9,7 @@ victims, so timeline viewers can render wrong-path work distinctly.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 
 from ..events import EventType, SquashEvent
@@ -61,7 +62,9 @@ class SquashUnit:
                 s.leave_rob(op)
             s.window.pop(op.seq, None)
             s.ops.pop(op.seq, None)
-            s.commit_candidates.discard(op.seq)
+            if op.completed and not op.dyn.is_store and (
+                    not op.dyn.is_load or op.mem_nonspec):
+                s.commit_ready -= 1
             s.mem_retry = [r for r in s.mem_retry if r.seq != op.seq]
             s.mem_wait = [r for r in s.mem_wait if r.seq != op.seq]
             s.load_waiters.pop(op.seq, None)
@@ -76,6 +79,8 @@ class SquashUnit:
                         s.last_writer[arch] = prev
             if s.active_fence == op.seq:
                 s.active_fence = None
+        # every member of the commit order at or past seq is a victim
+        del s.commit_order[bisect_left(s.commit_order, seq):]
         s.lsq.squash(seq)
         s.rename.squash([op.rename_rec for op in victims])
         # drop younger not-yet-dispatched instructions

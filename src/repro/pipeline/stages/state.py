@@ -206,8 +206,16 @@ class PipelineState:
         self.ops: Dict[int, InflightOp] = {}
         self.zombies: Dict[int, InflightOp] = {}
         self.pending_release: Dict[int, InflightOp] = {}
-        # completed, uncommitted ops — the commit stage's working set
-        self.commit_candidates: set = set()
+        # the commit stage's working set: seqs of the correct-path,
+        # uncommitted ops that have completed (a replayed load stays
+        # until it retires or is squashed), kept sorted.  Seq order is
+        # dispatch-stamp order here: a squash removes every younger
+        # uncommitted op before the refetch restamps them.
+        # ``commit_ready`` counts the members that are locally
+        # committable, stores aside (only the SQ head may commit, and
+        # commit checks that each cycle)
+        self.commit_order: List[int] = []
+        self.commit_ready = 0
 
         self.frontend_pipe: Deque[Tuple[int, object]] = deque()
         self.dispatch_buffer: Deque[object] = deque()
@@ -267,6 +275,14 @@ class PipelineState:
         if not op.spec_resolved:
             op.spec_resolved = True
             self.spec_stamps.pop(op.dispatch_stamp, None)
+
+    def disambiguated(self, op: InflightOp) -> None:
+        """A load became non-speculative (``mem_nonspec``): clear its
+        SPEC bit, and count it committable if it already completed."""
+        op.mem_nonspec = True
+        self.resolve_spec(op)
+        if op.completed:
+            self.commit_ready += 1
 
     def leave_rob(self, op: InflightOp) -> None:
         """Free ``op``'s ROB entry (retire or squash); a still-set SPEC

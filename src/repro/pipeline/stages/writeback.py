@@ -10,6 +10,7 @@ entries (or completes waiting stores).
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 
 from ..events import CompleteEvent, EventType
 from .commit import CommitStage
@@ -56,6 +57,16 @@ class WritebackStage:
             s.bus.publish(CompleteEvent(cycle, op))
         s.rename.producer_completed(op.rename_rec)
         dyn = op.dyn
+        if not op.committed:
+            # join the commit order (a replayed load completing again
+            # is already in it) before anything below can disambiguate
+            order = s.commit_order
+            seq = dyn.seq
+            index = bisect_left(order, seq)
+            if index == len(order) or order[index] != seq:
+                order.insert(index, seq)
+            if not dyn.is_store and (not dyn.is_load or op.mem_nonspec):
+                s.commit_ready += 1
         if dyn.is_branch:
             s.resolve_spec(op)
             s.fetch.branch_resolved(op.seq, cycle)
@@ -87,8 +98,6 @@ class WritebackStage:
             for waiter in s.load_waiters.pop(op.seq, ()):
                 if waiter.seq in s.ops:
                     s.mem_retry.append(waiter)
-        if not op.committed:
-            s.commit_candidates.add(op.seq)
         if s.commit_policy.release_at_completion and not op.committed:
             self.commit.early_release(op)
         if op.zombie:

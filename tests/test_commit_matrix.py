@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.commit.policies import grant_commits
+from repro.commit.policies import _matrix_commit
 from repro.core import CommitDependencyMatrix, MergedCommitMatrix
 from repro.isa import OpClass, ProgramBuilder, trace_program
 from repro.pipeline import base_config
@@ -180,6 +180,18 @@ def test_merged_equals_explicit(data):
 
 # -- the pipeline's keyed commit rule against the merged matrix ---------
 
+def grant_commits(safe, candidates, width):
+    """Reference grant from dispatch stamps, by filtering and sorting
+    instead of walking: the candidates ``safe`` admits, the ``width``
+    lowest stamps of them, in ascending ROB-entry order."""
+    granted = [op for op in candidates if safe(op.dispatch_stamp)]
+    if len(granted) > width:
+        granted.sort(key=lambda op: op.dispatch_stamp)
+        del granted[width:]
+    granted.sort(key=lambda op: op.rob_entry)
+    return granted
+
+
 @pytest.fixture(scope="module")
 def tiny_trace():
     b = ProgramBuilder("commit-prop")
@@ -194,16 +206,22 @@ def test_keyed_commit_equals_merged_matrix(tiny_trace, data):
     """Property: the pipeline's commit rule — an op is safe when its
     dispatch stamp is not younger than the oldest speculative stamp
     still in the ROB (:meth:`PipelineState.commit_safe`), and the
-    width-limited grant keeps the lowest stamps in ROB-entry order
-    (:func:`~repro.commit.policies.grant_commits`) — grants exactly
-    what the merged age/SPEC matrix's ``can_commit`` and
-    ``select_commit`` grant, over random dispatch (random SPEC flag) /
-    resolve / retire / squash histories.  The stamp bookkeeping runs
-    through the pipeline's own ``resolve_spec`` and ``leave_rob``."""
+    width-limited grant walk of :func:`~repro.commit.policies.
+    _matrix_commit` retires the lowest stamps in ROB-entry order —
+    grants exactly what the merged age/SPEC matrix's ``can_commit``
+    and ``select_commit`` grant, over random dispatch (random SPEC
+    flag) / resolve / retire / squash histories.  The stamp
+    bookkeeping runs through the pipeline's own ``resolve_spec`` and
+    ``leave_rob``; every completed candidate is locally committable
+    here, so the walk's grants are the matrix's."""
     size = data.draw(st.integers(min_value=2, max_value=16), label="size")
     width = data.draw(st.integers(min_value=1, max_value=5), label="width")
-    state = PipelineState(tiny_trace, base_config(rob_size=size,
-                                                  commit="orinoco"))
+    state = PipelineState(tiny_trace, base_config(
+        rob_size=size, commit="orinoco", commit_width=width))
+    retired = []
+    core = SimpleNamespace(
+        state=state, locally_committable=lambda op, ecl: True,
+        retire=lambda op, cycle: retired.append(op))
     merged = MergedCommitMatrix(size)
     live = {}                           # stamp -> InflightOp
     stamp = 0
@@ -247,7 +265,15 @@ def test_keyed_commit_equals_merged_matrix(tiny_trace, data):
         want = set(np.flatnonzero(merged.can_commit(completed)))
         assert {op.rob_entry for op in candidates
                 if state.commit_safe(op.dispatch_stamp)} == want
-        grants = merged.select_commit(completed, width)
+        grants = [int(e) for e in
+                  np.flatnonzero(merged.select_commit(completed, width))]
         assert [op.rob_entry for op in grant_commits(
-            state.commit_safe, candidates, width)] == \
-            [int(e) for e in np.flatnonzero(grants)]
+            state.commit_safe, candidates, width)] == grants
+        # the production walk over the same candidates, in stamp order
+        state.window.clear()
+        state.window.update((s, live[s]) for s in sorted(live))
+        state.commit_order[:] = sorted(done)
+        state.commit_ready = len(done)
+        del retired[:]
+        assert _matrix_commit(core, 0) == len(grants)
+        assert [op.rob_entry for op in retired] == grants

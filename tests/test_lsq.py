@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lsq import LSQUnit
 
@@ -123,6 +125,22 @@ class TestCommit:
         lsq.drain_store()
         assert lsq.can_commit_store()
 
+    def test_oldest_store_after_commit_squash_reallocate(self):
+        lsq = fresh()
+        for seq in (2, 4, 6, 8):
+            lsq.allocate_store(seq)
+        lsq.store_resolve(2, 0x100)
+        lsq.commit_store(2)
+        lsq.squash(6)                 # refetch restarts at seq 6
+        assert lsq.oldest_store_seq() == 4
+        lsq.allocate_store(6)
+        lsq.allocate_store(7)
+        lsq.store_resolve(4, 0x108)
+        lsq.commit_store(4)
+        assert lsq.oldest_store_seq() == 6
+        lsq.squash(3)
+        assert lsq.oldest_store_seq() is None
+
     def test_unresolved_store_cannot_commit(self):
         lsq = fresh()
         lsq.allocate_store(1)
@@ -187,3 +205,32 @@ class TestTSOMode:
         lsq.load_issue(1, 0x100, np.zeros(8, dtype=bool))
         with pytest.raises(RuntimeError):
             lsq.commit_load(1)               # ECL is not TSO-compatible
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["alloc", "alloc", "commit",
+                                             "squash", "drain"]),
+                          st.integers(0, 40)), max_size=60))
+def test_oldest_store_is_min_over_sq(steps):
+    """Property: under any program-order allocate / in-order commit /
+    squash-and-refetch history, ``oldest_store_seq`` is the oldest SQ
+    store by definition (the minimum seq, None when empty)."""
+    lsq = fresh(sq=6, sb=3)
+    next_seq = 1
+    for action, pick in steps:
+        if action == "alloc" and lsq.can_allocate_store():
+            lsq.allocate_store(next_seq)
+            next_seq += 1 + pick % 3     # stores are sparse in the trace
+        elif action == "commit" and lsq.sq and lsq.can_commit_store():
+            head = lsq.oldest_store_seq()
+            lsq.store_resolve(head, 0x100 + 8 * pick)
+            lsq.commit_store(head)
+        elif action == "squash" and lsq.sq:
+            seqs = sorted(store.seq for store in lsq.sq.values())
+            first = seqs[pick % len(seqs)]
+            lsq.squash(first)
+            next_seq = first             # the refetch re-allocates it
+        elif action == "drain":
+            lsq.drain_store()
+        want = min((store.seq for store in lsq.sq.values()), default=None)
+        assert lsq.oldest_store_seq() == want

@@ -37,7 +37,7 @@ class ExecuteStage:
             # peek before burning a load port on a doomed attempt
             outcome, unresolved, match = s.lsq.load_lookup(op.seq,
                                                            op.dyn.addr)
-            if unresolved.any() and (
+            if unresolved and (
                     s.config.mem_dep_policy == "conservative"
                     or op.dyn.pc in s.violated_load_pcs):
                 s.mem_wait.append(op)
@@ -78,7 +78,7 @@ class ExecuteStage:
             return                      # never completes; blocks at commit
         outcome, unresolved, match_seq = s.lsq.load_lookup(dyn.seq,
                                                            dyn.addr)
-        if unresolved.any() and (
+        if unresolved and (
                 s.config.mem_dep_policy == "conservative"
                 or dyn.pc in s.violated_load_pcs):
             op.translated = False       # wait for older stores to resolve

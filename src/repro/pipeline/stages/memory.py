@@ -1,7 +1,8 @@
 """Memory-order unit: store resolution, disambiguation, the SB drain.
 
-Owns the interactions between the LSQ's memory disambiguation matrix
-and the rest of the pipeline: store address resolution (and the
+Owns the interactions between the LSQ's disambiguation state (per-load
+counts of unresolved older stores, kept by :mod:`repro.lsq.lsq`) and
+the rest of the pipeline: store address resolution (and the
 violation/replay/squash fallout), load disambiguation, oracle load
 replays, and the one-per-cycle store-buffer drain through the L1 write
 port.
@@ -83,8 +84,12 @@ class MemoryStage:
             self.recheck_loads()
 
     def recheck_loads(self) -> None:
-        """A store resolved: loads whose MDM row drained become
-        non-speculative."""
+        """A store resolved: loads whose count of unresolved older
+        stores reached zero become non-speculative.
+
+        The scan covers the whole LQ, not just the store's bypassers:
+        a resolve that found a violation skipped this recheck, so a
+        load it unblocked waits for the next clean resolve."""
         s = self.s
         for entry in list(s.lsq.lq):
             load = s.lsq.lq.get(entry)

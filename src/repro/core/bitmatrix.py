@@ -15,12 +15,8 @@ primitive operations are (§4):
 :class:`BitMatrix` exposes exactly these primitives (vectorised over all
 rows with numpy, mirroring the hardware's all-rows-in-parallel nature)
 so the scheduler classes above it read like the paper's figures.
-
-Hot-path contract: every read primitive takes an optional ``out``
-buffer, and the AND stage lands in a preallocated scratch plane, so a
-caller's steady-state loop performs **zero numpy allocations** —
-callers that pass ``out`` get the answer written in place; callers
-that don't (tests, notebooks) get a fresh array.
+Every read returns a fresh array: the pipeline runs none of these
+classes, so they stay the simplest code that states the operation.
 """
 
 from __future__ import annotations
@@ -41,9 +37,6 @@ class BitMatrix:
         self.rows = rows
         self.cols = cols
         self.bits = np.zeros((rows, cols), dtype=bool)
-        # scratch plane for the AND stage of the read primitives; one
-        # allocation buys allocation-free reads for the run
-        self._and_plane = np.empty((rows, cols), dtype=bool)
 
     # -- row / column writes (dispatch, resolve) -----------------------
 
@@ -56,19 +49,6 @@ class BitMatrix:
 
     def clear_row(self, row: int) -> None:
         self.bits[row, :] = False
-
-    def write_rows(self, rows, block: np.ndarray) -> None:
-        """Write several full rows in one fancy-indexed store.
-
-        Models a superscalar dispatch group's row writes landing in the
-        same cycle; ``block`` is a ``len(rows) × cols`` bit block.
-        """
-        self.bits[rows, :] = block
-
-    def write_columns(self, cols, block: np.ndarray) -> None:
-        """Write several full columns in one fancy-indexed store
-        (``block`` is ``rows × len(cols)``)."""
-        self.bits[:, cols] = block
 
     def set_column(self, col: int, mask: Optional[np.ndarray] = None) -> None:
         """Write a full column: all ones, or ``mask`` where given.
@@ -86,22 +66,9 @@ class BitMatrix:
         self.bits[:, col] = False
 
     def clear_columns(self, cols: Iterable[int]) -> None:
-        """Clear several columns in one cycle (§4.2 allows this).
-
-        A single fancy-indexed write, matching the hardware's
-        all-columns-at-once dual-supply-voltage clear; ``cols`` may be any
-        iterable (list, ndarray, generator) and may be empty.
-        """
-        cols = cols if isinstance(cols, (list, np.ndarray)) else list(cols)
-        n = len(cols)
-        if n == 0:
-            return
-        if n == 1:
-            # basic indexing: fancy-index setup costs ~5x the write for
-            # the dominant single-column case (issue clears one entry)
-            self.bits[:, cols[0]] = False
-            return
-        self.bits[:, cols] = False
+        """Clear several columns in one cycle (§4.2 allows this): the
+        hardware's all-columns-at-once dual-supply-voltage clear."""
+        self.bits[:, list(cols)] = False
 
     def set_bit(self, row: int, col: int, value: bool = True) -> None:
         self.bits[row, col] = value
@@ -119,23 +86,16 @@ class BitMatrix:
         """Column read: one-hot column select on the RWLs (§4.2)."""
         return self.bits[:, col].copy()
 
-    def and_reduce_nor(self, vec: np.ndarray,
-                       out: Optional[np.ndarray] = None) -> np.ndarray:
+    def and_reduce_nor(self, vec: np.ndarray) -> np.ndarray:
         """Per-row ``NOR(row & vec)``: True where no activated bit is set.
 
         This is the grant computation of the classic age matrix and of
         the commit dependency check: precharge the RBLs of every row,
-        activate the RWLs selected by ``vec``, and sense.  With ``out``
-        the result is written in place (no allocation).
+        activate the RWLs selected by ``vec``, and sense.
         """
-        np.logical_and(self.bits, vec, out=self._and_plane)
-        result = out if out is not None else np.empty(self.rows, dtype=bool)
-        np.any(self._and_plane, axis=1, out=result)
-        np.logical_not(result, out=result)
-        return result
+        return ~(self.bits & vec).any(axis=1)
 
-    def and_popcount(self, vec: np.ndarray,
-                     out: Optional[np.ndarray] = None) -> np.ndarray:
+    def and_popcount(self, vec: np.ndarray) -> np.ndarray:
         """Per-row ``popcount(row & vec)``.
 
         In hardware the count is not produced digitally — the voltage
@@ -144,21 +104,13 @@ class BitMatrix:
         count; callers compare against a threshold exactly once, which
         is the single sensing the hardware performs.
         """
-        np.logical_and(self.bits, vec, out=self._and_plane)
-        result = out if out is not None else np.empty(self.rows,
-                                                      dtype=np.intp)
-        np.add.reduce(self._and_plane, axis=1, dtype=np.intp, out=result)
-        return result
+        return (self.bits & vec).sum(axis=1)
 
-    def and_popcount_below(self, vec: np.ndarray, threshold: int,
-                           out: Optional[np.ndarray] = None,
-                           counts: Optional[np.ndarray] = None) -> np.ndarray:
+    def and_popcount_below(self, vec: np.ndarray,
+                           threshold: int) -> np.ndarray:
         """Per-row ``popcount(row & vec) < threshold`` — the bit count
         encoding sensed against a reference voltage."""
-        counts = self.and_popcount(vec, out=counts)
-        result = out if out is not None else np.empty(self.rows, dtype=bool)
-        np.less(counts, threshold, out=result)
-        return result
+        return self.and_popcount(vec) < threshold
 
     # -- bookkeeping ------------------------------------------------------
 

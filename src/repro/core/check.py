@@ -1,20 +1,16 @@
-"""REPRO_CHECK: self-verification mode for derived state.
+"""REPRO_CHECK: self-verification mode for the lane engine.
 
-``REPRO_CHECK=1`` turns on cross-checks that recompute a cached or
-fused answer from first principles and compare, raising
-:class:`CheckError` on the first divergence:
+``REPRO_CHECK=1`` turns on cross-checks that recompute a fused answer
+from first principles and compare, raising :class:`CheckError` on the
+first divergence:
 
-* the matrix schedulers' incremental caches — the wakeup matrix's
-  ready vector and the merged commit matrix's commit-eligible vector
-  — against the full matrix reduction (the classes the tests and the
-  circuit model use; the cycle loop reads per-op state instead);
 * the lane engine's cross-lane select kernel against each lane's
   scalar ready set, every cycle
   (:mod:`repro.pipeline.vectorstages`);
 * a sampled lane-batched cell against a full serial re-run
   (:func:`repro.pipeline.lanes.crosscheck`, called by the harness).
 
-The flag is read once and latched (matrices capture it at
+The flag is read once and latched (the lane engine captures it at
 construction), so the steady-state cost of an unchecked run is a single
 ``bool`` attribute.  Tests use :func:`reset` + :func:`set_enabled` to
 flip the mode without re-importing.
@@ -28,7 +24,7 @@ _enabled: Optional[bool] = None
 
 
 class CheckError(AssertionError):
-    """An incremental cache diverged from the full recomputation."""
+    """A fused answer diverged from the full recomputation."""
 
 
 def check_enabled() -> bool:

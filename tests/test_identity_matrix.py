@@ -4,8 +4,10 @@
 (configuration, target) cell, written by
 ``benchmarks/identity_matrix.py``.  Tier-1 recomputes one slice of it:
 all ten commit policies on sys.drain, the target where they differ most
-(precise exceptions, and SPEC's over-commit).  CI's ``identity-matrix``
-job recomputes every cell.
+(precise exceptions, and SPEC's over-commit), and a TSO slice: every
+TSO configuration on fotonik.strided, where lockdowns are taken, plus
+the lbm.stream cell that overflows the lockdown table.  CI's
+``identity-matrix`` job recomputes every cell.
 """
 
 import importlib.util
@@ -33,6 +35,20 @@ def test_commit_policies_on_sys_drain_match_matrix():
     got = script.compute(targets=["sys.drain"],
                          labels=[f"base age+{commit}" for commit in COMMITS])
     assert len(got) == len(COMMITS)
+    assert got == {cell: want[cell] for cell in got}
+
+
+def test_tso_configurations_match_matrix():
+    script = _load_script()
+    want = json.loads(MATRIX.read_text())
+    tso = [label for label in script.configurations()
+           if label.endswith(" tso")]
+    got = script.compute(targets=["fotonik.strided"], labels=tso)
+    got.update(script.compute(targets=["lbm.stream"],
+                              labels=["base age+orinoco tso"]))
+    assert len(got) == len(tso) + 1 == 9
+    assert got["base age+orinoco tso/lbm.stream"] == \
+        "raises RuntimeError: lockdown table full"
     assert got == {cell: want[cell] for cell in got}
 
 

@@ -51,7 +51,7 @@ def pipeline_demo():
     print("\nTSO pipeline run:")
     print(f"  committed {stats.committed} instructions in "
           f"{stats.cycles} cycles")
-    print(f"  lockdowns taken: {core.lsq.lockdowns_taken}")
+    print(f"  lockdowns taken: {stats.lockdowns}")
     print("  (the younger load committed before the older one "
           "performed, with its line locked until ordering was safe)")
 

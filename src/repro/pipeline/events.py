@@ -297,6 +297,8 @@ class StatsSubscriber:
             self.stats.forwarded_loads += 1
         elif ev.kind == "violation":
             self.stats.mem_order_violations += 1
+        elif ev.kind == "lockdown":
+            self.stats.lockdowns += 1
 
     def on_matrix(self, ev: MatrixEvent) -> None:
         if ev.matrix == "mdm":

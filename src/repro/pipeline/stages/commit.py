@@ -179,6 +179,8 @@ class CommitStage:
         for deferred-release policies outlasts the commit event."""
         s = self.s
         took = s.lsq.commit_load(op.seq)
+        if took:
+            s.stats.lockdowns += 1
         if s.bus.live[_MEM]:
             s.bus.publish(MemEvent(s.cycle, "lockdown" if took else "lqfree",
                                    op.seq))

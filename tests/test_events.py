@@ -104,6 +104,16 @@ class TestStatsSubscriber:
         assert got == want, {
             k: (want[k], got[k]) for k in want if got[k] != want[k]}
 
+    def test_replica_matches_under_tso(self):
+        # early load commits take §3.3 lockdowns
+        trace = small_trace("fotonik.strided", scale=0.05)
+        core = O3Core(trace, base_config(commit="orinoco", tso=True))
+        replica = core.bus.attach(StatsSubscriber())
+        stats = core.run()
+        assert stats.lockdowns > 0
+        assert dataclasses.asdict(replica.stats) == \
+            dataclasses.asdict(stats)
+
     def test_replica_matches_with_zombie_commits(self):
         # VB retires incomplete instructions (zombies + early loads)
         trace = small_trace("gcc.mix", scale=0.1)

@@ -177,8 +177,8 @@ class TestGroupOps:
         assert age.age_order() == [2]
 
     def test_group_equals_sequential_noncritical(self):
-        """The all-non-critical fast path must land the exact state a
-        scalar dispatch loop would."""
+        """A group dispatch must land the exact state a scalar
+        dispatch loop would."""
         batched, scalar = AgeMatrix(8), AgeMatrix(8)
         batched.dispatch_group([4, 2, 7], [False, False, False])
         for entry in (4, 2, 7):
@@ -209,8 +209,8 @@ class TestGroupOps:
 @given(st.data())
 def test_dispatch_group_matches_sequential(data):
     """Property: after any interleaving of group dispatches (random
-    criticality) and removes, the batched matrix state is identical to
-    a twin driven by scalar ``dispatch`` calls."""
+    criticality) and removes, the group-dispatched matrix state is
+    identical to a twin driven by scalar ``dispatch`` calls."""
     size = data.draw(st.integers(min_value=2, max_value=24))
     batched, scalar = AgeMatrix(size), AgeMatrix(size)
     for _ in range(data.draw(st.integers(min_value=1, max_value=20))):

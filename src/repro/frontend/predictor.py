@@ -10,7 +10,7 @@ taken) predictors bound the design space in tests and ablations.
 
 from __future__ import annotations
 
-from ..isa import DynInstr, Opcode
+from ..isa import DynInstr, OpClass, Opcode
 from .bimodal import BimodalPredictor
 from .btb import BranchTargetBuffer
 from .gshare import GsharePredictor
@@ -42,7 +42,7 @@ class BranchPredictor:
         fetch — exact for a trace-driven model, see DESIGN.md).
         """
         self.lookups += 1
-        if instr.op_class.value == "branch":
+        if instr.op_class is OpClass.BRANCH:
             self.cond_lookups += 1
             if self.direction is None:           # oracle
                 predicted = instr.taken

@@ -38,6 +38,9 @@ class Emulator:
         self.pc = 0
         self.instr_count = 0
         self.halted = False
+        # one source tuple per static instruction, shared by every
+        # dynamic instance (a trace holds one record per retired op)
+        self._sources = [instr.sources() for instr in program.code]
 
     # -- helpers -------------------------------------------------------
 
@@ -185,7 +188,7 @@ class Emulator:
         record = DynInstr(
             seq=self.instr_count, pc=pc, opcode=op, op_class=cls,
             dst=instr.rd if instr.rd not in (None, ZERO_REG) else None,
-            srcs=instr.sources(), imm=instr.imm, addr=addr, taken=taken,
+            srcs=self._sources[pc], imm=instr.imm, addr=addr, taken=taken,
             next_pc=next_pc, fault=instr.fault, critical=False)
         self.pc = next_pc
         self.instr_count += 1

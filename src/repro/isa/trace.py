@@ -18,10 +18,18 @@ from .instructions import OpClass, Opcode
 
 @dataclass
 class DynInstr:
-    """One dynamic (retired) instruction."""
+    """One dynamic (retired) instruction.
+
+    ``is_load``/``is_store``/``is_mem``/``is_branch`` are derived from
+    ``op_class`` once, at construction: the cycle loop reads them per
+    op per stage, and a slot read is a fraction of a property call.
+    They are not dataclass fields, so equality, ``repr`` and the trace
+    file format see only the fields below.
+    """
 
     __slots__ = ("seq", "pc", "opcode", "op_class", "dst", "srcs", "imm",
-                 "addr", "taken", "next_pc", "fault", "critical")
+                 "addr", "taken", "next_pc", "fault", "critical",
+                 "is_load", "is_store", "is_mem", "is_branch")
 
     seq: int                     # program-order index in the trace
     pc: int                      # static instruction index
@@ -36,21 +44,13 @@ class DynInstr:
     fault: bool                  # raises a page fault at translation
     critical: bool               # set by the criticality tagger
 
-    @property
-    def is_load(self) -> bool:
-        return self.op_class is OpClass.LOAD
-
-    @property
-    def is_store(self) -> bool:
-        return self.op_class is OpClass.STORE
-
-    @property
-    def is_mem(self) -> bool:
-        return self.op_class is OpClass.LOAD or self.op_class is OpClass.STORE
-
-    @property
-    def is_branch(self) -> bool:
-        return self.op_class is OpClass.BRANCH or self.op_class is OpClass.JUMP
+    def __post_init__(self) -> None:
+        op_class = self.op_class
+        self.is_load = op_class is OpClass.LOAD
+        self.is_store = op_class is OpClass.STORE
+        self.is_mem = self.is_load or self.is_store
+        self.is_branch = (op_class is OpClass.BRANCH
+                          or op_class is OpClass.JUMP)
 
     @property
     def is_cond_branch(self) -> bool:

@@ -98,8 +98,8 @@ def _field_error(path: Path, lineno: int, field: str, detail: str,
                       f"got {value!r}")
 
 
-def _parse_record(line: str, lineno: int, index: int,
-                  path: Path) -> DynInstr:
+def _parse_record(line: str, lineno: int, index: int, path: Path,
+                  srcs_seen: Dict[tuple, tuple]) -> DynInstr:
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -137,9 +137,10 @@ def _parse_record(line: str, lineno: int, index: int,
     for field, value in (("taken", taken), ("fault", fault)):
         if value not in (0, 1, True, False):
             raise _field_error(path, lineno, field, "must be 0 or 1", value)
+    srcs = tuple(srcs)
     return DynInstr(
         seq=seq, pc=pc, opcode=opcode, op_class=opcode.op_class,
-        dst=dst, srcs=tuple(srcs), imm=imm, addr=addr,
+        dst=dst, srcs=srcs_seen.setdefault(srcs, srcs), imm=imm, addr=addr,
         taken=bool(taken), next_pc=next_pc, fault=bool(fault),
         critical=False)
 
@@ -154,6 +155,9 @@ def load_trace(path: Union[str, Path]) -> Trace:
     header = read_header(path)
     count = header["count"]
     instrs = []
+    # equal source tuples are interned: records share them, as the
+    # emulator's records share one tuple per static instruction
+    srcs_seen: Dict[tuple, tuple] = {}
     with path.open() as handle:
         handle.readline()                        # the validated header
         for lineno, line in enumerate(handle, start=2):
@@ -163,7 +167,8 @@ def load_trace(path: Union[str, Path]) -> Trace:
                 raise ValueError(
                     f"{path}: line {lineno}: {count} records promised by "
                     f"the header but more follow")
-            instrs.append(_parse_record(line, lineno, len(instrs), path))
+            instrs.append(_parse_record(line, lineno, len(instrs), path,
+                                        srcs_seen))
     if len(instrs) != count:
         raise ValueError(f"{path}: truncated trace ({len(instrs)} of "
                          f"{count} records)")

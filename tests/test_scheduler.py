@@ -12,6 +12,7 @@ from repro.pipeline import FUType
 from repro.scheduler import (AgeSelect, IdealSelect, MultSelect,
                              OrinocoSelect, RandomSelect, SelectContext,
                              make_select_policy, order_key)
+from repro.scheduler.policies import shuffle
 
 
 def make_ctx(entries_with_fu, dispatch_order, fu_available, width,
@@ -324,3 +325,24 @@ def test_order_key_select_matches_age_matrix(history):
             f"live={live}, avail={avail}, width={width})")
         assert rng_key.getstate() == rng_matrix.getstate(), \
             f"{name}: rng draws diverged"
+
+
+@settings(max_examples=200, deadline=None)
+@given(length=st.integers(0, 64), seed=st.integers(0, 2**64 - 1),
+       advance=st.lists(st.integers(1, 70), max_size=12))
+def test_shuffle_draws_what_random_shuffle_draws(length, seed, advance):
+    """The policies' inline shuffle is ``random.Random.shuffle``: the
+    same permutation and the same generator state afterwards, from
+    any starting state (``advance`` pre-draws bit counts of mixed
+    width, so the shuffle does not start on a fresh seed)."""
+    start = random.Random(seed)
+    for bits in advance:
+        start.getrandbits(bits)
+    want_rng, got_rng = random.Random(), random.Random()
+    want_rng.setstate(start.getstate())
+    got_rng.setstate(start.getstate())
+    want, got = list(range(length)), list(range(length))
+    want_rng.shuffle(want)
+    shuffle(got, got_rng.getrandbits)
+    assert got == want
+    assert got_rng.getstate() == want_rng.getstate()

@@ -20,7 +20,8 @@ from repro.harness import (Job, ResultCache, SuiteResult, cache_key,
                            run_criticality_suite, run_suite)
 from repro.isa import Trace
 from repro.pipeline import O3Core, base_config, ultra_config
-from repro.workloads import build_suite, build_trace, generation_params
+from repro.workloads import (build_suite, build_trace, clear_trace_cache,
+                             generation_params, trace_cache_stats)
 
 WORKLOADS = ["gcc.mix", "x264.divint", "perl.branchy"]
 SCALE = 0.25
@@ -228,6 +229,21 @@ class TestExecutor:
                    for result in results.values())
         assert hits >= len(WORKLOADS), \
             f"expected >= {len(WORKLOADS)} trace-LRU hits, got {hits}"
+
+    def test_in_process_path_builds_each_trace_once(self, monkeypatch):
+        """``workers=1`` runs cells grouped by (workload, scale): with a
+        two-entry trace LRU, three targets under two labels build each
+        trace once, where job order would build all six.  Results still
+        come back in job order."""
+        monkeypatch.setenv("REPRO_TRACE_CACHE", "2")
+        clear_trace_cache()
+        jobs = [Job(label, config, name, 0.05)
+                for label, config in CONFIGS for name in WORKLOADS]
+        results = run_suite(jobs, workers=1, cache=None, lanes=1)
+        assert trace_cache_stats()["misses"] == len(WORKLOADS)
+        assert list(results) == [label for label, _ in CONFIGS]
+        for result in results.values():
+            assert list(result.stats) == WORKLOADS
 
     def test_worker_path_reports_queueing(self, traces):
         label, config = CONFIGS[0]

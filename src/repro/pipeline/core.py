@@ -55,7 +55,7 @@ __all__ = ["ENGINE_VERSION", "DeadlockError", "InflightOp", "O3Core",
 #: work that is proven bit-exact (e.g. the quiescent-cycle
 #: fast-forward, the lane-stacked matrix storage) still warrants a
 #: bump out of caution.
-ENGINE_VERSION = 5
+ENGINE_VERSION = 6
 
 _CYCLE = EventType.CYCLE
 _RUN_END = EventType.RUN_END

@@ -29,18 +29,19 @@ on the worker path, default ``$REPRO_CELL_TIMEOUT``), ``--chunk K``
 (fixed cells per worker dispatch batch, default ``$REPRO_CHUNK``,
 else factoring: chunks shrink as the queue drains) and ``--lanes L``
 (lane-batch width: up to L compatible cells simulated in lockstep per
-batch, default ``$REPRO_LANES`` or 1; ``repro profile`` requires
+batch, default ``$REPRO_LANES`` or 1; in-process only, so with more
+than one job every cell is its own task; ``repro profile`` requires
 ``--lanes 1``).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
 from .circuit import (format_scalability, format_table2, overhead_report)
+from .envutil import env_int
 from .harness import (default_lanes, default_workers, fig14, fig15, fig16,
                       format_characterization, hbar_chart, stall_breakdown,
                       table1, table2_measured)
@@ -78,7 +79,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "compatible cells in lockstep over shared "
                              "struct-of-arrays state (default "
                              "$REPRO_LANES or 1 = off; results are "
-                             "field-identical to serial)")
+                             "field-identical to serial; applies only "
+                             "at --jobs 1, since with workers every "
+                             "cell is its own task)")
     _add_trace_import(parser)
 
 
@@ -483,7 +486,7 @@ def _dispatch(args) -> int:
         from .verify.campaign import run_campaign
         seed = args.seed
         if seed is None:
-            seed = int(os.environ.get("REPRO_VERIFY_SEED", "0"))
+            seed = env_int("REPRO_VERIFY_SEED", 0)
         count = 500 if args.quick else args.programs
         jobs = args.jobs if args.jobs is not None else default_workers()
         lanes = args.lanes if args.lanes is not None else default_lanes()

@@ -33,14 +33,17 @@ executes them over the fault-isolated dispatcher in
   :class:`SuiteResult` slot records a typed status
   (:class:`~repro.harness.resilience.CellStatus`) and a
   :class:`~repro.harness.resilience.CellFailure` (with a crash bundle
-  for in-worker exceptions), healthy cells complete and are flushed to
+  for exceptions), healthy cells complete and are flushed to
   the cache as they finish, and Ctrl-C raises
   :class:`~repro.harness.resilience.SuiteInterrupted` naming exactly
   what finished.
 
-The ``workers<=1`` path runs in-process with no dispatcher, no fault
-injection, and seed semantics (exceptions propagate) — it is the
-reference the parallel path must match bit-for-bit.
+One runner, :func:`~repro.harness.resilience.run_tasks`, executes
+each stage's task list: through the pool with ``workers>1``, and
+in-process otherwise, calling the same task functions.  So a failing
+cell is the same annotated hole at every worker count; only pool
+payloads carry the ``crash``/``hang``/``explode`` faults.  Lane
+batching (``lanes>1``) runs in-process only.
 
 Results come back as ``{label: SuiteResult}`` with per-cell wall-clock
 timings so benchmark output can report actual speedup, and an optional
@@ -68,7 +71,8 @@ from .diagnostics import build_crash_bundle, write_bundle
 from .resilience import (CellFailure, CellStatus, SuiteInterrupted,
                          TaskOutcome, TaskSpec, default_cell_timeout,
                          default_chunk_size, default_max_retries,
-                         get_pool, next_task_id, shutdown_pools)
+                         exception_failure, next_task_id, run_tasks,
+                         shutdown_pools)
 
 __all__ = ["Job", "ProfileData", "default_lanes", "default_use_cache",
            "default_workers", "jobs_for", "run_suite", "shutdown_pools"]
@@ -131,88 +135,75 @@ def jobs_for(label: str, config: CoreConfig, traces: Dict[str, object],
     return jobs
 
 
-# -- worker protocol -------------------------------------------------------
-# Top-level functions so they pickle by reference under spawn.  Workers
-# import repro afresh, fetch the trace through the bounded in-process
-# LRU (:func:`repro.workloads.fetch_trace` — rebuilt from the registry
-# on a miss, never pickled), simulate, and return (picklable) SimStats
-# plus the cell's wall-clock seconds and whether its trace was an LRU
-# hit.  Each guarded payload carries the target's ``worker_spec()``
-# rebuild recipe (:func:`repro.workloads.ensure_target`): built-in
-# targets re-register when the worker imports repro.workloads, and
-# trace-file targets ship ``(path, sha256)`` so the worker re-imports
-# the file — verifying the checksum — instead of unpickling megabytes
-# of DynInstr.  Because worker processes persist across chunks and
-# run_suite calls, and the parent sorts cells so same-workload cells
-# share a chunk, successive cells stop re-generating megabyte traces.
-# The _simulate_* pair is the bare reference path (used in-process when
-# workers <= 1); the _guarded_* pair wraps it for the dispatcher —
-# applying injected faults and converting exceptions into failure
-# dicts carrying a crash-diagnostic bundle.
+# -- task functions --------------------------------------------------------
+# Top-level functions so they pickle by reference under spawn.  A pool
+# worker and, at workers <= 1, this process run the same _guarded_*
+# function: fetch the trace through the bounded in-process LRU
+# (:func:`repro.workloads.fetch_trace` — rebuilt from the registry on a
+# miss, never pickled), apply the payload's faults, simulate, and return
+# ("ok", value) or ("error", failure dict with a crash bundle).  Each
+# payload carries the target's ``worker_spec()`` rebuild recipe
+# (:func:`repro.workloads.ensure_target`): built-in targets re-register
+# when a worker imports repro.workloads, and trace-file targets ship
+# ``(path, sha256)`` so the worker re-imports the file — verifying the
+# checksum — instead of unpickling megabytes of DynInstr.  Because
+# worker processes persist across chunks and run_suite calls, and the
+# parent sorts cells so same-workload cells share a chunk, successive
+# cells stop re-generating megabyte traces.  The _simulate_* pair takes
+# the trace itself, so the runner's ad-hoc traces use it too.
 
-def _simulate_profile(task) -> Tuple[Dict[int, int], Dict[int, int], float]:
+def _simulate_profile(trace, config: CoreConfig) -> ProfileData:
     """Stage 1: profile run → per-PC L1-miss / misprediction counts."""
-    config, workload, scale = task
-    trace, _hit = fetch_trace(workload, scale)
-    start = time.perf_counter()
     core = O3Core(trace, config)
     core.run()
-    return (dict(core.pc_l1_misses), dict(core.pc_mispredicts),
-            time.perf_counter() - start)
+    return dict(core.pc_l1_misses), dict(core.pc_mispredicts)
 
 
-def _simulate_cell(task, subscribers: Sequence = ()
-                   ) -> Tuple[SimStats, float, bool]:
+def _simulate_cell(trace, config: CoreConfig,
+                   profile: Optional[ProfileData] = None,
+                   subscribers: Sequence = ()) -> Tuple[SimStats, float]:
     """Stage 2: simulate one cell (tagging first for criticality runs).
 
     Tagging happens *inside* the try so a crash mid-``tag`` (partial
     tags) still clears the shared in-process trace on the way out.
     ``subscribers`` are attached to the core's event bus before the
-    run (fault injection; empty on the reference path).  Returns
-    ``(stats, seconds, trace_was_cache_hit)``.
+    run (fault injection).  Returns ``(stats, seconds)``.
     """
-    config, workload, scale, profile = task
-    trace, trace_hit = fetch_trace(workload, scale)
     start = time.perf_counter()
-    if profile is None:
+    try:
+        if profile is not None:
+            tagger = CriticalityTagger()
+            tagger.feed_profile(profile[0], profile[1])
+            tagger.tag(trace)
         core = O3Core(trace, config)
         for subscriber in subscribers:
             core.bus.attach(subscriber)
         stats = core.run()
-    else:
-        tagger = CriticalityTagger()
-        tagger.feed_profile(profile[0], profile[1])
-        try:
-            tagger.tag(trace)
-            core = O3Core(trace, config)
-            for subscriber in subscribers:
-                core.bus.attach(subscriber)
-            stats = core.run()
-        finally:
+    finally:
+        if profile is not None:
             clear_tags(trace)
-    return stats, time.perf_counter() - start, trace_hit
+    return stats, time.perf_counter() - start
 
 
 def _guarded_profile(payload, attempt: int):
-    """Dispatcher wrapper for stage 1: fault hooks + failure capture."""
+    """Task function for stage 1: fault hooks + failure capture."""
     cell_id, config, workload, scale, workload_spec, faults_text = payload
     specs = faults.parse_fault_specs(faults_text)
     faults.preflight(specs, cell_id, attempt)
     try:
         ensure_target(workload_spec)
-        return "ok", _simulate_profile((config, workload, scale))
+        trace, _hit = fetch_trace(workload, scale)
+        return "ok", _simulate_profile(trace, config)
     except Exception as exc:
         tb = traceback.format_exc()
-        bundle = build_crash_bundle(
+        return "error", exception_failure(exc, tb, build_crash_bundle(
             label="profile", config=config, workload=workload, scale=scale,
-            exc=exc, tb=tb, attempt=attempt, faults_text=faults_text)
-        return "error", {"kind": "exception",
-                         "message": f"{type(exc).__name__}: {exc}",
-                         "traceback": tb, "bundle": bundle}
+            exc=exc, tb=tb, attempt=attempt, faults_text=faults_text))
 
 
 def _guarded_cell(payload, attempt: int):
-    """Dispatcher wrapper for stage 2: fault hooks + failure capture."""
+    """Task function for stage 2: fault hooks + failure capture.
+    Returns ``(stats, seconds, trace_was_cache_hit)`` on success."""
     (label, config, workload, scale, workload_spec, profile,
      profile_config, faults_text) = payload
     cell_id = f"{label}/{workload}"
@@ -222,78 +213,15 @@ def _guarded_cell(payload, attempt: int):
     subscribers = (exploder,) if exploder is not None else ()
     try:
         ensure_target(workload_spec)
-        stats, elapsed, trace_hit = _simulate_cell(
-            (config, workload, scale, profile), subscribers)
+        trace, trace_hit = fetch_trace(workload, scale)
+        stats, elapsed = _simulate_cell(trace, config, profile, subscribers)
         return "ok", (stats, elapsed, trace_hit)
     except Exception as exc:
         tb = traceback.format_exc()
-        bundle = build_crash_bundle(
+        return "error", exception_failure(exc, tb, build_crash_bundle(
             label=label, config=config, workload=workload, scale=scale,
             profile=profile, profile_config=profile_config,
-            exc=exc, tb=tb, attempt=attempt, faults_text=faults_text)
-        return "error", {"kind": "exception",
-                         "message": f"{type(exc).__name__}: {exc}",
-                         "traceback": tb, "bundle": bundle}
-
-
-def _guarded_lane_group(payload, attempt: int):
-    """Dispatcher wrapper for a lane-batched group of cells.
-
-    One task = one :class:`~repro.pipeline.lanes.LaneBatch` run over
-    lane-compatible cells.  Streams nothing mid-batch (the pool
-    protocol is one result per task), so the whole group's per-cell
-    outcomes come back in one value: ``{"cells": [...], "steps": n,
-    "lane_steps": n}`` with one entry per payload cell, in order.
-    Per-cell failures (deadlock in one lane) are embedded entries —
-    batch-mates keep their results.
-    """
-    cells_data, lanes, timeout = payload
-    try:
-        (iq_size,) = lane_key(cells_data[0][1])
-        cells, hits = [], []
-        for pos, (label, config, workload, scale,
-                  workload_spec) in enumerate(cells_data):
-            ensure_target(workload_spec)
-            trace, hit = fetch_trace(workload, scale)
-            cells.append(LaneCell(pos, trace, config))
-            hits.append(hit)
-        batch = LaneBatch(min(lanes, len(cells)), iq_size)
-        report = batch.run(cells, timeout=timeout)
-        if check.check_enabled():
-            sample = next((o for o in report.outcomes
-                           if o.stats is not None), None)
-            if sample is not None:
-                crosscheck(cells[sample.index], sample.stats)
-        out = [None] * len(cells)
-        for outcome in report.outcomes:
-            pos = outcome.index
-            label, config, workload, scale, _spec = cells_data[pos]
-            if outcome.stats is not None:
-                out[pos] = {"status": "ok", "stats": outcome.stats,
-                            "elapsed": outcome.elapsed,
-                            "trace_hit": hits[pos]}
-            elif outcome.timed_out:
-                out[pos] = {"status": "timeout",
-                            "elapsed": outcome.elapsed}
-            else:
-                exc = outcome.error
-                bundle = build_crash_bundle(
-                    label=label, config=config, workload=workload,
-                    scale=scale, exc=exc, tb=outcome.error_tb,
-                    attempt=attempt)
-                out[pos] = {"status": "error",
-                            "message": f"{type(exc).__name__}: {exc}",
-                            "traceback": outcome.error_tb,
-                            "bundle": bundle}
-        return "ok", {"cells": out, "steps": report.steps,
-                      "lane_steps": report.lane_steps}
-    except Exception as exc:
-        # batch-level failure (trace build, stack allocation, a
-        # REPRO_CHECK divergence): fails the whole group loudly
-        tb = traceback.format_exc()
-        return "error", {"kind": "exception",
-                         "message": f"{type(exc).__name__}: {exc}",
-                         "traceback": tb}
+            exc=exc, tb=tb, attempt=attempt, faults_text=faults_text))
 
 
 # -- the executor ----------------------------------------------------------
@@ -340,11 +268,10 @@ def _run_lane_batches(jobs: Sequence[Job], indices: Sequence[int],
                       flush_cell, timeout: Optional[float]) -> None:
     """In-process lane path: run eligible cells through LaneBatch.
 
-    Mirrors the worker-path semantics (failures become annotated
-    holes, completed cells flush to the cache as their lanes retire)
-    rather than the serial path's propagate-exceptions contract: lane
-    isolation — one deadlocking cell must not sink its batch-mates —
-    is the point of the batch.
+    Failures become annotated holes, as on the task path, so one
+    deadlocking cell never sinks its batch-mates.  Completed cells
+    flush to the cache as their lanes retire, which a task with one
+    result cannot do.
     """
     do_check = check.check_enabled()
     for members in _lane_groups(jobs, indices):
@@ -420,9 +347,10 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
               lanes: Optional[int] = None) -> Dict[str, "SuiteResult"]:
     """Execute every job; return ``{label: SuiteResult}`` in job order.
 
-    ``workers=None`` reads ``$REPRO_JOBS``; ``workers<=1`` runs
-    in-process (the bit-identical serial reference path, where
-    exceptions propagate and no faults are injected).  ``cache``
+    ``workers=None`` reads ``$REPRO_JOBS``.  Each stage's tasks run
+    through :func:`~repro.harness.resilience.run_tasks`: in the pool
+    with ``workers>1``, otherwise in-process, with the same task
+    functions either way.  ``cache``
     short-circuits cells (and profiles) already on disk — resolved in
     the parent *before* dispatch, so a fully warm sweep never spawns a
     worker — and receives each completed cell as it finishes.
@@ -439,14 +367,12 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
 
     ``lanes`` (``None`` reads ``$REPRO_LANES``; 1 = off) batches
     lane-compatible cells through the lockstep engine
-    (:mod:`repro.pipeline.lanes`): groups sharing matrix shapes run
-    over one struct-of-arrays stack, composing with the worker pool
-    (each group is one dispatch task).  ``lanes=1`` is the untouched
-    reference; batched results are field-identical per cell.
-    Criticality cells (tagging mutates the shared trace) and
-    fault-injection runs always take the per-cell paths, and
-    lane-batched failures are annotated holes even in-process —
-    isolating a deadlocked lane from its batch-mates is the contract.
+    (:mod:`repro.pipeline.lanes`) at ``workers<=1`` only: groups
+    sharing matrix shapes run over one struct-of-arrays stack, and
+    batched results are field-identical per cell.  With workers every
+    cell is its own task.  Criticality cells (tagging mutates the
+    shared trace) and fault-injection runs always take the per-cell
+    path.
     """
     from .runner import SuiteResult          # local: avoid import cycle
     if workers is None:
@@ -464,6 +390,7 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
     # and a typo'd programme must fail the suite, not silently no-op
     faults_text = os.environ.get(faults.FAULT_ENV, "")
     fault_specs = faults.parse_fault_specs(faults_text)
+    payload_faults = faults.payload_faults(faults_text, workers)
 
     def flush_cell(index: int, stats: SimStats) -> None:
         if cache is None:
@@ -505,41 +432,32 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
                 profiles[key] = hit
                 del profile_cells[key]
     pending = list(profile_cells.items())
-    if pending and progress:
+    if progress:
         for key, (config, name, scale) in pending:
             print(f"    profile[{config.scheduler}/{config.commit}]: "
                   f"{name}", flush=True)
-    if pending and workers <= 1:
-        for key, cell in pending:
-            misses, mispredicts, _elapsed = _simulate_profile(cell)
-            profiles[key] = (misses, mispredicts)
-            if cache is not None:
-                cache.put_profile(key, misses, mispredicts)
-    elif pending:
-        specs, key_of = [], {}
-        # affinity: same-workload profiles share a chunk → trace LRU hits
-        for key, (config, name, scale) in sorted(
-                pending, key=lambda kv: (kv[1][1], kv[1][2])):
-            spec = TaskSpec(next_task_id(), f"profile/{name}",
-                            _guarded_profile,
-                            (f"profile/{name}", config, name, scale,
-                             _workload_spec(name), faults_text),
-                            affinity=(name, scale))
-            specs.append(spec)
-            key_of[spec.task_id] = key
+    specs, key_of = [], {}
+    # affinity: same-workload profiles share a chunk → trace LRU hits
+    for key, (config, name, scale) in sorted(
+            pending, key=lambda kv: (kv[1][1], kv[1][2])):
+        spec = TaskSpec(next_task_id(), f"profile/{name}", _guarded_profile,
+                        (f"profile/{name}", config, name, scale,
+                         _workload_spec(name), payload_faults),
+                        affinity=(name, scale))
+        specs.append(spec)
+        key_of[spec.task_id] = key
 
-        def profile_done(spec: TaskSpec, outcome: TaskOutcome) -> None:
-            if outcome.status is not CellStatus.OK:
-                profile_failures[key_of[spec.task_id]] = \
-                    _finalize_failure(outcome.failure)
-                return
-            misses, mispredicts, _elapsed = outcome.value
-            profiles[key_of[spec.task_id]] = (misses, mispredicts)
-            if cache is not None:
-                cache.put_profile(key_of[spec.task_id], misses, mispredicts)
+    def profile_done(spec: TaskSpec, outcome: TaskOutcome) -> None:
+        key = key_of[spec.task_id]
+        if outcome.status is not CellStatus.OK:
+            profile_failures[key] = _finalize_failure(outcome.failure)
+            return
+        profiles[key] = outcome.value
+        if cache is not None:
+            cache.put_profile(key, *outcome.value)
 
-        get_pool(workers).run(specs, timeout=timeout, retries=retries,
-                              on_complete=profile_done, chunk=chunk)
+    run_tasks(specs, workers, timeout=timeout, retries=retries,
+              on_complete=profile_done, chunk=chunk)
 
     # stage 2: the remaining runs
     if progress:
@@ -548,179 +466,76 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
             print(f"    {job.label}: {job.workload}{note}", flush=True)
     task_indices = [index for index in range(len(jobs))
                     if index not in records]
-    # lane eligibility: plain cells only — criticality runs mutate the
-    # shared trace (tagging) and fault programmes target the per-cell
-    # dispatcher hooks, so both keep the per-cell paths
+    # lane eligibility: in-process plain cells only — criticality runs
+    # mutate the shared trace (tagging) and fault programmes target the
+    # per-cell task hooks, so both keep the per-cell path
     lane_set = set()
-    if lanes > 1 and not fault_specs:
+    if workers <= 1 and lanes > 1 and not fault_specs:
         lane_set = {index for index in task_indices
                     if jobs[index].profile_config is None}
-    if workers <= 1:
-        # in-process reference path: exceptions propagate (seed
-        # semantics); Ctrl-C still reports what finished.  Cells run
-        # grouped by (workload, scale), as the pool dispatches them, so
-        # a sweep wider than the trace LRU builds each trace once
-        try:
-            if lane_set:
-                _run_lane_batches(jobs, sorted(lane_set), lanes,
-                                  records, flush_cell, timeout)
-            for index in _affinity_order(
-                    jobs, [i for i in task_indices if i not in lane_set]):
-                job = jobs[index]
-                profile = profiles[profile_keys[index]] \
-                    if index in profile_keys else None
-                stats, elapsed, trace_hit = _simulate_cell(
-                    (job.config, job.workload, job.scale, profile))
-                records[index] = _CellRecord(CellStatus.OK, stats, elapsed,
-                                             trace_hit=trace_hit)
-                flush_cell(index, stats)
-        except KeyboardInterrupt:
-            done = [jobs[i].cell_id for i in task_indices if i in records]
-            raise SuiteInterrupted(done, len(task_indices)) from None
-    else:
-        # lane-batched groups first: each compatible group becomes one
-        # dispatcher task (one LaneBatch run in one worker), sliced so
-        # groups stay a small multiple of the lane count — enough queue
-        # depth for retire-and-refill without starving other workers
-        group_specs, members_of = [], {}
+    specs, index_of = [], {}
+    # affinity scheduling: run same-(workload, scale) cells adjacently
+    # so they share a trace-LRU entry (and, with workers, a chunk and
+    # so a worker); a factored chunk ends where the key changes, so two
+    # costly workloads never share one.  Outcomes are keyed by task id
+    # and assembled in job order below, so run order never affects
+    # results.
+    for index in _affinity_order(
+            jobs, [i for i in task_indices if i not in lane_set]):
+        job = jobs[index]
+        key = profile_keys.get(index)
+        if key is not None and key not in profiles:
+            # the profile this cell depends on failed upstream
+            upstream = profile_failures.get(key)
+            records[index] = _CellRecord(
+                CellStatus.FAILED,
+                failure=CellFailure(
+                    kind="dependency",
+                    message=(f"profile cell failed: "
+                             f"{upstream.summary()}" if upstream
+                             else "profile cell failed"),
+                    bundle=upstream.bundle if upstream else None))
+            continue
+        profile = profiles[key] if key is not None else None
+        spec = TaskSpec(next_task_id(), job.cell_id, _guarded_cell,
+                        (job.label, job.config, job.workload,
+                         job.scale, _workload_spec(job.workload),
+                         profile, job.profile_config, payload_faults),
+                        affinity=(job.workload, job.scale))
+        specs.append(spec)
+        index_of[spec.task_id] = index
+
+    def cell_done(spec: TaskSpec, outcome: TaskOutcome) -> None:
+        index = index_of[spec.task_id]
+        if outcome.status is CellStatus.OK:
+            stats, elapsed, trace_hit = outcome.value
+            records[index] = _CellRecord(CellStatus.OK, stats, elapsed,
+                                         queued=outcome.queued_s,
+                                         trace_hit=trace_hit)
+            flush_cell(index, stats)
+        else:
+            records[index] = _CellRecord(
+                outcome.status,
+                failure=_finalize_failure(outcome.failure),
+                queued=outcome.queued_s)
+
+    try:
         if lane_set:
-            cap = max(lanes, min(2 * lanes, 32))
-            for members in _lane_groups(jobs, sorted(lane_set)):
-                for start in range(0, len(members), cap):
-                    part = members[start:start + cap]
-                    if len(part) < 2:
-                        # a lone cell gains nothing from the lane
-                        # driver; send it down the per-cell path
-                        lane_set.difference_update(part)
-                        continue
-                    spec = TaskSpec(
-                        next_task_id(),
-                        f"lanes[{len(part)}]/{jobs[part[0]].workload}",
-                        _guarded_lane_group,
-                        ([(jobs[i].label, jobs[i].config,
-                           jobs[i].workload, jobs[i].scale,
-                           _workload_spec(jobs[i].workload))
-                          for i in part], lanes, timeout))
-                    group_specs.append(spec)
-                    members_of[spec.task_id] = part
-
-        def group_done(spec: TaskSpec, outcome: TaskOutcome) -> None:
-            part = members_of[spec.task_id]
-            if outcome.status is not CellStatus.OK:
-                # batch-level failure: every member inherits it
-                for index in part:
-                    records[index] = _CellRecord(
-                        outcome.status,
-                        failure=_finalize_failure(outcome.failure),
-                        queued=outcome.queued_s)
-                return
-            value = outcome.value
-            batch = (spec.task_id, value["steps"], value["lane_steps"])
-            for pos, index in enumerate(part):
-                cell = value["cells"][pos]
-                if cell is None:
-                    records[index] = _CellRecord(
-                        CellStatus.FAILED,
-                        failure=CellFailure(
-                            kind="crash",
-                            message="no outcome recorded for lane cell"),
-                        queued=outcome.queued_s)
-                elif cell["status"] == "ok":
-                    records[index] = _CellRecord(
-                        CellStatus.OK, cell["stats"], cell["elapsed"],
-                        queued=outcome.queued_s,
-                        trace_hit=cell["trace_hit"], batch=batch)
-                    flush_cell(index, cell["stats"])
-                elif cell["status"] == "timeout":
-                    records[index] = _CellRecord(
-                        CellStatus.TIMEOUT,
-                        failure=CellFailure(
-                            kind="timeout",
-                            message=f"lane cell exceeded {timeout}s "
-                                    f"attributed simulation time"),
-                        queued=outcome.queued_s, batch=batch)
-                else:
-                    records[index] = _CellRecord(
-                        CellStatus.FAILED,
-                        failure=_finalize_failure(CellFailure(
-                            kind="exception", message=cell["message"],
-                            traceback=cell["traceback"],
-                            bundle_data=cell["bundle"])),
-                        queued=outcome.queued_s, batch=batch)
-
-        if group_specs:
-            # the pool timeout bounds one *task*; a lane group is up
-            # to ``cap`` cells of work, so scale the bound accordingly
-            # (per-cell attributed timeouts run inside the batch)
-            get_pool(workers).run(
-                group_specs,
-                timeout=timeout * cap if timeout else None,
-                retries=retries, on_complete=group_done, chunk=1)
-
-        specs, index_of = [], {}
-        # affinity scheduling: dispatch same-(workload, scale) cells
-        # adjacently so they land in the same chunk (and therefore the
-        # same worker), maximising the worker-side trace-LRU hit rate;
-        # a factored chunk ends where the key changes, so two costly
-        # workloads never share one.  Outcomes are keyed by task id
-        # and assembled in job order below, so dispatch order never
-        # affects results.
-        for index in _affinity_order(
-                jobs, [i for i in task_indices if i not in lane_set]):
-            job = jobs[index]
-            key = profile_keys.get(index)
-            if key is not None and key not in profiles:
-                # the profile this cell depends on failed upstream
-                upstream = profile_failures.get(key)
-                records[index] = _CellRecord(
-                    CellStatus.FAILED,
-                    failure=CellFailure(
-                        kind="dependency",
-                        message=(f"profile cell failed: "
-                                 f"{upstream.summary()}" if upstream
-                                 else "profile cell failed"),
-                        bundle=upstream.bundle if upstream else None))
-                continue
-            profile = profiles[key] if key is not None else None
-            spec = TaskSpec(next_task_id(), job.cell_id, _guarded_cell,
-                            (job.label, job.config, job.workload,
-                             job.scale, _workload_spec(job.workload),
-                             profile, job.profile_config, faults_text),
-                            affinity=(job.workload, job.scale))
-            specs.append(spec)
-            index_of[spec.task_id] = index
-
-        def cell_done(spec: TaskSpec, outcome: TaskOutcome) -> None:
-            index = index_of[spec.task_id]
-            if outcome.status is CellStatus.OK:
-                stats, elapsed, trace_hit = outcome.value
-                records[index] = _CellRecord(CellStatus.OK, stats, elapsed,
-                                             queued=outcome.queued_s,
-                                             trace_hit=trace_hit)
-                flush_cell(index, stats)
-            else:
-                records[index] = _CellRecord(
-                    outcome.status,
-                    failure=_finalize_failure(outcome.failure),
-                    queued=outcome.queued_s)
-
-        if specs:                        # a warm sweep spawns no workers
-            get_pool(workers).run(specs, timeout=timeout, retries=retries,
-                                  on_complete=cell_done, chunk=chunk)
-        for spec in specs:               # backstop: no task goes missing
-            index = index_of[spec.task_id]
-            if index not in records:
-                records[index] = _CellRecord(
-                    CellStatus.FAILED,
-                    failure=CellFailure(kind="crash",
-                                        message="no outcome recorded"))
-        for spec in group_specs:         # same backstop, lane groups
-            for index in members_of[spec.task_id]:
-                if index not in records:
-                    records[index] = _CellRecord(
-                        CellStatus.FAILED,
-                        failure=CellFailure(kind="crash",
-                                            message="no outcome recorded"))
+            _run_lane_batches(jobs, sorted(lane_set), lanes, records,
+                              flush_cell, timeout)
+        run_tasks(specs, workers, timeout=timeout, retries=retries,
+                  on_complete=cell_done, chunk=chunk)
+    except KeyboardInterrupt:
+        done = [jobs[i].cell_id for i in task_indices
+                if i in records and records[i].status is CellStatus.OK]
+        raise SuiteInterrupted(done, len(task_indices)) from None
+    for spec in specs:                   # backstop: no task goes missing
+        index = index_of[spec.task_id]
+        if index not in records:
+            records[index] = _CellRecord(
+                CellStatus.FAILED,
+                failure=CellFailure(kind="crash",
+                                    message="no outcome recorded"))
 
     results: Dict[str, SuiteResult] = {}
     for index, job in enumerate(jobs):
@@ -728,15 +543,9 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
         result = results.get(job.label)
         if result is None:
             result = results[job.label] = SuiteResult(job.label, job.config)
-        result.statuses[job.workload] = record.status
-        result.timings[job.workload] = record.elapsed
-        result.queued[job.workload] = record.queued
-        result.cached[job.workload] = record.status is CellStatus.CACHED
-        result.trace_hits[job.workload] = record.trace_hit
-        if record.stats is not None:
-            result.stats[job.workload] = record.stats
-        if record.failure is not None:
-            result.failures[job.workload] = record.failure
+        result.record(job.workload, record.status, record.stats,
+                      record.elapsed, failure=record.failure,
+                      queued=record.queued, trace_hit=record.trace_hit)
         if record.batch is not None:
             # keyed by batch id so a batch spanning labels (or holding
             # many cells) counts once in occupancy aggregation

@@ -49,6 +49,12 @@ built for graceful degradation:
   reports exactly which cells finished — results already handed to
   ``on_complete`` (the cache-flush hook) are durable.
 
+Callers go through :func:`run_tasks`, which uses the pool only for
+``workers > 1``.  Otherwise it calls each task's function in this
+process and maps its result through the same :func:`_outcome` as
+:meth:`ResilientPool._collect`, so a failing task is the same
+:class:`TaskOutcome` at every worker count.
+
 Determinism: the dispatcher never reorders *results* — outcomes are
 keyed by task id and assembled in submission order by the caller — so
 a fault-free run remains bit-identical to the serial reference
@@ -72,8 +78,8 @@ from ..envutil import env_float, env_int
 
 __all__ = ["CellFailure", "CellStatus", "ResilientPool", "SuiteInterrupted",
            "TaskOutcome", "TaskSpec", "default_cell_timeout",
-           "default_chunk_size", "default_max_retries", "get_pool",
-           "shutdown_pools"]
+           "default_chunk_size", "default_max_retries", "exception_failure",
+           "get_pool", "run_tasks", "shutdown_pools"]
 
 
 class CellStatus(str, enum.Enum):
@@ -176,6 +182,29 @@ def default_chunk_size() -> Optional[int]:
     return value if value > 0 else None
 
 
+def exception_failure(exc: BaseException, tb: str,
+                      bundle: Optional[dict] = None) -> dict:
+    """The failure dict a task function returns, as ``("error",
+    failure)``, for an exception it caught."""
+    return {"kind": "exception", "message": f"{type(exc).__name__}: {exc}",
+            "traceback": tb, "bundle": bundle}
+
+
+def _outcome(status: str, value, attempt: int,
+             queued: float = 0.0) -> TaskOutcome:
+    """The :class:`TaskOutcome` a task function's ``(status, value)``
+    becomes, whether a worker or this process ran it."""
+    if status == "ok":
+        return TaskOutcome(CellStatus.OK, value=value, attempts=attempt,
+                           queued_s=queued)
+    failure = CellFailure(kind=value.get("kind", "exception"),
+                          message=value.get("message", "worker error"),
+                          traceback=value.get("traceback", ""),
+                          attempts=attempt, bundle_data=value.get("bundle"))
+    return TaskOutcome(CellStatus.FAILED, failure=failure, attempts=attempt,
+                       queued_s=queued)
+
+
 # -- worker side -----------------------------------------------------------
 
 def _worker_main(conn) -> None:
@@ -201,10 +230,7 @@ def _worker_main(conn) -> None:
                 status, value = func(payload, attempt)
             except BaseException as exc:  # belt and braces: guarded
                 status = "error"          # funcs should not raise
-                value = {"kind": "exception",
-                         "message": f"{type(exc).__name__}: {exc}",
-                         "traceback": traceback.format_exc(),
-                         "bundle": None}
+                value = exception_failure(exc, traceback.format_exc())
             try:
                 conn.send((task_id, status, value))
             except (BrokenPipeError, OSError):
@@ -486,18 +512,7 @@ class ResilientPool:
         else:
             handle.chunk, handle.cursor = [], 0
             handle.deadline = None
-        if status == "ok":
-            finish(task, TaskOutcome(CellStatus.OK, value=value,
-                                     attempts=attempt, queued_s=queued))
-        else:
-            failure = CellFailure(
-                kind=value.get("kind", "exception"),
-                message=value.get("message", "worker error"),
-                traceback=value.get("traceback", ""),
-                attempts=attempt,
-                bundle_data=value.get("bundle"))
-            finish(task, TaskOutcome(CellStatus.FAILED, failure=failure,
-                                     attempts=attempt, queued_s=queued))
+        finish(task, _outcome(status, value, attempt, queued))
         return True
 
     def _requeue_survivors(self, handle: _WorkerHandle,
@@ -573,6 +588,47 @@ def get_pool(workers: int) -> ResilientPool:
     elif _POOL.workers != workers:
         _POOL.resize(workers)
     return _POOL
+
+
+def run_tasks(tasks: Sequence[TaskSpec], workers: int,
+              timeout: Optional[float] = None, retries: int = 0,
+              on_complete: Optional[Callable[[TaskSpec, TaskOutcome],
+                                             None]] = None,
+              chunk: Optional[int] = None) -> Dict[int, TaskOutcome]:
+    """Execute every task; return ``{task_id: TaskOutcome}``.
+
+    ``workers > 1`` is :meth:`ResilientPool.run` on the shared pool.
+    Otherwise each task's own function runs here, in order, and
+    ``on_complete`` receives the outcome a worker's result would have
+    become, so callers keep one completion path at every worker count.
+    In this process nothing can time out or die and be retried, so
+    ``timeout``, ``retries`` and ``chunk`` only apply to the pool.  An
+    empty task list spawns no workers.  Ctrl-C raises
+    :class:`SuiteInterrupted` naming the tasks that finished.
+    """
+    if not tasks:
+        return {}
+    if workers > 1:
+        return get_pool(workers).run(tasks, timeout=timeout,
+                                     retries=retries,
+                                     on_complete=on_complete, chunk=chunk)
+    outcomes: Dict[int, TaskOutcome] = {}
+    completed: List[str] = []
+    try:
+        for task in tasks:
+            try:
+                status, value = task.func(task.payload, 1)
+            except Exception as exc:
+                status = "error"
+                value = exception_failure(exc, traceback.format_exc())
+            outcome = outcomes[task.task_id] = _outcome(status, value, 1)
+            if outcome.status is CellStatus.OK:
+                completed.append(task.cell_id)
+            if on_complete is not None:
+                on_complete(task, outcome)
+    except KeyboardInterrupt:
+        raise SuiteInterrupted(completed, len(tasks)) from None
+    return outcomes
 
 
 def _forget_pool(pool: ResilientPool) -> None:

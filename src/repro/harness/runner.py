@@ -3,24 +3,23 @@
 ``run_config`` / ``run_config_with_criticality`` keep their original
 signatures but now submit through the parallel executor
 (:mod:`repro.harness.parallel`): ``workers`` defaults to ``$REPRO_JOBS``
-and ``use_cache`` to ``$REPRO_CACHE``, so the serial seed behaviour is
-unchanged unless the environment (or a caller) opts in.  Ad-hoc traces
-that are not rebuildable from the workload registry fall back to the
-in-process serial path automatically.
+and ``use_cache`` to ``$REPRO_CACHE``.  Ad-hoc traces that are not
+rebuildable from the workload registry run in-process through the
+executor's own simulate functions instead; they have no cache key and
+no crash bundle, so a failing ad-hoc cell raises.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..criticality import CriticalityTagger, clear_tags
 from ..isa import Trace
-from ..pipeline import CoreConfig, O3Core, SimStats
+from ..pipeline import CoreConfig, SimStats
 from .cache import ResultCache
-from .parallel import (Job, default_use_cache, default_workers, jobs_for,
+from .parallel import (Job, _simulate_cell, _simulate_profile,
+                       default_use_cache, default_workers, jobs_for,
                        run_suite)
 from .resilience import CellFailure, CellStatus
 
@@ -43,8 +42,8 @@ class SuiteResult:
     #: reported separately in ``queued`` so durations are never
     #: inflated by time spent waiting for a free worker
     timings: Dict[str, float] = field(default_factory=dict)
-    #: per-workload seconds spent queued (enqueue → dispatch; 0.0 on
-    #: the serial path and for cache hits)
+    #: per-workload seconds spent queued (enqueue → dispatch; 0.0
+    #: in-process and for cache hits)
     queued: Dict[str, float] = field(default_factory=dict)
     #: per-workload flag: did the cell come from the result cache?
     cached: Dict[str, bool] = field(default_factory=dict)
@@ -59,6 +58,22 @@ class SuiteResult:
     #: (driver steps, lane steps); keyed by id so a batch holding many
     #: cells — or spanning labels — counts once in occupancy math
     lane_batches: Dict[int, Tuple[int, int]] = field(default_factory=dict)
+
+    def record(self, workload: str, status: CellStatus,
+               stats: Optional[SimStats] = None, elapsed: float = 0.0,
+               failure: Optional[CellFailure] = None, queued: float = 0.0,
+               trace_hit: bool = False) -> None:
+        """Record one cell's terminal state; a hole when ``stats`` is
+        ``None``."""
+        self.statuses[workload] = status
+        self.timings[workload] = elapsed
+        self.queued[workload] = queued
+        self.cached[workload] = status is CellStatus.CACHED
+        self.trace_hits[workload] = trace_hit
+        if stats is not None:
+            self.stats[workload] = stats
+        if failure is not None:
+            self.failures[workload] = failure
 
     def ipc(self, workload: str) -> float:
         try:
@@ -145,13 +160,35 @@ def _registry_backed(traces: Dict[str, Trace]) -> bool:
     """Every trace rebuildable by name from the target registry?
 
     Registered targets of any kind (synthetic, scenario, trace-file)
-    qualify for the executor; truly ad-hoc in-memory traces take the
-    serial seed path.
+    qualify for the executor; truly ad-hoc in-memory traces take
+    :func:`_adhoc_suite`.
     """
     from ..workloads import has_target
     return all(has_target(name)
                and getattr(trace, "scale", None) is not None
                for name, trace in traces.items())
+
+
+def _adhoc_suite(specs: Sequence[Tuple[str, CoreConfig]],
+                 traces: Dict[str, Trace],
+                 profile_config: Optional[CoreConfig] = None,
+                 progress: bool = False) -> Dict[str, SuiteResult]:
+    """Ad-hoc traces, in-process: profile each trace once (criticality
+    runs), then simulate every spec on it.  Exceptions propagate."""
+    results = {label: SuiteResult(label, config)
+               for label, config in specs}
+    for name, trace in traces.items():
+        profile = None
+        if profile_config is not None:
+            if progress:
+                print(f"    profile: {name}", flush=True)
+            profile = _simulate_profile(trace, profile_config)
+        for label, config in specs:
+            if progress:
+                print(f"    {label}: {name}", flush=True)
+            stats, elapsed = _simulate_cell(trace, config, profile)
+            results[label].record(name, CellStatus.OK, stats, elapsed)
+    return results
 
 
 def run_config(label: str, config: CoreConfig,
@@ -165,30 +202,13 @@ def run_config(label: str, config: CoreConfig,
                lanes: Optional[int] = None) -> SuiteResult:
     """Simulate every trace under ``config`` (via the executor)."""
     if not _registry_backed(traces):
-        return _serial_run_config(label, config, traces, progress)
+        return _adhoc_suite([(label, config)], traces,
+                            progress=progress)[label]
     workers, cache = resolve_execution(workers, use_cache, cache)
     results = run_suite(jobs_for(label, config, traces),
                         workers=workers, cache=cache, progress=progress,
                         timeout=timeout, chunk=chunk, lanes=lanes)
     return results.get(label, SuiteResult(label, config))
-
-
-def _serial_run_config(label: str, config: CoreConfig,
-                       traces: Dict[str, Trace],
-                       progress: bool = False) -> SuiteResult:
-    """The seed path: ad-hoc traces simulated in-process."""
-    result = SuiteResult(label, config)
-    for name, trace in traces.items():
-        if progress:
-            print(f"    {label}: {name}", flush=True)
-        start = time.perf_counter()
-        result.stats[name] = O3Core(trace, config).run()
-        result.timings[name] = time.perf_counter() - start
-        result.queued[name] = 0.0
-        result.cached[name] = False
-        result.trace_hits[name] = False
-        result.statuses[name] = CellStatus.OK
-    return result
 
 
 def run_criticality_suite(specs: Sequence[Tuple[str, CoreConfig]],
@@ -210,8 +230,7 @@ def run_criticality_suite(specs: Sequence[Tuple[str, CoreConfig]],
     simulation is deduplicated: one profile feeds all dependent runs.
     """
     if not _registry_backed(traces):
-        return _serial_criticality_suite(specs, traces, profile_config,
-                                         progress)
+        return _adhoc_suite(specs, traces, profile_config, progress)
     workers, cache = resolve_execution(workers, use_cache, cache)
     jobs: List[Job] = []
     for label, config in specs:
@@ -221,41 +240,6 @@ def run_criticality_suite(specs: Sequence[Tuple[str, CoreConfig]],
                         lanes=lanes)
     return {label: results.get(label, SuiteResult(label, config))
             for label, config in specs}
-
-
-def _serial_criticality_suite(specs: Sequence[Tuple[str, CoreConfig]],
-                              traces: Dict[str, Trace],
-                              profile_config: CoreConfig,
-                              progress: bool = False
-                              ) -> Dict[str, SuiteResult]:
-    """Ad-hoc-trace path: profile each trace once, feed every spec."""
-    results = {label: SuiteResult(label, config)
-               for label, config in specs}
-    for name, trace in traces.items():
-        if progress:
-            print(f"    profile: {name}", flush=True)
-        profiler = O3Core(trace, profile_config)
-        profiler.run()
-        for label, config in specs:
-            if progress:
-                print(f"    {label}: {name}", flush=True)
-            tagger = CriticalityTagger()
-            tagger.feed_profile(profiler.pc_l1_misses,
-                                profiler.pc_mispredicts)
-            start = time.perf_counter()
-            # tag() inside the try: a crash mid-tag must not leak
-            # partial tags into later runs of this shared trace
-            try:
-                tagger.tag(trace)
-                results[label].stats[name] = O3Core(trace, config).run()
-            finally:
-                clear_tags(trace)
-            results[label].timings[name] = time.perf_counter() - start
-            results[label].queued[name] = 0.0
-            results[label].cached[name] = False
-            results[label].trace_hits[name] = False
-            results[label].statuses[name] = CellStatus.OK
-    return results
 
 
 def run_config_with_criticality(label: str, config: CoreConfig,

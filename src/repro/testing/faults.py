@@ -46,9 +46,10 @@ Faults are sampled from the environment once per ``run_suite`` call in
 the parent and travel to workers inside the task payload, so a
 persistent worker pool spawned before the variable was set still sees
 the faults, and a run is reproducible from its recorded fault string
-alone.  ``crash``/``hang``/``explode`` fire only on the worker
-dispatch path — the in-process serial path is the reference and is
-never sabotaged.
+alone.  Only a pool worker's payload carries ``crash``, ``hang`` and
+``explode`` (:func:`payload_faults`): they exist to exercise pool
+recovery, and run in-process a crash would kill the caller itself.
+``corrupt`` and ``lockdown`` apply at every worker count.
 """
 
 from __future__ import annotations
@@ -68,6 +69,9 @@ FAULT_ENV = "REPRO_FAULT"
 CRASH_EXIT_CODE = 86
 
 KINDS = ("crash", "hang", "explode", "corrupt", "lockdown")
+
+#: kinds that sabotage the process running the cell
+WORKER_KINDS = ("crash", "hang", "explode")
 
 #: default sleep for ``hang`` faults, seconds
 DEFAULT_HANG_SECONDS = 600.0
@@ -131,6 +135,17 @@ def active_fault_specs() -> Tuple[FaultSpec, ...]:
     return parse_fault_specs(os.environ.get(FAULT_ENV, ""))
 
 
+def payload_faults(text: str, workers: int) -> str:
+    """The part of fault programme ``text`` that task payloads carry:
+    all of it for pool workers (``workers > 1``), and without the
+    :data:`WORKER_KINDS` for tasks run in the calling process."""
+    if workers > 1:
+        return text
+    return ",".join(clause for clause in text.split(",")
+                    if clause.strip() and clause.split(":", 1)[0]
+                    .strip().lower() not in WORKER_KINDS)
+
+
 def faults_for(specs: Sequence[FaultSpec], kind: str,
                cell_id: str) -> Tuple[FaultSpec, ...]:
     return tuple(s for s in specs if s.kind == kind and s.matches(cell_id))
@@ -140,8 +155,8 @@ def faults_for(specs: Sequence[FaultSpec], kind: str,
 
 def preflight(specs: Sequence[FaultSpec], cell_id: str,
               attempt: int) -> None:
-    """Apply crash/hang faults for ``cell_id``; called by the worker
-    immediately after picking the cell up."""
+    """Apply crash/hang faults for ``cell_id``; called by a task
+    function as it picks the cell up."""
     for spec in faults_for(specs, "crash", cell_id):
         if spec.fires(attempt):
             os._exit(CRASH_EXIT_CODE)

@@ -6,8 +6,10 @@ on its own witnessed core, composes the per-thread apparent orders
 (:mod:`~repro.verify.witness`) and flags any composed outcome outside
 the oracle's allowed set (:mod:`~repro.verify.oracle`).
 
-The unit of distributed work is one *program* (all its combos and
-threads run inside one worker call) dispatched through the
+The unit of work is one *program* (all its combos and threads run
+inside one task call) run through
+:func:`~repro.harness.resilience.run_tasks`: in-process at ``jobs=1``,
+and with more jobs through the
 :class:`~repro.harness.resilience.ResilientPool`, so the campaign
 inherits crash/hang/timeout recovery.  Completions append to a JSONL
 checkpoint (flushed per line), so a campaign killed at any point —
@@ -28,10 +30,12 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..harness.resilience import TaskSpec, get_pool, next_task_id
+from ..harness.resilience import (CellStatus, TaskSpec, exception_failure,
+                                  next_task_id, run_tasks)
 from ..isa import trace_program
 from ..pipeline import O3Core
 from ..pipeline.config import COMMITS, CoreConfig, base_config
@@ -180,11 +184,7 @@ def _run_program(payload: tuple, attempt: int) -> tuple:
                                 attempt=attempt)
         return "ok", result
     except Exception as exc:
-        import traceback
-        return "error", {"kind": "exception",
-                         "message": f"{type(exc).__name__}: {exc}",
-                         "traceback": traceback.format_exc(),
-                         "bundle": None}
+        return "error", exception_failure(exc, traceback.format_exc())
 
 
 # -- checkpointing -----------------------------------------------------------
@@ -312,68 +312,45 @@ def run_campaign(seed: int, count: int, jobs: int = 1, lanes: int = 1,
                                 sort_keys=True) + "\n")
         handle.flush()
 
-    def absorb(index: int, entry: dict) -> None:
-        result.completed += 1
-        result.violations.extend(entry.get("violations", []))
-        result.errors.extend(entry.get("errors", []))
-        if progress is not None:
-            progress(result.completed + result.resumed, count)
-
-    def record(index: int, value: dict) -> None:
-        entry = {"index": index, "name": programs[index].name,
-                 "sha": program_sha(programs[index]),
-                 "combos": value.get("combos", 0),
-                 "violations": value.get("violations", []),
-                 "errors": value.get("errors", [])}
-        handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        handle.flush()
-        completed[index] = entry
-        absorb(index, entry)
-
     for index, entry in sorted(completed.items()):
         result.violations.extend(entry.get("violations", []))
         result.errors.extend(entry.get("errors", []))
 
-    todo = [i for i in range(len(programs)) if i not in completed]
+    # crash/hang faults exercise pool recovery; run in-process they
+    # would kill this caller, so only pool payloads carry them
+    payload_faults = faults.payload_faults(faults_text, jobs)
+    tasks, task_index = [], {}
+    for i in range(len(programs)):
+        if i not in completed:
+            task = TaskSpec(next_task_id(), f"verify/{programs[i].name}",
+                            _run_program, (programs[i].to_dict(), lanes,
+                                           payload_faults))
+            tasks.append(task)
+            task_index[task.task_id] = i
+
+    def on_complete(task: TaskSpec, outcome) -> None:
+        i = task_index[task.task_id]
+        value = outcome.value if outcome.status is CellStatus.OK else {
+            "errors": [{"cell": task.cell_id, "thread": None,
+                        "error": outcome.failure.summary(),
+                        "traceback": ""}]}
+        entry = completed[i] = {
+            "index": i, "name": programs[i].name,
+            "sha": program_sha(programs[i]),
+            "combos": value.get("combos", 0),
+            "violations": value.get("violations", []),
+            "errors": value.get("errors", [])}
+        handle.write(json.dumps(entry, sort_keys=True) + "\n")
+        handle.flush()
+        result.completed += 1
+        result.violations.extend(entry["violations"])
+        result.errors.extend(entry["errors"])
+        if progress is not None:
+            progress(result.completed + result.resumed, count)
+
     try:
-        if jobs > 1 and todo:
-            tasks = []
-            task_index: Dict[int, int] = {}
-            for i in todo:
-                task_id = next_task_id()
-                task_index[task_id] = i
-                tasks.append(TaskSpec(
-                    task_id=task_id,
-                    cell_id=f"verify/{programs[i].name}",
-                    func=_run_program,
-                    payload=(programs[i].to_dict(), lanes, faults_text)))
-            pool = get_pool(jobs)
-
-            def on_complete(task: TaskSpec, outcome) -> None:
-                i = task_index[task.task_id]
-                if outcome.status == "ok":
-                    record(i, outcome.value)
-                else:
-                    failure = outcome.failure
-                    record(i, {"combos": 0, "violations": [], "errors": [{
-                        "cell": task.cell_id, "thread": None,
-                        "error": (failure.summary() if failure is not None
-                                  else "unknown failure"),
-                        "traceback": ""}]})
-
-            pool.run(tasks, timeout=timeout, retries=1,
-                     on_complete=on_complete)
-        else:
-            for i in todo:
-                status, value = _run_program(
-                    (programs[i].to_dict(), lanes, faults_text), 1)
-                if status == "ok":
-                    record(i, value)
-                else:
-                    record(i, {"combos": 0, "violations": [], "errors": [{
-                        "cell": f"verify/{programs[i].name}",
-                        "thread": None, "error": value.get("message", "?"),
-                        "traceback": value.get("traceback", "")}]})
+        run_tasks(tasks, jobs, timeout=timeout, retries=1,
+                  on_complete=on_complete)
     finally:
         handle.close()
 
@@ -400,7 +377,7 @@ def run_campaign(seed: int, count: int, jobs: int = 1, lanes: int = 1,
             try:
                 bundle_path = minimise_and_bundle(
                     program, violation, lanes=lanes,
-                    faults_text=faults_text)
+                    faults_text=faults.payload_faults(faults_text, 1))
                 result.bundles.append(str(bundle_path))
             except Exception as exc:
                 result.errors.append({

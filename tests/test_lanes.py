@@ -2,9 +2,9 @@
 
 The contract under test: any lane width is a storage-layout/throughput
 optimisation that is *field-identical* per cell to the serial engine —
-including mid-batch retirement and refill, a deadlocking cell isolated
-from its batch-mates, and the worker-pool composition.  The scalar
-path (``slot=None`` everywhere) must be byte-for-byte untouched.
+including mid-batch retirement and refill and a deadlocking cell
+isolated from its batch-mates.  The scalar path (``slot=None``
+everywhere) must be byte-for-byte untouched.
 """
 
 import dataclasses
@@ -403,8 +403,9 @@ class TestHarnessWiring:
                     f"{commit}/{name} diverged from serial"
 
     def test_single_cell_group_skips_lane_driver_on_workers(self):
-        """A group of one gains nothing from lockstep; the worker path
-        routes it through the plain per-cell task."""
+        """A lone lane-eligible cell is a group of its own.  With
+        workers no group forms at all: every cell is its own task
+        (``test_parallel.py::test_workers_ignore_lanes``)."""
         groups = parallel._lane_groups(
             [parallel.Job("a", base_config(), "gcc.mix", SCALE)], [0])
         assert groups == [[0]]

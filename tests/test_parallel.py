@@ -14,8 +14,8 @@ import pytest
 
 import repro.harness.parallel as parallel
 from repro.criticality import CriticalityTagger, clear_tags
-from repro.harness import (Job, ResultCache, SuiteResult, cache_key,
-                           jobs_for, run_config,
+from repro.harness import (CellStatus, Job, ResultCache, SuiteResult,
+                           cache_key, jobs_for, run_config,
                            run_config_with_criticality,
                            run_criticality_suite, run_suite)
 from repro.isa import Trace
@@ -158,9 +158,10 @@ class TestDeterminism:
                     "lane path not exercised despite lanes > 1"
                 assert result.mean_lane_occupancy() > 1.0
 
-    def test_lanes_compose_with_workers(self, traces, serial_reference):
-        """Lane groups dispatched through the worker pool (one batch
-        per task) still return field-identical per-cell stats."""
+    def test_workers_ignore_lanes(self, traces, serial_reference):
+        """Lane batching is in-process only: with workers every cell is
+        its own task, so ``lanes=2`` runs no lane batch and the stats
+        stay field-identical."""
         for label, config in CONFIGS:
             result = run_config(label, config, traces, workers=2,
                                 use_cache=False, lanes=2)
@@ -168,7 +169,7 @@ class TestDeterminism:
                 assert fields(result.stats[name]) == \
                     fields(serial_reference[label][name]), \
                     f"{label}/{name} diverged at workers=2, lanes=2"
-            assert result.lane_batches
+            assert not result.lane_batches
 
     def test_cache_hits_bit_identical(self, traces, serial_reference,
                                       tmp_path):
@@ -276,9 +277,9 @@ class TestExecutor:
         original = parallel._simulate_profile
         calls = []
 
-        def counting(task):
-            calls.append(task)
-            return original(task)
+        def counting(trace, config):
+            calls.append(trace.name)
+            return original(trace, config)
 
         monkeypatch.setattr(parallel, "_simulate_profile", counting)
         specs = [("cri/orinoco", base_config(scheduler="cri")),
@@ -298,12 +299,39 @@ class TestExecutor:
                 instr.critical = True
 
         monkeypatch.setattr(CriticalityTagger, "tag", exploding_tag)
-        with pytest.raises(RuntimeError, match="mid-tag"):
-            run_config_with_criticality(
-                "cri", base_config(scheduler="cri"), traces,
-                base_config(), workers=1, use_cache=False)
+        result = run_config_with_criticality(
+            "cri", base_config(scheduler="cri"), traces,
+            base_config(), workers=1, use_cache=False)
+        for name in WORKLOADS:
+            assert result.statuses[name] is CellStatus.FAILED
+            assert "tagger died mid-tag" in result.failures[name].message
         for trace in traces.values():
             assert not any(instr.critical for instr in trace)
+
+    def test_failing_cell_is_the_same_hole_at_any_worker_count(
+            self, traces, serial_reference):
+        """A cell that raises in its task function (here at core
+        construction) is an annotated hole with a crash bundle, whether
+        it ran in-process or in a worker, and its healthy neighbour is
+        unaffected."""
+        label, config = CONFIGS[0]
+        jobs = [Job("bad", base_config(lq_size=0), "gcc.mix", SCALE),
+                Job(label, config, "gcc.mix", SCALE)]
+        holes = []
+        for workers in (1, 2):
+            results = run_suite(jobs, workers=workers, cache=None,
+                                lanes=1)
+            assert results["bad"].statuses["gcc.mix"] is CellStatus.FAILED
+            failure = results["bad"].failures["gcc.mix"]
+            assert failure.kind == "exception"
+            assert failure.bundle is not None
+            assert pathlib.Path(failure.bundle).is_file()
+            holes.append(failure.message)
+            assert results[label].statuses["gcc.mix"] is CellStatus.OK
+            assert fields(results[label].stats["gcc.mix"]) == \
+                fields(serial_reference[label]["gcc.mix"])
+        assert holes[0] == holes[1] == \
+            "ValueError: queue size must be positive"
 
     def test_adhoc_traces_fall_back_to_serial(self):
         registry_trace = build_trace("gcc.mix", SCALE)

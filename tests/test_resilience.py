@@ -510,12 +510,12 @@ class TestWarmSweep:
                                                monkeypatch):
         cache = ResultCache(tmp_path)
         run_suite(_jobs("W"), workers=1, cache=cache)
-        import repro.harness.parallel as parallel_mod
+        import repro.harness.resilience as resilience_mod
 
         def no_pool(workers):
             raise AssertionError("warm sweep must not spawn workers")
 
-        monkeypatch.setattr(parallel_mod, "get_pool", no_pool)
+        monkeypatch.setattr(resilience_mod, "get_pool", no_pool)
         result = run_suite(_jobs("W"), workers=2, cache=cache)["W"]
         assert all(result.cached.values())
         assert result.complete()

@@ -197,6 +197,34 @@ class TestCampaignCheckpoint:
         assert result.resumed + result.completed == 40
         assert result.ok
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_crash_faults_fire_only_in_pool_workers(self, tmp_path, jobs):
+        """``crash`` exists to exercise pool recovery: at ``--jobs 1``
+        the campaign runs its programs in-process and must finish
+        clean instead of dying with the fault's exit status; with
+        workers each crashed program is an error entry.  Runs in a
+        subprocess because a fault that fires in-process kills the
+        interpreter."""
+        ckpt = tmp_path / "crash.jsonl"
+        env = dict(os.environ, PYTHONPATH=SRC, REPRO_FAULT="crash:verify/*",
+                   REPRO_VERIFY_DIR=str(tmp_path),
+                   REPRO_CRASH_DIR=str(tmp_path / "crash"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "verify", "--programs", "2",
+             "--seed", "7", "--jobs", str(jobs), "--checkpoint", str(ckpt),
+             "--no-minimise"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == (0 if jobs == 1 else 1), proc.stderr
+        entries = [json.loads(line)
+                   for line in ckpt.read_text().splitlines()[1:]]
+        errors = [error for entry in entries for error in entry["errors"]]
+        if jobs == 1:
+            assert "errors=0" in proc.stdout
+            assert len(entries) == 2 and not errors
+        else:
+            assert "errors=2" in proc.stdout
+            assert all("exitcode 86" in error["error"] for error in errors)
+
 
 # -- planted fault: detect -> minimise -> bundle -> replay ------------------
 
@@ -207,15 +235,11 @@ class TestPlantedViolation:
     @pytest.fixture(scope="class")
     def campaign(self, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("plant")
-        os.environ["REPRO_CRASH_DIR"] = str(tmp / "crash")
-        os.environ["REPRO_VERIFY_DIR"] = str(tmp / "verify")
-        try:
-            result = run_campaign(seed=7, count=9, jobs=1,
-                                  faults_text=PLANT)
-        finally:
-            os.environ.pop("REPRO_CRASH_DIR", None)
-            os.environ.pop("REPRO_VERIFY_DIR", None)
-        return result
+        # restores the session's directories afterwards (conftest's)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_CRASH_DIR", str(tmp / "crash"))
+            patch.setenv("REPRO_VERIFY_DIR", str(tmp / "verify"))
+            return run_campaign(seed=7, count=9, jobs=1, faults_text=PLANT)
 
     def test_campaign_catches_planted_violation(self, campaign):
         assert campaign.violations
@@ -340,6 +364,18 @@ class TestCliSeedPlumbing:
                      "--jobs", "1"]) == 0
         assert "seed=9" in capsys.readouterr().out
         assert (tmp_path / "campaign-s9-n2.jsonl").exists()
+
+    def test_malformed_env_seed_warns_and_uses_default(
+            self, tmp_path, monkeypatch, capsys):
+        from repro import envutil
+        monkeypatch.setattr(envutil, "_warned", set())
+        monkeypatch.setenv("REPRO_VERIFY_SEED", "abc")
+        monkeypatch.setenv("REPRO_VERIFY_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path / "crash"))
+        with pytest.warns(RuntimeWarning, match="REPRO_VERIFY_SEED"):
+            assert main(["verify", "--programs", "2", "--jobs", "1"]) == 0
+        assert "seed=0" in capsys.readouterr().out
+        assert (tmp_path / "campaign-s0-n2.jsonl").exists()
 
     def test_campaigns_byte_identical_across_runs(self, tmp_path,
                                                   monkeypatch, capsys):

@@ -1,0 +1,98 @@
+"""Python-level call count of one in-process Figure 15 pass.
+
+Counts ``sys.setprofile`` "call" events (Python functions only; C
+builtins raise "c_call", which is not counted) over the second of two
+in-process passes of the ``fig15-serial`` grid: Figure 15 at scale 0.1
+on five targets, ten commit policies, ``workers=1``, no result cache,
+``lanes=1``.  The first pass warms imports and the trace LRU, so the
+second counts the simulation and the harness around it.
+
+The count repeats exactly on one interpreter (a pass draws nothing from
+the clock), so it compares across commits where shared-runner timings
+cannot.  It is a measurement of where the cycle loop spends Python
+calls, not a benchmark metric::
+
+    PYTHONPATH=src python benchmarks/call_counts.py --top 25 --json calls.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from collections import Counter
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from repro.harness.experiments import fig15                # noqa: E402
+
+SCALE = 0.1
+TARGETS = ["gcc.mix", "mcf.chase", "x264.divint", "sys.drain", "smt.memfp"]
+
+
+def _pass() -> None:
+    fig15(SCALE, list(TARGETS), workers=1, use_cache=False, lanes=1)
+
+
+def count_calls() -> Counter:
+    """``Counter`` of "call" events per ``file:line function``."""
+    _pass()                                # warm-up: imports, trace LRU
+    calls: Counter = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            calls[(code.co_filename, code.co_firstlineno,
+                   code.co_name)] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        _pass()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def _label(key) -> str:
+    filename, line, name = key
+    path = Path(filename)
+    parts = path.parts
+    if "repro" in parts:
+        short = "/".join(parts[parts.index("repro"):])
+    else:
+        short = path.name
+    return f"{short}:{line} {name}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--top", type=int, default=20,
+                        help="how many functions to list (default 20)")
+    parser.add_argument("--json", metavar="PATH",
+                        help="also write the total and the top list here")
+    args = parser.parse_args(argv)
+    calls = count_calls()
+    total = sum(calls.values())
+    top = [(_label(key), count) for key, count in calls.most_common(args.top)]
+    print(f"python-level calls per fig15 pass: {total:,}")
+    for label, count in top:
+        print(f"{count:>10,}  {label}")
+    if args.json:
+        Path(args.json).write_text(json.dumps({
+            "workload": {"figure": "fig15", "scale": SCALE,
+                         "targets": TARGETS, "workers": 1, "lanes": 1,
+                         "use_cache": False},
+            "python": sys.version.split()[0],
+            "hash_seed": os.environ.get("PYTHONHASHSEED"),
+            "total_calls": total,
+            "top": [{"function": label, "calls": count}
+                    for label, count in top],
+        }, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -327,7 +327,10 @@ def _cmd_bench(args) -> str:
                                   **_exec_opts(args))
     wall = time.perf_counter() - start
     workers = args.jobs if args.jobs is not None else default_workers()
+    # lane batching applies only in-process (workers <= 1)
     lanes = args.lanes if args.lanes is not None else default_lanes()
+    if workers > 1:
+        lanes = 1
     sim = result.sim_seconds()
     lines = [result.format(), "",
              f"executor: {result.cells()} cells, workers={workers}, "

@@ -50,7 +50,12 @@ class FetchUnit:
         self.width = width
         self.redirect_penalty = redirect_penalty
         self.model_wrong_path = model_wrong_path
-        self._next = 0
+        #: the trace's instruction list and its length, read once: the
+        #: trace is never resized while a core runs it
+        self._instrs = trace.instrs
+        self.trace_len = len(trace.instrs)
+        #: seq (trace index) of the next correct-path instruction
+        self.next_seq = 0
         #: seq of the mispredicted branch fetch is stalled behind
         self._stalled_on: Optional[int] = None
         #: cycle at which fetch may resume after a resolved redirect
@@ -61,7 +66,7 @@ class FetchUnit:
         self._wp_counter = 0
 
     def exhausted(self) -> bool:
-        return self._next >= len(self.trace)
+        return self.next_seq >= self.trace_len
 
     def _wrong_path_instr(self) -> DynInstr:
         self._wp_counter += 1
@@ -74,7 +79,9 @@ class FetchUnit:
     def fetch(self, cycle: int, max_count: Optional[int] = None
               ) -> List[FetchedInstr]:
         """Fetch up to ``min(width, max_count)`` instructions this cycle."""
-        if self.exhausted():
+        next_seq = self.next_seq
+        end = self.trace_len
+        if next_seq >= end:
             return []
         if self._stalled_on is not None:
             self.stall_cycles += 1
@@ -92,13 +99,13 @@ class FetchUnit:
         budget = self.width if max_count is None else min(self.width,
                                                           max_count)
         group: List[FetchedInstr] = []
-        while budget > 0 and not self.exhausted():
-            instr = self.trace[self._next]
+        instrs = self._instrs
+        while budget > 0 and next_seq < end:
+            instr = instrs[next_seq]
             mispredicted = self.predictor.predict(instr) \
                 if instr.is_branch else False
             group.append(FetchedInstr(instr, mispredicted))
-            self._next += 1
-            self.fetched += 1
+            next_seq += 1
             budget -= 1
             if mispredicted:
                 # fetching proceeds down the wrong path; no further
@@ -107,6 +114,8 @@ class FetchUnit:
                 break
             if instr.is_branch and instr.taken:
                 break  # taken transfer ends the fetch group
+        self.fetched += next_seq - self.next_seq
+        self.next_seq = next_seq
         return group
 
     def branch_resolved(self, seq: int, cycle: int) -> None:
@@ -121,6 +130,6 @@ class FetchUnit:
         Rewinds the trace pointer to the instruction right after ``seq``
         and charges the redirect penalty.
         """
-        self._next = seq + 1
+        self.next_seq = seq + 1
         self._stalled_on = None
         self._resume_at = cycle + self.redirect_penalty

@@ -54,6 +54,27 @@ class TagePredictor:
             [0] * table_entries for _ in range(num_tables)]
         self.history = 0
         self.history_bits = max_history
+        self._history_mask = (1 << max_history) - 1
+        # folded history registers, one per (table, fold width), kept
+        # by _push_history as TAGE hardware keeps them.  Index and tag
+        # widths that coincide (512 entries, 9 tag bits) share one
+        # register list
+        self._index_bits = table_entries.bit_length() - 1
+        folds = {width: [0] * num_tables
+                 for width in (self._index_bits, tag_bits, tag_bits - 1)}
+        self._index_folds = folds[self._index_bits]
+        self._tag_folds = folds[tag_bits]
+        self._tag1_folds = folds[tag_bits - 1]
+        self._fold_registers = tuple(
+            (width, (1 << width) - 1, registers,
+             tuple((length - 1, length % width)
+                   for length in self.history_lengths))
+            for width, registers in folds.items())
+        # the last _lookup: per-table index and tag, and its pc (None
+        # once the history moved on)
+        self._indices = [0] * num_tables
+        self._tags = [0] * num_tables
+        self._lookup_pc: Optional[int] = None
         self._updates = 0
         # state captured by predict() and consumed by update()
         self._provider: Optional[int] = None
@@ -63,25 +84,48 @@ class TagePredictor:
 
     # -- hashing -------------------------------------------------------
 
-    def _folded_history(self, length: int, bits: int) -> int:
-        history = self.history & ((1 << length) - 1)
-        folded = 0
-        while history:
-            folded ^= history & ((1 << bits) - 1)
-            history >>= bits
-        return folded
+    def _lookup(self, pc: int) -> None:
+        """Every table's ``(index, tag)`` for ``pc`` and the current
+        history, into ``_indices`` and ``_tags``: one pass per branch,
+        which a misprediction's allocation reuses.
 
-    def _index(self, table: int, pc: int) -> int:
-        length = self.history_lengths[table]
-        bits = self.table_entries.bit_length() - 1
-        return (pc ^ (pc >> bits) ^ self._folded_history(length, bits)) \
-            & (self.table_entries - 1)
+        A table's index is ``pc ^ (pc >> index_bits)`` XOR the table's
+        history folded to ``index_bits`` bits; its tag is ``pc`` XOR
+        the history folded to ``tag_bits`` bits XOR the fold to
+        ``tag_bits - 1`` bits shifted left once.
+        """
+        pc_hash = pc ^ (pc >> self._index_bits)
+        index_mask = self.table_entries - 1
+        tag_mask = self.tag_mask
+        index_folds = self._index_folds
+        tag_folds = self._tag_folds
+        tag1_folds = self._tag1_folds
+        indices = self._indices
+        tags = self._tags
+        for table in range(self.num_tables):
+            indices[table] = (pc_hash ^ index_folds[table]) & index_mask
+            tags[table] = (pc ^ tag_folds[table]
+                           ^ (tag1_folds[table] << 1)) & tag_mask
+        self._lookup_pc = pc
 
-    def _tag(self, table: int, pc: int) -> int:
-        length = self.history_lengths[table]
-        return (pc ^ self._folded_history(length, self.tag_bits)
-                ^ (self._folded_history(length, self.tag_bits - 1) << 1)) \
-            & self.tag_mask
+    def _push_history(self, taken: bool) -> None:
+        """Shift the outcome into the global history and every folded
+        register.  Folding XORs a history's ``width``-bit chunks
+        together, so bit ``i`` of a table's history lands on bit
+        ``i % width`` of its fold: a shift rotates the fold left by
+        one, the new outcome enters at bit 0, and the bit leaving the
+        table's history (bit ``length - 1`` before the shift) leaves
+        from bit ``length % width``."""
+        bit = 1 if taken else 0
+        history = self.history
+        for width, mask, folds, taps in self._fold_registers:
+            top = width - 1
+            for table, (out_bit, out_at) in enumerate(taps):
+                fold = folds[table]
+                folds[table] = ((((fold << 1) | (fold >> top)) & mask) ^ bit
+                                ^ (((history >> out_bit) & 1) << out_at))
+        self.history = ((history << 1) | bit) & self._history_mask
+        self._lookup_pc = None
 
     # -- prediction ------------------------------------------------------
 
@@ -89,11 +133,14 @@ class TagePredictor:
         self._provider = None
         self._alt_pred = self.base.predict(pc)
         prediction = self._alt_pred
+        self._lookup(pc)
+        indices = self._indices
+        tags = self._tags
         # longest matching component provides, next longest is the alt
         found_alt = False
         for table in range(self.num_tables - 1, -1, -1):
-            index = self._index(table, pc)
-            if self.tags[table][index] == self._tag(table, pc):
+            index = indices[table]
+            if self.tags[table][index] == tags[table]:
                 counter = self.counters[table][index]
                 if self._provider is None:
                     self._provider = table
@@ -133,24 +180,26 @@ class TagePredictor:
         if mispredicted:
             self._allocate(pc, taken)
 
-        self.history = ((self.history << 1) | int(taken)) \
-            & ((1 << self.history_bits) - 1)
+        self._push_history(taken)
         self._updates += 1
         if self._updates % self.useful_reset_period == 0:
             self._age_useful()
 
     def _allocate(self, pc: int, taken: bool) -> None:
+        if self._lookup_pc != pc:
+            self._lookup(pc)             # update() without its predict()
+        indices = self._indices
         start = (self._provider + 1) if self._provider is not None else 0
         for table in range(start, self.num_tables):
-            index = self._index(table, pc)
+            index = indices[table]
             if self.useful[table][index] == 0:
-                self.tags[table][index] = self._tag(table, pc)
+                self.tags[table][index] = self._tags[table]
                 self.counters[table][index] = 4 if taken else 3
                 return
         # no victim: decay useful bits along the allocation path
         for table in range(start, self.num_tables):
             useful = self.useful[table]
-            index = self._index(table, pc)
+            index = indices[table]
             useful[index] = max(0, useful[index] - 1)
 
     def _age_useful(self) -> None:

@@ -72,7 +72,7 @@ from .resilience import (CellFailure, CellStatus, SuiteInterrupted,
                          TaskOutcome, TaskSpec, default_cell_timeout,
                          default_chunk_size, default_max_retries,
                          exception_failure, next_task_id, run_tasks,
-                         shutdown_pools)
+                         shutdown_pools, task_outcome)
 
 __all__ = ["Job", "ProfileData", "default_lanes", "default_use_cache",
            "default_workers", "jobs_for", "run_suite", "shutdown_pools"]
@@ -300,13 +300,18 @@ def _run_lane_batches(jobs: Sequence[Job], indices: Sequence[int],
                         message=f"lane cell exceeded {timeout}s "
                                 f"attributed simulation time"))
             else:
+                # the same failure, crash bundle included, that
+                # _guarded_cell returns for a cell that raises
+                job = jobs[index]
+                exc, tb = outcome.error, outcome.error_tb
+                failed = task_outcome("error", exception_failure(
+                    exc, tb, build_crash_bundle(
+                        label=job.label, config=job.config,
+                        workload=job.workload, scale=job.scale,
+                        exc=exc, tb=tb)), 1)
                 records[index] = _CellRecord(
                     CellStatus.FAILED,
-                    failure=CellFailure(
-                        kind="exception",
-                        message=(f"{type(outcome.error).__name__}: "
-                                 f"{outcome.error}"),
-                        traceback=outcome.error_tb))
+                    failure=_finalize_failure(failed.failure))
 
         report = batch.run(cells, on_cell=cell_done, timeout=timeout)
         for outcome in report.outcomes:

@@ -51,7 +51,7 @@ built for graceful degradation:
 
 Callers go through :func:`run_tasks`, which uses the pool only for
 ``workers > 1``.  Otherwise it calls each task's function in this
-process and maps its result through the same :func:`_outcome` as
+process and maps its result through the same :func:`task_outcome` as
 :meth:`ResilientPool._collect`, so a failing task is the same
 :class:`TaskOutcome` at every worker count.
 
@@ -190,8 +190,8 @@ def exception_failure(exc: BaseException, tb: str,
             "traceback": tb, "bundle": bundle}
 
 
-def _outcome(status: str, value, attempt: int,
-             queued: float = 0.0) -> TaskOutcome:
+def task_outcome(status: str, value, attempt: int,
+                 queued: float = 0.0) -> TaskOutcome:
     """The :class:`TaskOutcome` a task function's ``(status, value)``
     becomes, whether a worker or this process ran it."""
     if status == "ok":
@@ -512,7 +512,7 @@ class ResilientPool:
         else:
             handle.chunk, handle.cursor = [], 0
             handle.deadline = None
-        finish(task, _outcome(status, value, attempt, queued))
+        finish(task, task_outcome(status, value, attempt, queued))
         return True
 
     def _requeue_survivors(self, handle: _WorkerHandle,
@@ -621,7 +621,7 @@ def run_tasks(tasks: Sequence[TaskSpec], workers: int,
             except Exception as exc:
                 status = "error"
                 value = exception_failure(exc, traceback.format_exc())
-            outcome = outcomes[task.task_id] = _outcome(status, value, 1)
+            outcome = outcomes[task.task_id] = task_outcome(status, value, 1)
             if outcome.status is CellStatus.OK:
                 completed.append(task.cell_id)
             if on_complete is not None:

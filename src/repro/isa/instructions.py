@@ -32,6 +32,14 @@ class OpClass(enum.Enum):
     JUMP = "jump"
     SYS = "sys"
 
+    # identity hash, computed in C.  ``Enum.__hash__`` is a
+    # Python-level call (it hashes the member name), and the cycle loop
+    # looks an op class up in a dict for every op.  Name hashes already
+    # vary between processes unless PYTHONHASHSEED is fixed, so no
+    # result may depend on the hash: nothing iterates a set of op
+    # classes, and dicts iterate in insertion order
+    __hash__ = object.__hash__
+
 
 #: Classes that execute on the memory pipeline.
 MEM_CLASSES = frozenset({OpClass.LOAD, OpClass.STORE})

@@ -93,10 +93,10 @@ class LSQUnit:
     # -- allocation (dispatch) ------------------------------------------
 
     def can_allocate_load(self) -> bool:
-        return not self.lq_alloc.is_full()
+        return self.lq_alloc.allocatable > 0
 
     def can_allocate_store(self) -> bool:
-        return not self.sq_alloc.is_full()
+        return self.sq_alloc.allocatable > 0
 
     def allocate_load(self, seq: int) -> Optional[int]:
         entry = self.lq_alloc.allocate()

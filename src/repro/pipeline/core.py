@@ -148,7 +148,8 @@ class O3Core:
 
     def done(self) -> bool:
         s = self.state
-        return (s.fetch.exhausted() and not s.frontend_pipe
+        fetch = s.fetch
+        return (fetch.next_seq >= fetch.trace_len and not s.frontend_pipe
                 and not s.dispatch_buffer and not s.window
                 and not s.zombies and not s.pending_release)
 
@@ -274,10 +275,12 @@ class O3Core:
         s = self.state
         stats = s.stats
         stats.cycles += 1
+        # lengths and maintained counts, no accessor calls: iq_ops
+        # holds exactly the IQ's live entries, lsq.lq the LQ's
         rob = len(s.window)
-        iq = s.iq_queue.occupancy()
-        lq = s.lsq.lq_occupancy()
-        rf = s.rename.occupancy()
+        iq = len(s.iq_ops)
+        lq = len(s.lsq.lq)
+        rf = s.rename.live_regs
         stats.rob_occupancy_sum += rob
         stats.iq_occupancy_sum += iq
         stats.lq_occupancy_sum += lq

@@ -115,7 +115,7 @@ class FastForward:
         if s.completion_heap and s.completion_heap[0][0] <= cycle:
             return False
         fetch = s.fetch
-        if not (fetch.exhausted()
+        if not (fetch.next_seq >= fetch.trace_len
                 or len(s.dispatch_buffer) >= 2 * s.config.dispatch_width
                 or (fetch._stalled_on is None and cycle < fetch._resume_at)
                 or (fetch._stalled_on is not None
@@ -141,7 +141,7 @@ class FastForward:
         if s.wp_ready:
             wake = min(wake, s.wp_ready[0][0])
         fetch = s.fetch
-        if not fetch.exhausted() and fetch._stalled_on is None \
+        if fetch.next_seq < fetch.trace_len and fetch._stalled_on is None \
                 and fetch._resume_at > cycle:
             wake = min(wake, fetch._resume_at)
         return wake

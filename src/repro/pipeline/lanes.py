@@ -182,24 +182,40 @@ class LaneBatch:
         active: List[_Lane] = []
         free = list(range(self.lanes - 1, -1, -1))
 
-        def retire(lane: _Lane, outcome: LaneOutcome) -> None:
-            lane.core = None                 # marks the lane for reaping
-            free.append(lane.slot_id)
+        def finish(outcome: LaneOutcome) -> None:
             report.outcomes.append(outcome)
             if on_cell is not None:
                 on_cell(outcome)
+
+        def retire(lane: _Lane, outcome: LaneOutcome) -> None:
+            lane.core = None                 # marks the lane for reaping
+            free.append(lane.slot_id)
+            finish(outcome)
 
         while queue or active:
             while queue and free:
                 slot_id = free.pop()
                 cell = queue.popleft()
                 start = perf_counter()
-                core = O3Core(cell.trace, cell.config, bus=cell.bus,
-                              slot=self.stack.slot(slot_id))
-                ff = FastForward(core) if core.fast_forward_enabled \
-                    else None
-                active.append(_Lane(slot_id, cell, core, ff,
-                                    perf_counter() - start))
+                try:
+                    core = O3Core(cell.trace, cell.config, bus=cell.bus,
+                                  slot=self.stack.slot(slot_id))
+                    ff = FastForward(core) if core.fast_forward_enabled \
+                        else None
+                    lane = _Lane(slot_id, cell, core, ff,
+                                 perf_counter() - start)
+                except Exception as exc:
+                    # a cell that cannot even build its core is an
+                    # outcome like any other failure; the slot refills
+                    free.append(slot_id)
+                    finish(LaneOutcome(
+                        cell.index, error=exc,
+                        error_tb=traceback.format_exc(),
+                        elapsed=perf_counter() - start))
+                    continue
+                active.append(lane)
+            if not active:
+                break                        # every queued cell failed
             report.steps += 1
             retired = False
             # pass 1 — per-lane terminal checks and fast-forward; a

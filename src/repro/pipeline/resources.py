@@ -110,7 +110,8 @@ class FUPool:
         unpipelined one holds it, from this cycle on, through its busy
         entry alone, so it is counted once.
         """
-        if self.available(fu) <= 0:
+        if len(self._busy_until[fu]) + self._issued_this_cycle[fu] \
+                >= self._counts[fu]:
             return False
         self._issued_total += 1
         if unpipelined:
@@ -134,4 +135,9 @@ class FUPool:
         """
         if not self._issued_total and not self._n_busy:
             return self._full
-        return [self.available(fu) for fu in _FU_TYPES]
+        # available() inline (a comprehension is a call before 3.12)
+        vector = list(self._counts)
+        issued = self._issued_this_cycle
+        for fu, busy in enumerate(self._busy_until):
+            vector[fu] = max(0, vector[fu] - len(busy) - issued[fu])
+        return vector

@@ -60,7 +60,8 @@ class CommitStage:
             head = next(iter(s.window.values()))
             if head.fault_pending:
                 core._exception_flush(head, cycle)
-        self.release_inorder()
+        if s.pending_release:
+            self.release_inorder()
 
     def _account_commit_ready(self, weight: int = 1):
         """§2.2 statistic: completed+safe instructions stuck behind the
@@ -76,7 +77,7 @@ class CommitStage:
         first = 1 if order[0] == next(iter(window)) else 0
         ready_not_head = len(order) > first and \
             s.commit_safe(window[order[first]].dispatch_stamp)
-        rob_full = s.rob_queue.is_full()
+        rob_full = not s.rob_queue.allocatable
         if rob_full:
             s.stats.rob_full_commit_stall_cycles += weight
         if ready_not_head:

@@ -63,17 +63,18 @@ class DispatchStage:
         """First missing resource for the oldest pending instruction,
         in fixed priority order — the single charged blocker."""
         s = self.s
-        if s.rob_queue.is_full():
+        if not s.rob_queue.allocatable:
             return "rob"
-        if s.iq_queue.is_full():
+        if not s.iq_queue.allocatable:
             return "iq"
         if dyn.seq < 0:
             return None                  # wrong path: IQ/ROB only
-        if dyn.is_load and not s.lsq.can_allocate_load():
+        if dyn.is_load and not s.lsq.lq_alloc.allocatable:
             return "lq"
-        if dyn.is_store and not s.lsq.can_allocate_store():
+        if dyn.is_store and not s.lsq.sq_alloc.allocatable:
             return "sq"
-        if not s.rename.can_rename(dyn.dst):
+        dst = dyn.dst
+        if dst is not None and not s.rename.freelist_of[dst].available:
             return "reg"
         return None
 

@@ -51,7 +51,8 @@ class IssueStage:
 
     def tick(self, cycle: int) -> None:
         s = self.s
-        self.drain_wp(cycle)
+        if s.wp_ready:
+            self.drain_wp(cycle)
         ready = s.ready_set
         if not ready:
             return

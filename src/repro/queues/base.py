@@ -28,6 +28,12 @@ class QueueStructure(abc.ABC):
         if size <= 0:
             raise ValueError("queue size must be positive")
         self.size = size
+        #: how many entries could be allocated right now, kept by
+        #: :meth:`allocate` and :meth:`free`.  For CIRC this is less
+        #: than ``size - occupancy()`` when gaps exist — that
+        #: difference *is* the capacity inefficiency the paper talks
+        #: about.  Zero means full.
+        self.allocatable = size
         #: cumulative count of allocations that failed due to capacity
         self.alloc_failures = 0
 
@@ -42,18 +48,6 @@ class QueueStructure(abc.ABC):
     @abc.abstractmethod
     def occupancy(self) -> int:
         """Number of live entries."""
-
-    def is_full(self) -> bool:
-        return self.allocatable() == 0
-
-    @abc.abstractmethod
-    def allocatable(self) -> int:
-        """How many entries could be allocated right now.
-
-        For CIRC this is less than ``size - occupancy()`` when gaps
-        exist — that difference *is* the capacity inefficiency the paper
-        talks about.
-        """
 
     def allocate_block(self, count: int) -> List[int]:
         """Allocate up to ``count`` entries; returns those obtained."""

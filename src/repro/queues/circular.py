@@ -27,12 +27,13 @@ class CircularQueue(QueueStructure):
         self.gap_slots = 0
 
     def allocate(self) -> Optional[int]:
-        if self.count == self.size:
+        if not self.allocatable:
             self.alloc_failures += 1
             return None
         entry = self.tail
         self.tail = (self.tail + 1) % self.size
         self.count += 1
+        self.allocatable -= 1
         self._live[entry] = True
         self._dead[entry] = False
         return entry
@@ -49,12 +50,10 @@ class CircularQueue(QueueStructure):
             self._dead[self.head] = False
             self.head = (self.head + 1) % self.size
             self.count -= 1
+            self.allocatable += 1
 
     def occupancy(self) -> int:
         return sum(self._live)
-
-    def allocatable(self) -> int:
-        return self.size - self.count
 
     def gaps(self) -> int:
         """Dead-but-unreclaimed slots between head and tail."""

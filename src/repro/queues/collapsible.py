@@ -27,12 +27,13 @@ class CollapsibleQueue(QueueStructure):
         self.shift_ops = 0
 
     def allocate(self) -> Optional[int]:
-        if len(self._slots) == self.size:
+        if not self.allocatable:
             self.alloc_failures += 1
             return None
         handle = self._next_handle
         self._next_handle += 1
         self._slots.append(handle)
+        self.allocatable -= 1
         return handle
 
     def free(self, entry: int) -> None:
@@ -41,6 +42,7 @@ class CollapsibleQueue(QueueStructure):
         except ValueError as exc:
             raise ValueError(f"handle {entry} not live") from exc
         del self._slots[position]
+        self.allocatable += 1
         # every younger instruction shifts down one slot
         self.shift_ops += len(self._slots) - position
 
@@ -54,9 +56,6 @@ class CollapsibleQueue(QueueStructure):
 
     def occupancy(self) -> int:
         return len(self._slots)
-
-    def allocatable(self) -> int:
-        return self.size - len(self._slots)
 
     def is_live(self, entry: int) -> bool:
         return entry in self._slots

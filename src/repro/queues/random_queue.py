@@ -24,11 +24,12 @@ class RandomQueue(QueueStructure):
         self._live = [False] * size
 
     def allocate(self) -> Optional[int]:
-        if not self._free:
+        if not self.allocatable:
             self.alloc_failures += 1
             return None
         entry = self._free.pop()
         self._live[entry] = True
+        self.allocatable -= 1
         return entry
 
     def free(self, entry: int) -> None:
@@ -36,12 +37,10 @@ class RandomQueue(QueueStructure):
             raise ValueError(f"entry {entry} not live")
         self._live[entry] = False
         self._free.append(entry)
+        self.allocatable += 1
 
     def occupancy(self) -> int:
         return self.size - len(self._free)
-
-    def allocatable(self) -> int:
-        return len(self._free)
 
     def is_live(self, entry: int) -> bool:
         return self._live[entry]

@@ -14,12 +14,15 @@ class PhysRegFreeList:
         self.num_regs = num_regs
         self._free: List[int] = list(range(num_regs - 1, -1, -1))
         self._live = [False] * num_regs
+        #: free registers, kept by :meth:`allocate` and :meth:`free`
+        self.available = num_regs
 
     def allocate(self) -> Optional[int]:
-        if not self._free:
+        if not self.available:
             return None
         reg = self._free.pop()
         self._live[reg] = True
+        self.available -= 1
         return reg
 
     def free(self, reg: int) -> None:
@@ -27,12 +30,10 @@ class PhysRegFreeList:
             raise ValueError(f"physical register {reg} not live")
         self._live[reg] = False
         self._free.append(reg)
-
-    def available(self) -> int:
-        return len(self._free)
+        self.available += 1
 
     def occupancy(self) -> int:
-        return self.num_regs - len(self._free)
+        return self.num_regs - self.available
 
     def is_live(self, reg: int) -> bool:
         return self._live[reg]

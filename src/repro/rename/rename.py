@@ -12,33 +12,17 @@ consumer count (incremented at rename, decremented when the consumer
 reads its operands) plus producer-completion and overwriter-committed
 flags; the register frees only when all three conditions hold.  The
 Register Status Table (RST) is exactly this per-physical-register
-state.
+state, held as one column (a flat list indexed by physical register)
+per field rather than one object per register.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
-from ..isa import DynInstr, NUM_ARCH_REGS, NUM_INT_REGS, is_fp
+from ..isa import FP_BASE, NUM_ARCH_REGS, NUM_INT_REGS, DynInstr
 from .freelist import PhysRegFreeList
-
-
-@dataclass
-class RSTEntry:
-    """Register status for one physical register (the paper's RST)."""
-
-    consumers: int = 0
-    producer_done: bool = False
-    overwriter_committed: bool = False
-    #: still the live architectural mapping (not yet overwritten)
-    architectural: bool = True
-    #: seq of the producing instruction — producer-side events are
-    #: ignored unless they come from the current owner, because an
-    #: oracle load replay can write back after its register was
-    #: reclaimed (overwriter committed, readers drained) and even
-    #: re-allocated to a younger instruction
-    producer_seq: int = -1
 
 
 @dataclass
@@ -64,6 +48,28 @@ class RenameUnit:
     core: ``num_phys_regs`` *integer* physical registers and the same
     number of floating-point ones.  Flat physical ids place the FP file
     at ``num_phys_regs + idx``.
+
+    The RST is six columns indexed by flat physical id.  A register's
+    row means something only while ``live[phys]`` (allocated: from
+    rename, or construction for the initial mappings, until reclaimed);
+    allocation rewrites the whole row:
+
+    * ``consumers`` — renamed readers that have not read it yet;
+    * ``producer_done`` — the producer wrote back;
+    * ``overwriter_committed`` — the next writer of its architectural
+      register committed;
+    * ``architectural`` — still the live architectural mapping (not
+      yet overwritten);
+    * ``producer_seq`` — seq of the producing instruction.
+      Producer-side events are ignored unless they come from the
+      current owner, because an oracle load replay can write back after
+      its register was reclaimed (overwriter committed, readers
+      drained) and even re-allocated to a younger instruction.
+
+    A register is reclaimed at the event that makes its last freeing
+    condition true: a consumer count reaching zero, the producer
+    completing after the overwriter committed, or the overwriter
+    committing.  ``live_regs`` counts the live registers of both files.
     """
 
     def __init__(self, num_phys_regs: int, scheme: str = "inorder"):
@@ -76,21 +82,50 @@ class RenameUnit:
         self.num_phys_regs = num_phys_regs
         self.int_freelist = PhysRegFreeList(num_phys_regs)
         self.fp_freelist = PhysRegFreeList(num_phys_regs)
-        self.rst: Dict[int, RSTEntry] = {}
+        #: architectural register -> the free list its renames draw on
+        self.freelist_of = [
+            self.fp_freelist if arch >= FP_BASE else self.int_freelist
+            for arch in range(NUM_ARCH_REGS)]
+        total = 2 * num_phys_regs
+        self.live = [False] * total
+        self.consumers = [0] * total
+        self.producer_done = [False] * total
+        self.overwriter_committed = [False] * total
+        self.architectural = [False] * total
+        self.producer_seq = [-1] * total
+        self.live_regs = 0
         self.rat: List[int] = []
         for arch in range(NUM_ARCH_REGS):
-            phys = self._allocate(arch)
+            phys = self._allocate(arch, -1)
+            self.producer_done[phys] = True
             self.rat.append(phys)
-            self.rst[phys] = RSTEntry(producer_done=True)
         self.freed = 0
 
-    def _allocate(self, arch_reg: int) -> Optional[int]:
-        if is_fp(arch_reg):
+    def _allocate(self, arch_reg: int, seq: int) -> Optional[int]:
+        """Claim a register of ``arch_reg``'s file and write its RST
+        row: live, architectural, no consumers, producer ``seq``
+        pending.  None when the file is exhausted."""
+        if arch_reg >= FP_BASE:
             phys = self.fp_freelist.allocate()
-            return None if phys is None else self.num_phys_regs + phys
-        return self.int_freelist.allocate()
+            if phys is not None:
+                phys += self.num_phys_regs
+        else:
+            phys = self.int_freelist.allocate()
+        if phys is None:
+            return None
+        self.live[phys] = True
+        self.consumers[phys] = 0
+        self.producer_done[phys] = False
+        self.overwriter_committed[phys] = False
+        self.architectural[phys] = True
+        self.producer_seq[phys] = seq
+        self.live_regs += 1
+        return phys
 
-    def _free_phys(self, phys: int) -> None:
+    def _reclaim(self, phys: int) -> None:
+        """Return ``phys`` to its file's free list."""
+        self.live[phys] = False
+        self.live_regs -= 1
         if phys >= self.num_phys_regs:
             self.fp_freelist.free(phys - self.num_phys_regs)
         else:
@@ -99,30 +134,28 @@ class RenameUnit:
     # -- rename ---------------------------------------------------------
 
     def can_rename(self, dst_reg: Optional[int]) -> bool:
-        if dst_reg is None:
-            return True
-        pool = self.fp_freelist if is_fp(dst_reg) else self.int_freelist
-        return pool.available() > 0
+        return dst_reg is None or self.freelist_of[dst_reg].available > 0
 
     def rename(self, instr: DynInstr) -> RenameRecord:
         """Map sources through the RAT and claim a destination register."""
-        srcs_phys = tuple(self.rat[src] for src in instr.srcs)
+        rat = self.rat
+        srcs_phys = tuple(map(rat.__getitem__, instr.srcs))
+        consumers = self.consumers
         for phys in srcs_phys:
-            self.rst[phys].consumers += 1
+            consumers[phys] += 1
         phys_dst = None
         prev_phys = None
-        if instr.dst is not None:
-            phys_dst = self._allocate(instr.dst)
+        dst = instr.dst
+        if dst is not None:
+            phys_dst = self._allocate(dst, instr.seq)
             if phys_dst is None:
                 for phys in srcs_phys:
-                    self.rst[phys].consumers -= 1
+                    consumers[phys] -= 1
                 raise RuntimeError("rename called without a free register")
-            prev_phys = self.rat[instr.dst]
-            self.rst[prev_phys].architectural = False
-            self.rat[instr.dst] = phys_dst
-            self.rst[phys_dst] = RSTEntry(producer_seq=instr.seq)
-        return RenameRecord(instr.seq, instr.dst, phys_dst, prev_phys,
-                            srcs_phys)
+            prev_phys = rat[dst]
+            self.architectural[prev_phys] = False
+            rat[dst] = phys_dst
+        return RenameRecord(instr.seq, dst, phys_dst, prev_phys, srcs_phys)
 
     # -- lifetime events ---------------------------------------------------
 
@@ -131,97 +164,85 @@ class RenameUnit:
         if not record.reads_outstanding:
             raise RuntimeError(f"operands of #{record.seq} read twice")
         record.reads_outstanding = False
+        consumers = self.consumers
         for phys in record.srcs_phys:
-            entry = self.rst[phys]
-            entry.consumers -= 1
-            if entry.consumers < 0:
-                raise RuntimeError(f"consumer underflow on p{phys}")
-            self._maybe_free(phys)
+            count = consumers[phys] - 1
+            consumers[phys] = count
+            if count:
+                if count < 0:
+                    raise RuntimeError(f"consumer underflow on p{phys}")
+                continue
+            if (self.overwriter_committed[phys]
+                    and self.producer_done[phys]
+                    and not self.architectural[phys] and self.live[phys]):
+                self._reclaim(phys)
+                self.freed += 1
 
     def producer_completed(self, record: RenameRecord) -> None:
         """The producing instruction wrote back its value."""
-        if record.phys_dst is None:
-            return
-        entry = self.rst.get(record.phys_dst)
-        if entry is None or entry.producer_seq != record.seq:
+        phys = record.phys_dst
+        if phys is None or not self.live[phys] \
+                or self.producer_seq[phys] != record.seq:
             # already reclaimed (oracle replay writing back late)
             return
-        entry.producer_done = True
-        self._maybe_free(record.phys_dst)
+        self.producer_done[phys] = True
+        if (self.overwriter_committed[phys] and not self.consumers[phys]
+                and not self.architectural[phys]):
+            self._reclaim(phys)
+            self.freed += 1
 
     def producer_replayed(self, record: RenameRecord) -> None:
         """The producer was re-executed in place (oracle load replay):
         its result is in flight again, so the destination must not be
         reclaimed until the replay writes back."""
-        if record.phys_dst is None:
-            return
-        entry = self.rst.get(record.phys_dst)
-        if entry is not None and entry.producer_seq == record.seq:
-            entry.producer_done = False
+        phys = record.phys_dst
+        if phys is not None and self.live[phys] \
+                and self.producer_seq[phys] == record.seq:
+            self.producer_done[phys] = False
 
     def writer_committed(self, record: RenameRecord) -> None:
         """The instruction committed; reclaim per the active scheme."""
         if record.phys_dst is None:
             return
-        if record.prev_phys is None:
+        prev = record.prev_phys
+        if prev is None:
             return
         record.released = True
-        prev = self.rst[record.prev_phys]
-        prev.overwriter_committed = True
+        self.overwriter_committed[prev] = True
         if self.scheme == "inorder":
             # in-order commit: every older reader has committed
-            prev.consumers = 0
-            prev.producer_done = True
-        self._maybe_free(record.prev_phys)
-
-    def _maybe_free(self, phys: int) -> None:
-        entry = self.rst.get(phys)
-        if entry is None or entry.architectural:
-            return
-        if (entry.overwriter_committed and entry.producer_done
-                and entry.consumers == 0):
-            del self.rst[phys]
-            self._free_phys(phys)
+            self.consumers[prev] = 0
+            self.producer_done[prev] = True
+        if (self.producer_done[prev] and not self.consumers[prev]
+                and not self.architectural[prev] and self.live[prev]):
+            self._reclaim(prev)
             self.freed += 1
 
     # -- squash ----------------------------------------------------------------
 
     def squash(self, records: List[RenameRecord]) -> None:
         """Undo renames, youngest first (records may be any order)."""
+        live = self.live
+        consumers = self.consumers
         for record in sorted(records, key=lambda r: r.seq, reverse=True):
             if record.reads_outstanding:
                 for phys in record.srcs_phys:
-                    if phys in self.rst:
-                        self.rst[phys].consumers -= 1
-            if record.phys_dst is None:
+                    if live[phys]:
+                        consumers[phys] -= 1
+            phys_dst = record.phys_dst
+            if phys_dst is None:
                 continue
             if record.released:
                 # Cherry-style early release already reclaimed
                 # prev_phys (possibly re-allocated by now): the rename
                 # is irreversible.  Keep phys_dst as the architectural
                 # mapping so the refetched stream renames against it.
-                entry = self.rst.get(record.phys_dst)
-                if (entry is not None
-                        and self.rat[record.arch_dst] == record.phys_dst):
-                    entry.architectural = True
-                    entry.overwriter_committed = False
+                if live[phys_dst] and self.rat[record.arch_dst] == phys_dst:
+                    self.architectural[phys_dst] = True
+                    self.overwriter_committed[phys_dst] = False
                 continue
-            self.rat[record.arch_dst] = record.prev_phys
-            self.rst[record.prev_phys].architectural = True
-            self.rst[record.prev_phys].overwriter_committed = False
-            del self.rst[record.phys_dst]
-            self._free_phys(record.phys_dst)
-
-    # -- introspection ----------------------------------------------------
-
-    def available(self) -> int:
-        return self.int_freelist.available() + self.fp_freelist.available()
-
-    def occupancy(self) -> int:
-        return self.int_freelist.occupancy() + self.fp_freelist.occupancy()
-
-    def int_occupancy(self) -> int:
-        return self.int_freelist.occupancy()
-
-    def fp_occupancy(self) -> int:
-        return self.fp_freelist.occupancy()
+            prev = record.prev_phys
+            self.rat[record.arch_dst] = prev
+            self.architectural[prev] = True
+            self.overwriter_committed[prev] = False
+            self._reclaim(phys_dst)

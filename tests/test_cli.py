@@ -193,3 +193,13 @@ class TestExecutorFlags:
         assert "Figure 14" in out
         assert "executor:" in out and "workers=2" in out
         assert "wall-clock" in out
+
+    def test_bench_reports_the_lanes_that_applied(self, capsys):
+        """Lanes batch only in-process: with workers the executor line
+        says ``lanes=1`` whatever ``--lanes`` asked for."""
+        assert main(["bench", "fig15", "--scale", "0.05",
+                     "--kernels", "gcc.mix", "--jobs", "2", "--lanes", "4",
+                     "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "workers=2, lanes=1," in out
+        assert "lane batches" not in out

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.frontend import (BimodalPredictor, BranchTargetBuffer, FetchUnit,
                             GsharePredictor, ReturnAddressStack,
@@ -162,6 +164,171 @@ class TestDirectionPredictors:
                                 for table in twin.useful]
         assert aging.tags == twin.tags
         assert aging.counters == twin.counters
+
+
+class ReferenceTage:
+    """TAGE hashing each table's history from scratch on every lookup —
+    the ``_folded_history`` / ``_index`` / ``_tag`` definition that
+    :class:`TagePredictor`'s per-branch lookup and folded registers
+    must reproduce.  Prediction and update are otherwise the same
+    algorithm, over the same flat tables."""
+
+    def __init__(self, num_tables=6, table_entries=512, min_history=4,
+                 max_history=128, tag_bits=9, base_entries=4096,
+                 useful_reset_period=256 * 1024):
+        shape = TagePredictor(num_tables, table_entries, min_history,
+                              max_history, tag_bits, base_entries,
+                              useful_reset_period)
+        self.base = BimodalPredictor(base_entries)
+        self.num_tables = num_tables
+        self.table_entries = table_entries
+        self.tag_bits = tag_bits
+        self.tag_mask = (1 << tag_bits) - 1
+        self.useful_reset_period = useful_reset_period
+        self.history_lengths = shape.history_lengths
+        self.tags = [[0] * table_entries for _ in range(num_tables)]
+        self.counters = [[4] * table_entries for _ in range(num_tables)]
+        self.useful = [[0] * table_entries for _ in range(num_tables)]
+        self.history = 0
+        self.history_bits = max_history
+        self._updates = 0
+        self._provider = None
+        self._provider_index = 0
+        self._alt_pred = False
+        self._provider_pred = False
+
+    def _folded_history(self, length, bits):
+        history = self.history & ((1 << length) - 1)
+        folded = 0
+        while history:
+            folded ^= history & ((1 << bits) - 1)
+            history >>= bits
+        return folded
+
+    def _index(self, table, pc):
+        length = self.history_lengths[table]
+        bits = self.table_entries.bit_length() - 1
+        return (pc ^ (pc >> bits) ^ self._folded_history(length, bits)) \
+            & (self.table_entries - 1)
+
+    def _tag(self, table, pc):
+        length = self.history_lengths[table]
+        return (pc ^ self._folded_history(length, self.tag_bits)
+                ^ (self._folded_history(length, self.tag_bits - 1) << 1)) \
+            & self.tag_mask
+
+    def predict(self, pc):
+        self._provider = None
+        self._alt_pred = self.base.predict(pc)
+        prediction = self._alt_pred
+        found_alt = False
+        for table in range(self.num_tables - 1, -1, -1):
+            index = self._index(table, pc)
+            if self.tags[table][index] == self._tag(table, pc):
+                counter = self.counters[table][index]
+                if self._provider is None:
+                    self._provider = table
+                    self._provider_index = index
+                    self._provider_pred = counter >= 4
+                    prediction = self._provider_pred
+                else:
+                    self._alt_pred = counter >= 4
+                    found_alt = True
+                    break
+        if self._provider is not None and not found_alt:
+            self._alt_pred = self.base.predict(pc)
+        return prediction
+
+    def update(self, pc, taken):
+        if self._provider is not None:
+            index = self._provider_index
+            useful = self.useful[self._provider]
+            counters = self.counters[self._provider]
+            mispredicted = self._provider_pred != taken
+            if self._provider_pred != self._alt_pred:
+                useful[index] = min(3, useful[index] + 1) \
+                    if self._provider_pred == taken \
+                    else max(0, useful[index] - 1)
+            counters[index] = min(7, counters[index] + 1) if taken \
+                else max(0, counters[index] - 1)
+        else:
+            mispredicted = self.base.predict(pc) != taken
+        self.base.update(pc, taken)
+        if mispredicted:
+            start = (self._provider + 1) if self._provider is not None \
+                else 0
+            for table in range(start, self.num_tables):
+                index = self._index(table, pc)
+                if self.useful[table][index] == 0:
+                    self.tags[table][index] = self._tag(table, pc)
+                    self.counters[table][index] = 4 if taken else 3
+                    break
+            else:
+                for table in range(start, self.num_tables):
+                    index = self._index(table, pc)
+                    self.useful[table][index] = \
+                        max(0, self.useful[table][index] - 1)
+        self.history = ((self.history << 1) | int(taken)) \
+            & ((1 << self.history_bits) - 1)
+        self._updates += 1
+        if self._updates % self.useful_reset_period == 0:
+            self.useful = [[value >> 1 for value in table]
+                           for table in self.useful]
+
+
+#: predictor shapes: the default (index and 9-bit tag folds coincide),
+#: narrower tables (they differ), a wide tag and longer history
+TAGE_SHAPES = [
+    {},
+    {"num_tables": 4, "table_entries": 128},
+    {"num_tables": 5, "table_entries": 64, "tag_bits": 11,
+     "max_history": 200, "useful_reset_period": 64},
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(TAGE_SHAPES), data=st.data())
+def test_tage_lookup_matches_per_table_hashes(shape, data):
+    """Property: after any branch history, one lookup gives every
+    table's ``(index, tag)`` as hashing that table's history from
+    scratch does, for any pc.  The history is a random full-width
+    integer, shifted in oldest bit first."""
+    tage, ref = TagePredictor(**shape), ReferenceTage(**shape)
+    history = data.draw(st.integers(0, (1 << tage.history_bits) - 1))
+    for bit in reversed(range(tage.history_bits)):
+        tage._push_history(bool(history >> bit & 1))
+    assert tage.history == history
+    ref.history = history
+    for pc in data.draw(st.lists(st.integers(0, 1 << 20), min_size=1,
+                                 max_size=8)):
+        tage._lookup(pc)
+        assert tage._indices == [ref._index(t, pc)
+                                 for t in range(ref.num_tables)]
+        assert tage._tags == [ref._tag(t, pc)
+                              for t in range(ref.num_tables)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(TAGE_SHAPES), data=st.data())
+def test_tage_matches_reference_on_a_branch_stream(shape, data):
+    """Property: a random branch stream (a few hot pcs with biased
+    outcomes, so tables allocate, hit and age) gets the same prediction
+    at every branch, and leaves the same tables and history, as the
+    from-scratch reference."""
+    tage, ref = TagePredictor(**shape), ReferenceTage(**shape)
+    pcs = data.draw(st.lists(st.integers(0, 4095), min_size=1,
+                             max_size=6))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    for _ in range(data.draw(st.integers(1, 600))):
+        pc = rng.choice(pcs)
+        taken = rng.random() < 0.7 if pc % 2 else rng.random() < 0.2
+        assert tage.predict(pc) == ref.predict(pc)
+        tage.update(pc, taken)
+        ref.update(pc, taken)
+    assert tage.history == ref.history
+    assert tage.tags == ref.tags
+    assert tage.counters == ref.counters
+    assert tage.useful == ref.useful
 
 
 class TestBTB:

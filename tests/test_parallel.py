@@ -308,19 +308,20 @@ class TestExecutor:
         for trace in traces.values():
             assert not any(instr.critical for instr in trace)
 
+    @pytest.mark.parametrize("lanes", [1, 2])
     def test_failing_cell_is_the_same_hole_at_any_worker_count(
-            self, traces, serial_reference):
+            self, traces, serial_reference, lanes):
         """A cell that raises in its task function (here at core
         construction) is an annotated hole with a crash bundle, whether
-        it ran in-process or in a worker, and its healthy neighbour is
-        unaffected."""
+        it ran in-process, in a lane batch (``lanes=2`` at one worker)
+        or in a worker, and its healthy neighbour is unaffected."""
         label, config = CONFIGS[0]
         jobs = [Job("bad", base_config(lq_size=0), "gcc.mix", SCALE),
                 Job(label, config, "gcc.mix", SCALE)]
         holes = []
         for workers in (1, 2):
             results = run_suite(jobs, workers=workers, cache=None,
-                                lanes=1)
+                                lanes=lanes)
             assert results["bad"].statuses["gcc.mix"] is CellStatus.FAILED
             failure = results["bad"].failures["gcc.mix"]
             assert failure.kind == "exception"

@@ -94,6 +94,32 @@ class TestExecution:
         assert stats.occupancy("rob") <= base_config().rob_size
         assert stats.occupancy("iq") <= base_config().iq_size
 
+    @pytest.mark.parametrize("iq_org", ["rand", "circ"])
+    @pytest.mark.parametrize("kernel,commit", [
+        ("gcc.mix", "ioc"),              # wrong-path squashes
+        ("sys.drain", "orinoco"),        # precise exceptions, OoO commit
+    ])
+    def test_stat_lengths_match_structure_occupancy(self, iq_org, kernel,
+                                                    commit):
+        """The per-cycle occupancy stats read ``len(iq_ops)``,
+        ``len(lsq.lq)`` and ``rename.live_regs``; after every stepped
+        cycle each must equal its structure's own occupancy."""
+        from repro.workloads import build_trace
+        core = O3Core(build_trace(kernel, 0.05),
+                      base_config(commit=commit, iq_org=iq_org))
+        while not core.done():
+            core.step()
+            assert len(core.iq_ops) == core.iq_queue.occupancy()
+            assert len(core.lsq.lq) == core.lsq.lq_alloc.occupancy()
+            assert core.rename.live_regs == \
+                core.rename.int_freelist.occupancy() + \
+                core.rename.fp_freelist.occupancy()
+        # the run went through the squashes it was chosen for
+        if kernel == "gcc.mix":
+            assert core.stats.wrong_path_dispatched > 0
+        else:
+            assert core.stats.exceptions > 0
+
     def test_max_cycles_guard(self):
         trace = simple_trace(200)
         with pytest.raises(DeadlockError):

@@ -19,7 +19,7 @@ class TestRandomQueue:
         q = RandomQueue(3)
         entries = [q.allocate() for _ in range(3)]
         q.free(entries[1])
-        assert q.allocatable() == 1
+        assert q.allocatable == 1
         assert q.allocate() == entries[1]
 
     def test_double_free_rejected(self):
@@ -35,7 +35,7 @@ class TestRandomQueue:
         q.allocate()
         q.free(a)
         assert q.occupancy() == 1
-        assert q.allocatable() == 3
+        assert q.allocatable == 3
 
     def test_no_capacity_loss_under_ooo_free(self):
         """RAND is capacity-efficient: any free slot is allocatable."""
@@ -43,7 +43,7 @@ class TestRandomQueue:
         entries = [q.allocate() for _ in range(4)]
         q.free(entries[2])
         q.free(entries[0])
-        assert q.allocatable() == 2
+        assert q.allocatable == 2
 
 
 class TestCircularQueue:
@@ -52,7 +52,7 @@ class TestCircularQueue:
         entries = [q.allocate() for _ in range(3)]
         for entry in entries:
             q.free(entry)
-        assert q.allocatable() == 3
+        assert q.allocatable == 3
 
     def test_gap_blocks_capacity(self):
         """Figure 1(b): freeing a middle entry does not free its slot."""
@@ -60,17 +60,17 @@ class TestCircularQueue:
         entries = [q.allocate() for _ in range(3)]
         q.free(entries[1])          # middle: becomes a gap
         assert q.occupancy() == 2
-        assert q.allocatable() == 0          # still full!
+        assert q.allocatable == 0          # still full!
         assert q.gaps() == 1
         q.free(entries[0])          # head: reclaims itself AND the gap
-        assert q.allocatable() == 2
+        assert q.allocatable == 2
 
     def test_wraparound(self):
         q = CircularQueue(3)
         for _ in range(7):
             entry = q.allocate()
             q.free(entry)
-        assert q.allocatable() == 3
+        assert q.allocatable == 3
 
     def test_alloc_failure_counted(self):
         q = CircularQueue(2)
@@ -129,20 +129,29 @@ class TestCollapsibleQueue:
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_rand_never_loses_capacity_circ_may(data):
-    """Property: RAND's allocatable == size - occupancy always; CIRC's
-    allocatable <= that, with equality when frees arrive in FIFO order."""
+    """Property: RAND's and SHIFT's allocatable == size - occupancy
+    always; CIRC's allocatable == size - count (slots between head and
+    tail, gaps included), so it is <= RAND's, with equality when frees
+    arrive in FIFO order.  Each queue keeps the count itself, so this
+    also holds the attribute to the queue's own state after every
+    allocate and free."""
     size = data.draw(st.integers(min_value=2, max_value=12))
     rand, circ = RandomQueue(size), CircularQueue(size)
+    shift = CollapsibleQueue(size)
     live = []
     for _ in range(data.draw(st.integers(min_value=1, max_value=60))):
         if live and data.draw(st.booleans()):
             idx = data.draw(st.integers(min_value=0, max_value=len(live) - 1))
-            r_entry, c_entry = live.pop(idx)
+            r_entry, c_entry, s_entry = live.pop(idx)
             rand.free(r_entry)
             circ.free(c_entry)
+            shift.free(s_entry)
         else:
             r_entry = rand.allocate()
             c_entry = circ.allocate()
+            s_entry = shift.allocate()
+            # SHIFT and RAND are both capacity-efficient
+            assert (r_entry is None) == (s_entry is None)
             if r_entry is None or c_entry is None:
                 # CIRC may fill first due to gaps — RAND must not be the
                 # one that fails if CIRC succeeded
@@ -151,7 +160,10 @@ def test_rand_never_loses_capacity_circ_may(data):
                     circ.free(c_entry)
                 if r_entry is not None:
                     rand.free(r_entry)
-                continue
-            live.append((r_entry, c_entry))
-        assert rand.allocatable() == size - rand.occupancy()
-        assert circ.allocatable() <= rand.allocatable()
+                    shift.free(s_entry)
+            else:
+                live.append((r_entry, c_entry, s_entry))
+        assert rand.allocatable == size - rand.occupancy()
+        assert shift.allocatable == size - shift.occupancy()
+        assert circ.allocatable == size - circ.count
+        assert circ.allocatable <= rand.allocatable

@@ -10,7 +10,11 @@ second counts the simulation and the harness around it.
 The count repeats exactly on one interpreter (a pass draws nothing from
 the clock), so it compares across commits where shared-runner timings
 cannot.  It is a measurement of where the cycle loop spends Python
-calls, not a benchmark metric::
+calls, not a benchmark metric.  Besides the total and the busiest
+functions it reports the split by ``repro`` subpackage (a function's
+module, so a dataclass's generated ``__init__`` counts where the class
+lives; code outside ``repro`` is grouped by top-level package) and the
+number of ``InflightOp`` records built, one per fetched op::
 
     PYTHONPATH=src python benchmarks/call_counts.py --top 25 --json calls.json
 """
@@ -27,6 +31,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.harness.experiments import fig15                # noqa: E402
+from repro.pipeline.stages.state import InflightOp          # noqa: E402
 
 SCALE = 0.1
 TARGETS = ["gcc.mix", "mcf.chase", "x264.divint", "sys.drain", "smt.memfp"]
@@ -37,15 +42,16 @@ def _pass() -> None:
 
 
 def count_calls() -> Counter:
-    """``Counter`` of "call" events per ``file:line function``."""
+    """``Counter`` of "call" events per ``(file, line, function,
+    module)``."""
     _pass()                                # warm-up: imports, trace LRU
     calls: Counter = Counter()
 
     def profile(frame, event, arg):
         if event == "call":
             code = frame.f_code
-            calls[(code.co_filename, code.co_firstlineno,
-                   code.co_name)] += 1
+            calls[(code.co_filename, code.co_firstlineno, code.co_name,
+                   frame.f_globals.get("__name__", "?"))] += 1
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -54,6 +60,13 @@ def count_calls() -> Counter:
     finally:
         sys.setprofile(previous)
     return calls
+
+
+def _subpackage(module: str) -> str:
+    """``repro.pipeline`` for ``repro.pipeline.stages.state``, ``repro.cli``
+    for ``repro.cli``; outside ``repro`` the top-level package."""
+    parts = module.split(".")
+    return ".".join(parts[:2]) if parts[0] == "repro" else parts[0]
 
 
 def _label(key) -> str:
@@ -76,8 +89,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     calls = count_calls()
     total = sum(calls.values())
-    top = [(_label(key), count) for key, count in calls.most_common(args.top)]
+    functions: Counter = Counter()
+    subpackages: Counter = Counter()
+    for (filename, line, name, module), count in calls.items():
+        functions[(filename, line, name)] += count
+        subpackages[_subpackage(module)] += count
+    init = InflightOp.__init__.__code__
+    inflight_ops = functions[(init.co_filename, init.co_firstlineno,
+                              init.co_name)]
+    top = [(_label(key), count)
+           for key, count in functions.most_common(args.top)]
+    by_subpackage = dict(subpackages.most_common())
     print(f"python-level calls per fig15 pass: {total:,}")
+    print(f"InflightOp records built: {inflight_ops:,}")
+    print("calls by subpackage:")
+    for package, count in by_subpackage.items():
+        print(f"{count:>10,}  {package}")
+    print("busiest functions:")
     for label, count in top:
         print(f"{count:>10,}  {label}")
     if args.json:
@@ -88,6 +116,8 @@ def main(argv=None) -> int:
             "python": sys.version.split()[0],
             "hash_seed": os.environ.get("PYTHONHASHSEED"),
             "total_calls": total,
+            "inflight_ops": inflight_ops,
+            "by_subpackage": by_subpackage,
             "top": [{"function": label, "calls": count}
                     for label, count in top],
         }, indent=1) + "\n")

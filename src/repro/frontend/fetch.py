@@ -10,25 +10,15 @@ cycle, modelling one-taken-branch-per-cycle fetch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..isa import DynInstr, OpClass, Opcode, Trace
+from ..isa import DynInstr, Opcode, Trace
 from .predictor import BranchPredictor
 
 #: synthetic wrong-path instruction mix: mostly simple ALU work with the
 #: occasional multiply, mirroring a typical integer path
 _WP_OPCODES = (Opcode.ADD, Opcode.XOR, Opcode.ADDI, Opcode.SLL,
                Opcode.ADD, Opcode.MUL)
-
-
-@dataclass
-class FetchedInstr:
-    """A fetched dynamic instruction with its prediction verdict."""
-
-    instr: DynInstr
-    mispredicted: bool
-    wrong_path: bool = False
 
 
 class FetchUnit:
@@ -45,7 +35,6 @@ class FetchUnit:
     def __init__(self, trace: Trace, predictor: BranchPredictor,
                  width: int, redirect_penalty: int = 10,
                  model_wrong_path: bool = True):
-        self.trace = trace
         self.predictor = predictor
         self.width = width
         self.redirect_penalty = redirect_penalty
@@ -56,72 +45,68 @@ class FetchUnit:
         self.trace_len = len(trace.instrs)
         #: seq (trace index) of the next correct-path instruction
         self.next_seq = 0
-        #: seq of the mispredicted branch fetch is stalled behind
-        self._stalled_on: Optional[int] = None
+        #: seq of the mispredicted branch fetch is stalled behind (None
+        #: while fetching the correct path)
+        self.stalled_on: Optional[int] = None
         #: cycle at which fetch may resume after a resolved redirect
         self._resume_at = 0
-        self.fetched = 0
         self.stall_cycles = 0
+        #: wrong-path instructions fetched: the k-th is opcode
+        #: ``_WP_OPCODES[k % 6]``, and its op's seq is -k
         self.wrong_path_fetched = 0
-        self._wp_counter = 0
+        # one record per opcode slot, shared by every wrong-path op and
+        # never in a trace; repeated so that a group is one slice
+        slots = [DynInstr(seq=-1, pc=-1, opcode=opcode,
+                          op_class=opcode.op_class, dst=None, srcs=(),
+                          imm=0, addr=None, taken=False, next_pc=-1,
+                          fault=False, critical=False)
+                 for opcode in _WP_OPCODES]
+        self._wp_ring = slots * ((width + 10) // len(slots))
 
     def exhausted(self) -> bool:
         return self.next_seq >= self.trace_len
 
-    def _wrong_path_instr(self) -> DynInstr:
-        self._wp_counter += 1
-        opcode = _WP_OPCODES[self._wp_counter % len(_WP_OPCODES)]
-        return DynInstr(
-            seq=-self._wp_counter, pc=-1, opcode=opcode,
-            op_class=opcode.op_class, dst=None, srcs=(), imm=0, addr=None,
-            taken=False, next_pc=-1, fault=False, critical=False)
-
-    def fetch(self, cycle: int, max_count: Optional[int] = None
-              ) -> List[FetchedInstr]:
-        """Fetch up to ``min(width, max_count)`` instructions this cycle."""
+    def fetch(self, cycle: int) -> List[DynInstr]:
+        """Fetch up to ``width`` instructions this cycle: all wrong-path
+        while ``stalled_on`` is set, else trace records of which only
+        the last may be mispredicted (``stalled_on`` then holds it)."""
         next_seq = self.next_seq
         end = self.trace_len
         if next_seq >= end:
             return []
-        if self._stalled_on is not None:
+        if self.stalled_on is not None:
             self.stall_cycles += 1
             if not self.model_wrong_path:
                 return []
-            budget = self.width if max_count is None else min(self.width,
-                                                              max_count)
-            group = [FetchedInstr(self._wrong_path_instr(), False,
-                                  wrong_path=True) for _ in range(budget)]
-            self.wrong_path_fetched += len(group)
-            return group
+            first = (self.wrong_path_fetched + 1) % len(_WP_OPCODES)
+            self.wrong_path_fetched += self.width
+            return self._wp_ring[first:first + self.width]
         if cycle < self._resume_at:
             self.stall_cycles += 1
             return []
-        budget = self.width if max_count is None else min(self.width,
-                                                          max_count)
-        group: List[FetchedInstr] = []
+        budget = self.width
+        group: List[DynInstr] = []
         instrs = self._instrs
         while budget > 0 and next_seq < end:
             instr = instrs[next_seq]
-            mispredicted = self.predictor.predict(instr) \
-                if instr.is_branch else False
-            group.append(FetchedInstr(instr, mispredicted))
+            group.append(instr)
             next_seq += 1
             budget -= 1
-            if mispredicted:
-                # fetching proceeds down the wrong path; no further
-                # correct-path instructions until the branch resolves
-                self._stalled_on = instr.seq
-                break
-            if instr.is_branch and instr.taken:
-                break  # taken transfer ends the fetch group
-        self.fetched += next_seq - self.next_seq
+            if instr.is_branch:
+                if self.predictor.predict(instr):
+                    # fetching proceeds down the wrong path; no further
+                    # correct-path instructions until the branch resolves
+                    self.stalled_on = instr.seq
+                    break
+                if instr.taken:
+                    break  # taken transfer ends the fetch group
         self.next_seq = next_seq
         return group
 
     def branch_resolved(self, seq: int, cycle: int) -> None:
         """The back end resolved branch ``seq`` at ``cycle``."""
-        if self._stalled_on == seq:
-            self._stalled_on = None
+        if self.stalled_on == seq:
+            self.stalled_on = None
             self._resume_at = cycle + self.redirect_penalty
 
     def squash_to(self, seq: int, cycle: int) -> None:
@@ -131,5 +116,5 @@ class FetchUnit:
         and charges the redirect penalty.
         """
         self.next_seq = seq + 1
-        self._stalled_on = None
+        self.stalled_on = None
         self._resume_at = cycle + self.redirect_penalty

@@ -15,8 +15,9 @@ against and the circuit model prices):
   dispatch stamp is not younger than the oldest speculative one (the
   merged age/SPEC matrix's check), and the configured
   :class:`~repro.commit.CommitPolicy` retires instructions;
-* the LQ/SQ use the memory disambiguation matrix for speculative load
-  issue and early (pre-performed-older-stores) load commit.
+* the LQ/SQ keep the memory disambiguation matrix as per-load counts
+  of unresolved older stores, for speculative load issue and early
+  (pre-performed-older-stores) load commit.
 
 The stage logic itself lives in :mod:`repro.pipeline.stages` — one
 module per pipeline stage, each operating on the shared
@@ -51,10 +52,9 @@ __all__ = ["ENGINE_VERSION", "DeadlockError", "InflightOp", "O3Core",
 #: Engine revision token, part of every result-cache key.  Bump it
 #: whenever the timing model's *output* could change (new counters,
 #: different arbitration, changed latencies) so stale cached SimStats
-#: from an older engine can never satisfy a lookup.  Pure-performance
-#: work that is proven bit-exact (e.g. the quiescent-cycle
-#: fast-forward, the lane-stacked matrix storage) still warrants a
-#: bump out of caution.
+#: from an older engine can never satisfy a lookup.  A change that the
+#: identity matrix shows to be bit-identical keeps the version: a bump
+#: changes every cache key and the verify checkpoint digest.
 ENGINE_VERSION = 6
 
 _CYCLE = EventType.CYCLE
@@ -159,7 +159,9 @@ class O3Core:
             if self.state.cycle >= max_cycles:
                 raise DeadlockError(
                     f"cycle budget exhausted at {self.state.cycle}")
-            if ff is not None and ff.advance(max_cycles):
+            # advance declines, changing nothing, while an op is ready
+            if ff is not None and not self.ready_set \
+                    and ff.advance(max_cycles):
                 continue
             self.step()
         self._finalize_stats()
@@ -245,7 +247,7 @@ class O3Core:
             op = s.window[seq]
             dyn = op.dyn
             ops.append({
-                "seq": dyn.seq,
+                "seq": op.seq,
                 "pc": dyn.pc,
                 "op_class": dyn.op_class.name,
                 "issued": op.issued_at is not None,

@@ -117,12 +117,12 @@ class FastForward:
         fetch = s.fetch
         if not (fetch.next_seq >= fetch.trace_len
                 or len(s.dispatch_buffer) >= 2 * s.config.dispatch_width
-                or (fetch._stalled_on is None and cycle < fetch._resume_at)
-                or (fetch._stalled_on is not None
+                or (fetch.stalled_on is None and cycle < fetch._resume_at)
+                or (fetch.stalled_on is not None
                     and not fetch.model_wrong_path)):
             return False
         if s.dispatch_buffer and \
-                self._dispatch._blocker(s.dispatch_buffer[0].instr) is None:
+                self._dispatch._blocker(s.dispatch_buffer[0]) is None:
             return False
         live = s.bus.live
         if live[_CYCLE] or live[_STALL] or live[_MATRIX]:
@@ -141,7 +141,7 @@ class FastForward:
         if s.wp_ready:
             wake = min(wake, s.wp_ready[0][0])
         fetch = s.fetch
-        if fetch.next_seq < fetch.trace_len and fetch._stalled_on is None \
+        if fetch.next_seq < fetch.trace_len and fetch.stalled_on is None \
                 and fetch._resume_at > cycle:
             wake = min(wake, fetch._resume_at)
         return wake
@@ -154,7 +154,8 @@ class FastForward:
         Returns True when it stepped the core at least once (the run
         loop just continues); False when the cycle is not quiescent and
         the caller should step normally.  Never steps past anything the
-        exact path would have reacted to.
+        exact path would have reacted to.  :meth:`O3Core.run` asks only
+        while the ready set is empty (the predicate's first test).
         """
         core = self.core
         s = self.s

@@ -128,7 +128,7 @@ class CommitStage:
         """Remove ``op`` from the ROB and release resources per policy."""
         s = self.s
         dyn = op.dyn
-        seq = dyn.seq
+        seq = op.seq
         op.committed = True
         op.committed_at = cycle
         del s.window[seq]
@@ -164,7 +164,7 @@ class CommitStage:
         s = self.s
         if not op.resources_released:
             op.resources_released = True
-            s.rename.writer_committed(op.rename_rec)
+            s.rename.writer_committed(op)
             if op.dyn.is_load:
                 self._commit_load(op)
             elif op.dyn.is_store:
@@ -209,7 +209,7 @@ class CommitStage:
         if op.resources_released or op.dyn.is_store:
             return
         op.resources_released = True
-        s.rename.writer_committed(op.rename_rec)
+        s.rename.writer_committed(op)
         if op.dyn.is_load:
             # the checkpoint oracle absorbs any replay risk left
             if not op.mem_nonspec:
@@ -223,7 +223,7 @@ class CommitStage:
         s.zombies.pop(op.seq, None)
         if not op.resources_released:
             op.resources_released = True
-            s.rename.writer_committed(op.rename_rec)
+            s.rename.writer_committed(op)
             if op.dyn.is_load:
                 self._commit_load(op)
         s.ops.pop(op.seq, None)

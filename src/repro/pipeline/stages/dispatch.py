@@ -39,27 +39,41 @@ class DispatchStage:
         if not s.dispatch_buffer:
             return
         dispatched = 0
-        stalled = False
         while s.dispatch_buffer and dispatched < s.config.dispatch_width:
-            fetched = s.dispatch_buffer[0]
-            blocker = self._blocker(fetched.instr)
+            op = s.dispatch_buffer[0]
+            blocker = self._blocker(op)
             if blocker is not None:
-                self._account_stall(blocker, dispatched, cycle)
-                stalled = True
-                break
+                # charge this cycle's stall once, to the blocker alone
+                stats = s.stats
+                if blocker == "rob":
+                    stats.stall_rob += 1
+                elif blocker == "iq":
+                    stats.stall_iq += 1
+                elif blocker == "lq":
+                    stats.stall_lq += 1
+                elif blocker == "sq":
+                    stats.stall_sq += 1
+                else:
+                    stats.stall_reg += 1
+                if not dispatched:
+                    stats.full_window_stall_cycles += 1
+                bus = s.bus
+                if bus.live[_STALL]:
+                    bus.publish(DispatchStall(cycle, blocker,
+                                              dispatched == 0))
+                return
             s.dispatch_buffer.popleft()
-            if fetched.wrong_path:
-                self._dispatch_wrong_path(fetched, cycle)
+            if op.wrong_path:
+                self._dispatch_wrong_path(op, cycle)
             else:
-                self._do_dispatch(fetched, cycle)
-                s.ops[fetched.instr.seq].dispatched_at = cycle
+                self._do_dispatch(op, cycle)
             dispatched += 1
-        if dispatched and not stalled:
+        if dispatched:
             s.progress_cycle = cycle
 
     # -- stall attribution ---------------------------------------------
 
-    def _blocker(self, dyn: DynInstr) -> Optional[str]:
+    def _blocker(self, op: InflightOp) -> Optional[str]:
         """First missing resource for the oldest pending instruction,
         in fixed priority order — the single charged blocker."""
         s = self.s
@@ -67,8 +81,9 @@ class DispatchStage:
             return "rob"
         if not s.iq_queue.allocatable:
             return "iq"
-        if dyn.seq < 0:
+        if op.wrong_path:
             return None                  # wrong path: IQ/ROB only
+        dyn = op.dyn
         if dyn.is_load and not s.lsq.lq_alloc.allocatable:
             return "lq"
         if dyn.is_store and not s.lsq.sq_alloc.allocatable:
@@ -78,25 +93,13 @@ class DispatchStage:
             return "reg"
         return None
 
-    def _account_stall(self, blocker: str, dispatched: int,
-                       cycle: int) -> None:
-        """Charge this cycle's stall once, to ``blocker`` alone."""
-        stats = self.s.stats
-        setattr(stats, f"stall_{blocker}",
-                getattr(stats, f"stall_{blocker}") + 1)
-        if dispatched == 0:
-            stats.full_window_stall_cycles += 1
-        bus = self.s.bus
-        if bus.live[_STALL]:
-            bus.publish(DispatchStall(cycle, blocker, dispatched == 0))
-
     # -- dispatch proper -----------------------------------------------
 
-    def _do_dispatch(self, fetched, cycle: int) -> None:
+    def _do_dispatch(self, op: InflightOp, cycle: int) -> None:
         s = self.s
-        dyn = fetched.instr
-        op = InflightOp(dyn, fetched.mispredicted)
+        dyn = op.dyn
         op.latency = self._latency(dyn.op_class, 1)
+        op.dispatched_at = cycle
         s.dispatch_counter += 1
         op.dispatch_stamp = s.dispatch_counter
         op.rob_entry = s.rob_queue.allocate()
@@ -106,10 +109,10 @@ class DispatchStage:
             op.dispatch_stamp, s.config.criticality and dyn.critical)
         s.iq_fu[op.iq_entry] = op.fu
         if dyn.is_load:
-            s.lsq.allocate_load(dyn.seq)
+            s.lsq.allocate_load(op.seq)
         elif dyn.is_store:
-            s.lsq.allocate_store(dyn.seq)
-        op.rename_rec = s.rename.rename(dyn)
+            s.lsq.allocate_store(op.seq)
+        s.rename.rename(op)
 
         # dataflow: wait on in-flight producers of the source registers.
         # Stores split their operands: address (rs1) gates issue/agen,
@@ -124,7 +127,7 @@ class DispatchStage:
         if dyn.opcode is Opcode.FENCE:
             wait_on(op, [other for other in s.window.values()
                          if other.dyn.is_mem and not other.completed], "op")
-            s.active_fence = dyn.seq
+            s.active_fence = op.seq
         elif dyn.is_mem and s.active_fence is not None:
             fence = s.ops.get(s.active_fence)
             if fence is not None and not fence.completed:
@@ -132,7 +135,7 @@ class DispatchStage:
 
         if dyn.dst is not None:
             op.prev_writer = (dyn.dst, s.last_writer.get(dyn.dst))
-            s.last_writer[dyn.dst] = dyn.seq
+            s.last_writer[dyn.dst] = op.seq
 
         speculative = self._is_speculative_at_dispatch(dyn)
         if speculative:
@@ -142,8 +145,8 @@ class DispatchStage:
         s.stats.rob_writes += 1
         s.stats.wakeup_writes += 1
 
-        s.window[dyn.seq] = op
-        s.ops[dyn.seq] = op
+        s.window[op.seq] = op
+        s.ops[op.seq] = op
         s.iq_ops[op.iq_entry] = op
         if op.producers_remaining == 0:
             s.ready_set.add(op.iq_entry)
@@ -152,14 +155,12 @@ class DispatchStage:
         if bus.live[_DISPATCH]:
             bus.publish(DispatchEvent(cycle, op, False))
 
-    def _dispatch_wrong_path(self, fetched, cycle: int) -> None:
+    def _dispatch_wrong_path(self, op: InflightOp, cycle: int) -> None:
         """Install a synthetic wrong-path instruction: it occupies an
         IQ and a ROB entry and competes for issue, but never renames,
         touches memory, or commits."""
         s = self.s
-        op = InflightOp(fetched.instr, False)
-        op.latency = self._latency(fetched.instr.op_class, 1)
-        op.wrong_path = True
+        op.latency = self._latency(op.dyn.op_class, 1)
         s.dispatch_counter += 1
         op.dispatch_stamp = s.dispatch_counter
         op.rob_entry = s.rob_queue.allocate()

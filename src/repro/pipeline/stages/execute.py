@@ -76,7 +76,7 @@ class ExecuteStage:
         if translation.fault:
             op.fault_pending = True
             return                      # never completes; blocks at commit
-        outcome, unresolved, match_seq = s.lsq.load_lookup(dyn.seq,
+        outcome, unresolved, match_seq = s.lsq.load_lookup(op.seq,
                                                            dyn.addr)
         if unresolved and (
                 s.config.mem_dep_policy == "conservative"
@@ -93,13 +93,13 @@ class ExecuteStage:
                 op.translated = False
                 s.load_waiters.setdefault(match_seq, []).append(op)
                 return
-            s.lsq.load_issue(dyn.seq, dyn.addr, unresolved)
+            s.lsq.load_issue(op.seq, dyn.addr, unresolved)
             s.stats.mdm_writes += 1
             s.stats.forwarded_loads += 1
             if bus.live[_MATRIX]:
                 bus.publish(MatrixEvent(cycle, "mdm", "write"))
             if bus.live[_MEM]:
-                bus.publish(MemEvent(cycle, "forward", dyn.seq, match_seq))
+                bus.publish(MemEvent(cycle, "forward", op.seq, match_seq))
             s.schedule_completion(
                 op, cycle + base_latency + s.config.forward_latency)
         else:
@@ -111,7 +111,7 @@ class ExecuteStage:
             if mem_latency > s.config.memory.l1_latency:
                 s.pc_l1_misses[dyn.pc] = \
                     s.pc_l1_misses.get(dyn.pc, 0) + 1
-            s.lsq.load_issue(dyn.seq, dyn.addr, unresolved)
+            s.lsq.load_issue(op.seq, dyn.addr, unresolved)
             s.stats.mdm_writes += 1
             if bus.live[_MATRIX]:
                 bus.publish(MatrixEvent(cycle, "mdm", "write"))

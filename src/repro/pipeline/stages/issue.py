@@ -121,7 +121,7 @@ class IssueStage:
         stats = s.stats
         for op in issued:
             if not op.wrong_path:
-                operands_read(op.rename_rec)
+                operands_read(op)
             op.issued_at = cycle
             stats.issued += 1
             if live_issue:

@@ -116,7 +116,7 @@ class MemoryStage:
             s.commit_ready -= 1     # until it completes again
         op.completed = False
         op.performed = False
-        s.rename.producer_replayed(op.rename_rec)
+        s.rename.producer_replayed(op)
         latency = s.hierarchy.load(op.dyn.addr, cycle)
         if latency is None:
             latency = s.config.memory.l1_latency + 2

@@ -38,10 +38,10 @@ class SquashUnit:
             s.ops.pop(op.seq, None)
         s.wp_ready = []
         s.dispatch_buffer = deque(
-            f for f in s.dispatch_buffer if not f.wrong_path)
+            op for op in s.dispatch_buffer if not op.wrong_path)
         s.frontend_pipe = deque(
-            (ready, f) for ready, f in s.frontend_pipe
-            if not f.wrong_path)
+            (ready, op) for ready, op in s.frontend_pipe
+            if not op.wrong_path)
         if victims and s.bus.live[_SQUASH]:
             s.bus.publish(SquashEvent(cycle, "wrong_path", tuple(victims)))
 
@@ -82,13 +82,12 @@ class SquashUnit:
         # every member of the commit order at or past seq is a victim
         del s.commit_order[bisect_left(s.commit_order, seq):]
         s.lsq.squash(seq)
-        s.rename.squash([op.rename_rec for op in victims])
+        s.rename.squash(victims)
         # drop younger not-yet-dispatched instructions
         s.dispatch_buffer = deque(
-            f for f in s.dispatch_buffer if f.instr.seq < seq)
+            op for op in s.dispatch_buffer if op.seq < seq)
         s.frontend_pipe = deque(
-            (ready, f) for ready, f in s.frontend_pipe
-            if f.instr.seq < seq)
+            (ready, op) for ready, op in s.frontend_pipe if op.seq < seq)
         resume_seq = seq if resume_after else seq - 1
         s.fetch.squash_to(resume_seq, cycle)
         if s.bus.live[_SQUASH]:

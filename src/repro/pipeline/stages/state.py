@@ -30,23 +30,27 @@ from ..stats import SimStats
 
 
 class InflightOp:
-    """Pipeline state of one in-flight dynamic instruction."""
+    """Pipeline state of one dynamic instruction, from fetch to retire.
+    ``seq`` is its own (a wrong-path op's ``dyn`` is shared); rename
+    fills the slots from ``srcs_phys`` on (never on the wrong path)."""
 
     __slots__ = (
-        "dyn", "seq", "mispredicted", "rename_rec", "rob_entry", "iq_entry",
+        "dyn", "seq", "mispredicted", "rob_entry", "iq_entry",
         "fu", "latency", "unpipelined",
         "producers_remaining", "data_remaining", "dependents",
-        "in_iq", "issued_at", "complete_at", "completed", "performed",
+        "in_iq", "issued_at", "completed", "performed",
         "translated", "addr_resolved", "fault_pending", "mem_nonspec",
         "spec_resolved", "committed", "zombie", "resources_released",
         "prev_writer", "exec_token", "wrong_path", "dispatch_stamp",
-        "dispatched_at", "completed_at", "committed_at")
+        "dispatched_at", "completed_at", "committed_at",
+        "srcs_phys", "phys_dst", "prev_phys", "reads_outstanding",
+        "prev_released")
 
-    def __init__(self, dyn: DynInstr, mispredicted: bool):
+    def __init__(self, dyn: DynInstr, seq: int, mispredicted: bool = False,
+                 wrong_path: bool = False):
         self.dyn = dyn
-        self.seq = dyn.seq
+        self.seq = seq
         self.mispredicted = mispredicted
-        self.rename_rec = None
         self.rob_entry: Optional[int] = None
         self.iq_entry: Optional[int] = None
         self.fu, self.unpipelined = FU_DECODE[dyn.op_class]
@@ -58,7 +62,6 @@ class InflightOp:
         self.dependents: List[Tuple["InflightOp", str]] = []
         self.in_iq = False
         self.issued_at: Optional[int] = None
-        self.complete_at: Optional[int] = None
         self.completed = False
         self.performed = False            # loads: data obtained
         self.translated = False           # memory ops: address translated
@@ -71,7 +74,7 @@ class InflightOp:
         self.resources_released = False
         self.prev_writer: Optional[Tuple[int, Optional[int]]] = None
         self.exec_token = 0               # invalidates stale completions
-        self.wrong_path = False
+        self.wrong_path = wrong_path
         self.dispatch_stamp = 0           # true dispatch (age) order
         self.dispatched_at: Optional[int] = None
         self.completed_at: Optional[int] = None
@@ -210,8 +213,8 @@ class PipelineState:
         self.commit_order: List[int] = []
         self.commit_ready = 0
 
-        self.frontend_pipe: Deque[Tuple[int, object]] = deque()
-        self.dispatch_buffer: Deque[object] = deque()
+        self.frontend_pipe: Deque[Tuple[int, InflightOp]] = deque()
+        self.dispatch_buffer: Deque[InflightOp] = deque()
         # per-IQ-entry issue columns, written at dispatch: the
         # occupant's order key and FU type.  Select reads them through
         # their bound ``__getitem__``, so ranking an entry makes no
@@ -260,7 +263,6 @@ class PipelineState:
 
     def schedule_completion(self, op: InflightOp, when: int) -> None:
         op.exec_token += 1
-        op.complete_at = when
         heapq.heappush(self.completion_heap, (when, op.seq, op.exec_token))
 
     def progress(self, cycle: int) -> None:

@@ -55,13 +55,13 @@ class WritebackStage:
             return
         if s.bus.live[_COMPLETE]:
             s.bus.publish(CompleteEvent(cycle, op))
-        s.rename.producer_completed(op.rename_rec)
+        s.rename.producer_completed(op)
         dyn = op.dyn
         if not op.committed:
             # join the commit order (a replayed load completing again
             # is already in it) before anything below can disambiguate
             order = s.commit_order
-            seq = dyn.seq
+            seq = op.seq
             index = bisect_left(order, seq)
             if index == len(order) or order[index] != seq:
                 order.insert(index, seq)

@@ -1,6 +1,6 @@
 """Register renaming: RAT, free list, and the Register Status Table."""
 
 from .freelist import PhysRegFreeList
-from .rename import RenameRecord, RenameUnit
+from .rename import RenameUnit
 
-__all__ = ["PhysRegFreeList", "RenameRecord", "RenameUnit"]
+__all__ = ["PhysRegFreeList", "RenameUnit"]

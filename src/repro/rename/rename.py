@@ -18,27 +18,10 @@ per field rather than one object per register.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from ..isa import FP_BASE, NUM_ARCH_REGS, NUM_INT_REGS, DynInstr
+from ..isa import FP_BASE, NUM_ARCH_REGS, NUM_INT_REGS
 from .freelist import PhysRegFreeList
-
-
-@dataclass
-class RenameRecord:
-    """Per-instruction rename outcome, kept for commit/squash undo."""
-
-    seq: int
-    arch_dst: Optional[int]
-    phys_dst: Optional[int]
-    prev_phys: Optional[int]
-    srcs_phys: Tuple[int, ...]
-    #: sources renamed but not yet read (cleared by operands_read)
-    reads_outstanding: bool = True
-    #: prev_phys was reclaimed (commit, or Cherry-style early release)
-    #: — the rename can no longer be undone
-    released: bool = False
 
 
 class RenameUnit:
@@ -136,18 +119,22 @@ class RenameUnit:
     def can_rename(self, dst_reg: Optional[int]) -> bool:
         return dst_reg is None or self.freelist_of[dst_reg].available > 0
 
-    def rename(self, instr: DynInstr) -> RenameRecord:
-        """Map sources through the RAT and claim a destination register."""
+    def rename(self, op) -> None:
+        """Map ``op``'s sources through the RAT and claim a destination
+        register, into the op's slots ``srcs_phys``, ``phys_dst``,
+        ``prev_phys``, ``reads_outstanding`` (sources not yet read) and
+        ``prev_released`` (``prev_phys`` reclaimed: no undo)."""
+        dyn = op.dyn
         rat = self.rat
-        srcs_phys = tuple(map(rat.__getitem__, instr.srcs))
+        srcs_phys = tuple(map(rat.__getitem__, dyn.srcs))
         consumers = self.consumers
         for phys in srcs_phys:
             consumers[phys] += 1
-        phys_dst = None
-        prev_phys = None
-        dst = instr.dst
-        if dst is not None:
-            phys_dst = self._allocate(dst, instr.seq)
+        dst = dyn.dst
+        if dst is None:
+            op.phys_dst = op.prev_phys = None
+        else:
+            phys_dst = self._allocate(dst, op.seq)
             if phys_dst is None:
                 for phys in srcs_phys:
                     consumers[phys] -= 1
@@ -155,17 +142,21 @@ class RenameUnit:
             prev_phys = rat[dst]
             self.architectural[prev_phys] = False
             rat[dst] = phys_dst
-        return RenameRecord(instr.seq, dst, phys_dst, prev_phys, srcs_phys)
+            op.phys_dst = phys_dst
+            op.prev_phys = prev_phys
+        op.srcs_phys = srcs_phys
+        op.reads_outstanding = True
+        op.prev_released = False
 
     # -- lifetime events ---------------------------------------------------
 
-    def operands_read(self, record: RenameRecord) -> None:
+    def operands_read(self, op) -> None:
         """The instruction read its sources (issue) — decrement counts."""
-        if not record.reads_outstanding:
-            raise RuntimeError(f"operands of #{record.seq} read twice")
-        record.reads_outstanding = False
+        if not op.reads_outstanding:
+            raise RuntimeError(f"operands of #{op.seq} read twice")
+        op.reads_outstanding = False
         consumers = self.consumers
-        for phys in record.srcs_phys:
+        for phys in op.srcs_phys:
             count = consumers[phys] - 1
             consumers[phys] = count
             if count:
@@ -178,11 +169,11 @@ class RenameUnit:
                 self._reclaim(phys)
                 self.freed += 1
 
-    def producer_completed(self, record: RenameRecord) -> None:
+    def producer_completed(self, op) -> None:
         """The producing instruction wrote back its value."""
-        phys = record.phys_dst
+        phys = op.phys_dst
         if phys is None or not self.live[phys] \
-                or self.producer_seq[phys] != record.seq:
+                or self.producer_seq[phys] != op.seq:
             # already reclaimed (oracle replay writing back late)
             return
         self.producer_done[phys] = True
@@ -191,23 +182,21 @@ class RenameUnit:
             self._reclaim(phys)
             self.freed += 1
 
-    def producer_replayed(self, record: RenameRecord) -> None:
+    def producer_replayed(self, op) -> None:
         """The producer was re-executed in place (oracle load replay):
         its result is in flight again, so the destination must not be
         reclaimed until the replay writes back."""
-        phys = record.phys_dst
+        phys = op.phys_dst
         if phys is not None and self.live[phys] \
-                and self.producer_seq[phys] == record.seq:
+                and self.producer_seq[phys] == op.seq:
             self.producer_done[phys] = False
 
-    def writer_committed(self, record: RenameRecord) -> None:
+    def writer_committed(self, op) -> None:
         """The instruction committed; reclaim per the active scheme."""
-        if record.phys_dst is None:
-            return
-        prev = record.prev_phys
+        prev = op.prev_phys
         if prev is None:
             return
-        record.released = True
+        op.prev_released = True
         self.overwriter_committed[prev] = True
         if self.scheme == "inorder":
             # in-order commit: every older reader has committed
@@ -220,29 +209,30 @@ class RenameUnit:
 
     # -- squash ----------------------------------------------------------------
 
-    def squash(self, records: List[RenameRecord]) -> None:
-        """Undo renames, youngest first (records may be any order)."""
+    def squash(self, ops) -> None:
+        """Undo renames, youngest first (ops may be any order)."""
         live = self.live
         consumers = self.consumers
-        for record in sorted(records, key=lambda r: r.seq, reverse=True):
-            if record.reads_outstanding:
-                for phys in record.srcs_phys:
+        for op in sorted(ops, key=lambda op: op.seq, reverse=True):
+            if op.reads_outstanding:
+                for phys in op.srcs_phys:
                     if live[phys]:
                         consumers[phys] -= 1
-            phys_dst = record.phys_dst
+            phys_dst = op.phys_dst
             if phys_dst is None:
                 continue
-            if record.released:
+            arch_dst = op.dyn.dst
+            if op.prev_released:
                 # Cherry-style early release already reclaimed
                 # prev_phys (possibly re-allocated by now): the rename
                 # is irreversible.  Keep phys_dst as the architectural
                 # mapping so the refetched stream renames against it.
-                if live[phys_dst] and self.rat[record.arch_dst] == phys_dst:
+                if live[phys_dst] and self.rat[arch_dst] == phys_dst:
                     self.architectural[phys_dst] = True
                     self.overwriter_committed[phys_dst] = False
                 continue
-            prev = record.prev_phys
-            self.rat[record.arch_dst] = prev
+            prev = op.prev_phys
+            self.rat[arch_dst] = prev
             self.architectural[prev] = True
             self.overwriter_committed[prev] = False
             self._reclaim(phys_dst)

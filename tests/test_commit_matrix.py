@@ -231,9 +231,8 @@ def test_keyed_commit_equals_merged_matrix(tiny_trace, data):
         if action == "dispatch" and len(live) < size:
             stamp += 1
             spec = data.draw(st.booleans())
-            op = InflightOp(SimpleNamespace(seq=stamp,
-                                            op_class=OpClass.INT_ALU),
-                            False)
+            op = InflightOp(SimpleNamespace(op_class=OpClass.INT_ALU),
+                            stamp)
             op.dispatch_stamp = stamp
             op.rob_entry = state.rob_queue.allocate()
             # DispatchStage._do_dispatch's SPEC bookkeeping

@@ -4,7 +4,7 @@
 construction from ``op_class``, not properties, so every path that
 makes a record must leave them equal to their definitions: the
 emulator, the trace reader, the scenario builders, the wrong-path
-generator, and copies made by ``copy`` and ``pickle``.
+records fetch shares, and copies made by ``copy`` and ``pickle``.
 """
 
 import copy
@@ -12,9 +12,11 @@ import pickle
 
 import pytest
 
-from repro.frontend import FetchUnit, make_predictor
+from repro.frontend.fetch import _WP_OPCODES
 from repro.isa import (CTRL_CLASSES, MEM_CLASSES, Emulator, OpClass,
                        ProgramBuilder, load_trace, save_trace)
+from repro.pipeline import base_config
+from repro.pipeline.stages import FetchStage, PipelineState
 from repro.workloads import build_program, build_trace
 
 
@@ -99,11 +101,44 @@ def test_scenario_builders(name):
         assert any(instr.fault for instr in trace)
 
 
+def _fetched_ops(trace, cycles=400):
+    """The ops the fetch stage builds over ``cycles`` cycles with nothing
+    dispatching or resolving, so fetch runs down the wrong path behind
+    the first mispredicted branch for good."""
+    stage = FetchStage(PipelineState(trace, base_config()))
+    for cycle in range(cycles):
+        stage.tick(cycle)
+    return [op for _, op in stage.s.frontend_pipe]
+
+
 def test_wrong_path_generator():
+    """Wrong-path fetch shares one record per ``_WP_OPCODES`` slot, and
+    each op built from one has its own negative seq: the k-th
+    wrong-path op fetched is seq -k with opcode ``_WP_OPCODES[k % 6]``."""
     trace = build_trace("gcc.mix", scale=0.05)
-    fetch = FetchUnit(trace, make_predictor("tage"), width=4)
-    records = [fetch._wrong_path_instr() for _ in range(12)]
-    assert_class_facts(records)
+    ops = _fetched_ops(trace)
+    wrong = [op for op in ops if op.wrong_path]
+    assert len(wrong) >= 12
+    assert [op.seq for op in wrong] == list(range(-1, -len(wrong) - 1, -1))
+    slots = {}
+    for op in wrong:
+        k = -op.seq
+        assert op.dyn.opcode is _WP_OPCODES[k % 6]
+        assert slots.setdefault(k % 6, op.dyn) is op.dyn, op
+    assert len({id(record) for record in slots.values()}) == 6
+    assert_class_facts(list(slots.values()))
+    # never a trace record (the criticality tagger writes those), and
+    # every core builds its own
+    in_trace = {id(instr) for instr in trace}
+    assert not any(id(record) in in_trace for record in slots.values())
+    other = {id(op.dyn) for op in _fetched_ops(trace) if op.wrong_path}
+    assert not other & {id(record) for record in slots.values()}
+    # the correct path ends at the one mispredicted branch
+    right = [op for op in ops if not op.wrong_path]
+    assert [op.seq for op in right] == list(range(len(right)))
+    assert all(op.dyn is trace.instrs[op.seq] for op in right)
+    assert [op.mispredicted for op in right] == \
+        [False] * (len(right) - 1) + [True]
 
 
 def test_copy_and_pickle_keep_the_facts(program):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.frontend import (BimodalPredictor, BranchTargetBuffer, FetchUnit,
                             GsharePredictor, ReturnAddressStack,
                             TagePredictor, make_predictor)
+from repro.frontend.fetch import _WP_OPCODES
 from repro.isa import ProgramBuilder, trace_program
 
 # gshare with no history bits indexes by PC alone, so one PC keeps
@@ -426,10 +427,10 @@ class TestFetchUnit:
                 seen.append(group)
             cycle += 1
         for group in seen:
-            takens = [g.instr for g in group
-                      if g.instr.is_branch and g.instr.taken]
+            takens = [instr for instr in group
+                      if instr.is_branch and instr.taken]
             if takens:
-                assert group[-1].instr is takens[-1]
+                assert group[-1] is takens[-1]
 
     def test_mispredict_stalls_until_resolved(self):
         trace = _loop_trace(iters=4)
@@ -437,9 +438,13 @@ class TestFetchUnit:
         fetch = FetchUnit(trace, predictor, width=4, redirect_penalty=3,
                           model_wrong_path=False)
         group = fetch.fetch(0)
-        branch = next(g for g in group if g.mispredicted)
+        # the mispredicted branch ends its group, and fetch stalls on it
+        branch = group[-1]
+        assert branch.is_branch and fetch.stalled_on == branch.seq
+        assert all(instr.seq < branch.seq for instr in group[:-1])
         assert fetch.fetch(1) == []          # stalled
-        fetch.branch_resolved(branch.instr.seq, cycle=5)
+        fetch.branch_resolved(branch.seq, cycle=5)
+        assert fetch.stalled_on is None
         assert fetch.fetch(6) == []          # redirect penalty
         assert fetch.fetch(8) != []
 
@@ -449,9 +454,20 @@ class TestFetchUnit:
         fetch = FetchUnit(trace, predictor, width=4,
                           model_wrong_path=True)
         fetch.fetch(0)                       # hits the mispredict
-        wrong = fetch.fetch(1)
-        assert wrong and all(g.wrong_path for g in wrong)
-        assert all(g.instr.seq < 0 for g in wrong)
+        assert fetch.stalled_on is not None
+        wrong = fetch.fetch(1) + fetch.fetch(2)
+        assert len(wrong) == 8 and fetch.wrong_path_fetched == 8
+        # synthetic records, none of them the trace's: the k-th has
+        # opcode _WP_OPCODES[k % 6] (its op takes seq -k)
+        in_trace = {id(instr) for instr in trace}
+        assert not any(id(instr) in in_trace for instr in wrong)
+        assert all(instr.seq < 0 and instr.pc == -1 for instr in wrong)
+        assert [instr.opcode for instr in wrong] == \
+            [_WP_OPCODES[k % 6] for k in range(1, 9)]
+        # one shared record per slot: k = 1..6 are six records, and
+        # k = 7 and 8 reuse those of k = 1 and 2
+        assert len({id(instr) for instr in wrong}) == 6
+        assert wrong[6] is wrong[0] and wrong[7] is wrong[1]
 
     def test_squash_to_rewinds(self):
         trace = _loop_trace()
@@ -459,4 +475,4 @@ class TestFetchUnit:
         fetch.fetch(0)
         fetch.squash_to(0, cycle=10)
         group = fetch.fetch(10 + fetch.redirect_penalty)
-        assert group[0].instr.seq == 1
+        assert group[0].seq == 1

@@ -1,5 +1,7 @@
 """Pipeline integration: configs, determinism, exceptions, squashes."""
 
+import json
+
 import pytest
 
 from repro.isa import ProgramBuilder, trace_program
@@ -269,6 +271,23 @@ class TestWrongPathModeling:
         stats = simulate(trace, base_config(model_wrong_path=False))
         assert stats.wrong_path_dispatched == 0
         assert stats.committed == len(trace)
+
+    def test_snapshot_reports_each_ops_own_seq(self):
+        """Wrong-path ops share their trace-less records, so a crash
+        snapshot must report each op's own seq, not its record's."""
+        trace = self._mispredict_trace()
+        core = O3Core(trace, base_config())
+        while sum(op.wrong_path for op in core.window.values()) < 3:
+            assert not core.done(), "no wrong-path ops reached the window"
+            core.step()
+        snap = core.snapshot(window_ops=len(core.window))
+        json.dumps(snap)
+        seqs = [entry["seq"] for entry in snap["window_head"]]
+        assert seqs == sorted(core.window)
+        wrong = [op.seq for op in core.window.values() if op.wrong_path]
+        assert len(set(wrong)) == len(wrong) >= 3
+        assert set(wrong) <= set(seqs) and max(wrong) < 0
+        assert snap["rob_occupancy"] == len(core.window)
 
 
 class TestPresetsRun:

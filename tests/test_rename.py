@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.isa import (NUM_ARCH_REGS, DynInstr, OpClass, Opcode, fp_reg,
                        is_fp)
-from repro.rename import PhysRegFreeList, RenameRecord, RenameUnit
+from repro.rename import PhysRegFreeList, RenameUnit
 
 
 def make_instr(seq, dst=None, srcs=()):
@@ -16,6 +16,25 @@ def make_instr(seq, dst=None, srcs=()):
                     op_class=OpClass.INT_ALU, dst=dst, srcs=tuple(srcs),
                     imm=0, addr=None, taken=False, next_pc=seq + 1,
                     fault=False, critical=False)
+
+
+class Op:
+    """Stand-in for the pipeline's op: its seq, its trace record, and
+    the rename slots :meth:`RenameUnit.rename` writes."""
+
+    __slots__ = ("seq", "dyn", "srcs_phys", "phys_dst", "prev_phys",
+                 "reads_outstanding", "prev_released")
+
+    def __init__(self, instr):
+        self.seq = instr.seq
+        self.dyn = instr
+
+
+def renamed(unit, seq, dst=None, srcs=()):
+    """Rename a fresh op of ``make_instr(seq, dst, srcs)`` and return it."""
+    op = Op(make_instr(seq, dst=dst, srcs=srcs))
+    unit.rename(op)
+    return op
 
 
 class TestFreeList:
@@ -42,21 +61,21 @@ class TestRenameBasics:
 
     def test_sources_map_through_rat(self):
         r = RenameUnit(100, "inorder")
-        w = r.rename(make_instr(0, dst=5))
-        c = r.rename(make_instr(1, srcs=(5,)))
+        w = renamed(r, 0, dst=5)
+        c = renamed(r, 1, srcs=(5,))
         assert c.srcs_phys == (w.phys_dst,)
 
     def test_split_files(self):
         r = RenameUnit(100, "inorder")
-        rec_int = r.rename(make_instr(0, dst=3))
-        rec_fp = r.rename(make_instr(1, dst=fp_reg(3)))
+        rec_int = renamed(r, 0, dst=3)
+        rec_fp = renamed(r, 1, dst=fp_reg(3))
         assert rec_int.phys_dst < 100
         assert rec_fp.phys_dst >= 100
 
     def test_can_rename_per_class(self):
         r = RenameUnit(33, "inorder")   # 1 spare int, 1 spare fp
         assert r.can_rename(5)
-        r.rename(make_instr(0, dst=5))
+        renamed(r, 0, dst=5)
         assert not r.can_rename(6)
         assert r.can_rename(fp_reg(0))   # fp pool untouched
         assert r.can_rename(None)
@@ -71,15 +90,15 @@ class TestRenameBasics:
 class TestInOrderReclamation:
     def test_prev_mapping_freed_at_overwriter_commit(self):
         r = RenameUnit(100, "inorder")
-        first = r.rename(make_instr(0, dst=7))
-        second = r.rename(make_instr(1, dst=7))
+        first = renamed(r, 0, dst=7)
+        second = renamed(r, 1, dst=7)
         before = r.int_freelist.available
         r.writer_committed(second)
         assert r.int_freelist.available == before + 1
 
     def test_architectural_mapping_never_freed(self):
         r = RenameUnit(100, "inorder")
-        rec = r.rename(make_instr(0, dst=7))
+        rec = renamed(r, 0, dst=7)
         r.writer_committed(rec)      # frees the *previous* mapping only
         assert r.int_freelist.is_live(rec.phys_dst)
 
@@ -87,10 +106,10 @@ class TestInOrderReclamation:
 class TestCounterReclamation:
     def test_waits_for_consumers(self):
         r = RenameUnit(100, "counter")
-        writer = r.rename(make_instr(0, dst=7))
+        writer = renamed(r, 0, dst=7)
         r.producer_completed(writer)
-        reader = r.rename(make_instr(1, srcs=(7,)))
-        overwriter = r.rename(make_instr(2, dst=7))
+        reader = renamed(r, 1, srcs=(7,))
+        overwriter = renamed(r, 2, dst=7)
         before = r.int_freelist.available
         r.writer_committed(overwriter)   # reader hasn't read yet
         assert r.int_freelist.available == before
@@ -99,8 +118,8 @@ class TestCounterReclamation:
 
     def test_waits_for_producer_completion(self):
         r = RenameUnit(100, "counter")
-        writer = r.rename(make_instr(0, dst=7))
-        overwriter = r.rename(make_instr(1, dst=7))
+        writer = renamed(r, 0, dst=7)
+        overwriter = renamed(r, 1, dst=7)
         before = r.int_freelist.available
         r.writer_committed(overwriter)
         assert r.int_freelist.available == before   # value not produced
@@ -109,8 +128,8 @@ class TestCounterReclamation:
 
     def test_double_read_rejected(self):
         r = RenameUnit(100, "counter")
-        r.rename(make_instr(0, dst=7))
-        reader = r.rename(make_instr(1, srcs=(7,)))
+        renamed(r, 0, dst=7)
+        reader = renamed(r, 1, srcs=(7,))
         r.operands_read(reader)
         with pytest.raises(RuntimeError):
             r.operands_read(reader)
@@ -119,27 +138,27 @@ class TestCounterReclamation:
 class TestSquash:
     def test_rat_restored(self):
         r = RenameUnit(100, "counter")
-        keep = r.rename(make_instr(0, dst=7))
-        victim1 = r.rename(make_instr(1, dst=7))
-        victim2 = r.rename(make_instr(2, dst=7))
+        keep = renamed(r, 0, dst=7)
+        victim1 = renamed(r, 1, dst=7)
+        victim2 = renamed(r, 2, dst=7)
         r.squash([victim1, victim2])
         assert r.rat[7] == keep.phys_dst
 
     def test_squashed_registers_returned(self):
         r = RenameUnit(100, "counter")
         before = r.int_freelist.available
-        victims = [r.rename(make_instr(i, dst=i % 5)) for i in range(5)]
+        victims = [renamed(r, i, dst=i % 5) for i in range(5)]
         r.squash(victims)
         assert r.int_freelist.available == before
 
     def test_consumer_counts_undone(self):
         r = RenameUnit(100, "counter")
-        writer = r.rename(make_instr(0, dst=7))
+        writer = renamed(r, 0, dst=7)
         r.producer_completed(writer)
-        reader = r.rename(make_instr(1, srcs=(7,)))      # unread consumer
-        overwriter = r.rename(make_instr(2, dst=7))
+        reader = renamed(r, 1, srcs=(7,))      # unread consumer
+        overwriter = renamed(r, 2, dst=7)
         r.squash([reader, overwriter])
-        rec3 = r.rename(make_instr(3, dst=7))
+        rec3 = renamed(r, 3, dst=7)
         before = r.int_freelist.available
         r.writer_committed(rec3)
         # writer's register frees: the squashed reader's count was undone
@@ -147,6 +166,31 @@ class TestSquash:
 
 
 # -- the RST columns against the dict-of-entries reference ---------------
+
+@dataclass
+class RenameRecord:
+    """The reference unit's per-instruction rename outcome: the record
+    the rename used to return, kept beside each op."""
+
+    seq: int
+    arch_dst: object
+    phys_dst: object
+    prev_phys: object
+    srcs_phys: tuple
+    reads_outstanding: bool = True
+    released: bool = False
+
+
+def rename_slots(op):
+    """``op``'s rename outcome in the reference record's field order."""
+    return (op.seq, op.dyn.dst, op.phys_dst, op.prev_phys, op.srcs_phys,
+            op.reads_outstanding, op.prev_released)
+
+
+def record_fields(record):
+    return (record.seq, record.arch_dst, record.phys_dst, record.prev_phys,
+            record.srcs_phys, record.reads_outstanding, record.released)
+
 
 @dataclass
 class RSTEntry:
@@ -311,8 +355,9 @@ def test_rst_columns_match_the_dict_reference(scheme, data):
     """Property: over random legal histories of rename, operands read,
     producer completed, producer replayed, writer committed and squash,
     the column RST and the dict-of-entries reference agree after every
-    step: the RAT, both free lists, ``freed``, the live set and every
-    live register's status.
+    step: the RAT, both free lists, ``freed``, the live set, every
+    live register's status, and each op's rename slots against the
+    reference's record of it.
 
     Legality follows the pipeline: an op reads its operands once,
     completes only after reading them, replays only after completing,
@@ -326,7 +371,7 @@ def test_rst_columns_match_the_dict_reference(scheme, data):
     num_phys = NUM_ARCH_REGS // 2 + data.draw(st.integers(1, 6))
     ref = ReferenceRenameUnit(num_phys, scheme)
     unit = RenameUnit(num_phys, scheme)
-    ops = []                  # [seq, ref record, unit record, state dict]
+    ops = []                  # (seq, ref record, unit op, state dict)
     next_seq = 0
     for _ in range(data.draw(st.integers(1, 80))):
         live_ops = [op for op in ops if not op[3]["squashed"]]
@@ -338,8 +383,9 @@ def test_rst_columns_match_the_dict_reference(scheme, data):
             if not ref.can_rename(dst):
                 continue
             instr = make_instr(next_seq, dst=dst, srcs=srcs)
-            ref_rec, rec = ref.rename(instr), unit.rename(instr)
-            assert rec == ref_rec
+            ref_rec, rec = ref.rename(instr), Op(instr)
+            unit.rename(rec)
+            assert rename_slots(rec) == record_fields(ref_rec)
             ops.append((next_seq, ref_rec, rec,
                         {"squashed": False, "read": False,
                          "completed": False, "committed": False}))
@@ -379,7 +425,7 @@ def test_rst_columns_match_the_dict_reference(scheme, data):
                 continue
             op = waiting[-1] if data.draw(st.booleans()) \
                 else data.draw(st.sampled_from(waiting))
-            if op[2].released:
+            if op[2].prev_released:
                 continue            # released early; commit frees nothing
             # under counter, an early release leaves the op squashable
             early = scheme == "counter" and data.draw(st.booleans())
@@ -408,3 +454,5 @@ def test_rst_columns_match_the_dict_reference(scheme, data):
             unit.squash([op[2] for op in order])
             next_seq = point
         _assert_same_state(ref, unit)
+        for op in ops:
+            assert rename_slots(op[2]) == record_fields(op[1]), op[0]

@@ -223,9 +223,8 @@ def test_counters_equal_matrix_readiness(data):
             # completed producers are not live (the rename lookup
             # drops them), exactly as DispatchStage._live_writers does
             live = [ops[s] for s in chosen if not ops[s].completed]
-            op = InflightOp(SimpleNamespace(seq=next_seq,
-                                            op_class=OpClass.INT_ALU),
-                            False)
+            op = InflightOp(SimpleNamespace(op_class=OpClass.INT_ALU),
+                            next_seq)
             op.iq_entry = entry
             op.in_iq = True
             ref.dispatch(op, entry, live)

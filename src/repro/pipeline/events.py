@@ -187,6 +187,13 @@ class RunEndEvent:
     predictor_accuracy: float = 1.0
 
 
+#: ``(event type, subscriber method name)`` per type, in type order (an
+#: enum's iteration and ``.name`` are Python-level calls, and every
+#: verify cell builds a bus and attaches to it)
+_HANDLER_NAMES = tuple((etype, f"on_{etype.name.lower()}")
+                       for etype in EventType)
+
+
 class EventBus:
     """Per-type subscriber lists with a zero-subscriber fast path.
 
@@ -198,9 +205,9 @@ class EventBus:
     __slots__ = ("_handlers", "live", "published")
 
     def __init__(self):
-        self._handlers: List[List[Callable]] = [[] for _ in EventType]
+        self._handlers: List[List[Callable]] = [[] for _ in _HANDLER_NAMES]
         #: per-type "anyone listening?" flags (indexed by EventType)
-        self.live: List[bool] = [False] * len(EventType)
+        self.live: List[bool] = [False] * len(_HANDLER_NAMES)
         #: total events published (0 after a zero-subscriber run)
         self.published = 0
 
@@ -214,8 +221,8 @@ class EventBus:
         """Register an object exposing ``on_<event type>`` methods
         (e.g. ``on_commit``, ``on_squash``) for the matching types.
         Returns the subscriber, for chaining."""
-        for etype in EventType:
-            handler = getattr(subscriber, f"on_{etype.name.lower()}", None)
+        for etype, name in _HANDLER_NAMES:
+            handler = getattr(subscriber, name, None)
             if handler is not None:
                 self.subscribe(etype, handler)
         return subscriber

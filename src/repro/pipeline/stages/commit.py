@@ -138,7 +138,6 @@ class CommitStage:
             if not dyn.is_store and (not dyn.is_load or op.mem_nonspec):
                 s.commit_ready -= 1
         s.leave_rob(op)
-        s.retired_total += 1
         s.stats.committed += 1
         s.progress_cycle = cycle
         early_load = dyn.is_load and not op.performed
@@ -234,7 +233,6 @@ class CommitStage:
         resume fetch past it (the handler itself is not simulated)."""
         s = self.s
         s.stats.exceptions += 1
-        s.skipped_faults += 1
         self.squash.squash_from(op.seq, cycle, resume_after=True,
                                 reason="exception")
         s.progress_cycle = cycle

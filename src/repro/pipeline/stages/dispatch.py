@@ -161,6 +161,7 @@ class DispatchStage:
         touches memory, or commits."""
         s = self.s
         op.latency = self._latency(op.dyn.op_class, 1)
+        op.dispatched_at = cycle
         s.dispatch_counter += 1
         op.dispatch_stamp = s.dispatch_counter
         op.rob_entry = s.rob_queue.allocate()

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+from operator import attrgetter
 
 from ..events import EventType, SquashEvent
 from .state import InflightOp, PipelineState
 
 _SQUASH = EventType.SQUASH
+_SEQ = attrgetter("seq")
 
 
 class SquashUnit:
@@ -53,7 +55,7 @@ class SquashUnit:
         self.squash_wrong_path(cycle)
         victims = [op for op in s.ops.values()
                    if op.seq >= seq and not op.committed]
-        victims.sort(key=lambda op: op.seq, reverse=True)
+        victims.sort(key=_SEQ, reverse=True)
         for op in victims:
             op.exec_token += 1          # cancel in-flight completions
             if op.in_iq:
@@ -65,11 +67,6 @@ class SquashUnit:
             if op.completed and not op.dyn.is_store and (
                     not op.dyn.is_load or op.mem_nonspec):
                 s.commit_ready -= 1
-            s.mem_retry = [r for r in s.mem_retry if r.seq != op.seq]
-            s.mem_wait = [r for r in s.mem_wait if r.seq != op.seq]
-            s.load_waiters.pop(op.seq, None)
-            for waiters in s.load_waiters.values():
-                waiters[:] = [w for w in waiters if w.seq != op.seq]
             if op.prev_writer is not None:
                 arch, prev = op.prev_writer
                 if s.last_writer.get(arch) == op.seq:
@@ -79,6 +76,16 @@ class SquashUnit:
                         s.last_writer[arch] = prev
             if s.active_fence == op.seq:
                 s.active_fence = None
+        if victims:
+            # parked memory ops leave with their victims, in order
+            gone = set(map(_SEQ, victims))
+            s.mem_retry = [r for r in s.mem_retry if r.seq not in gone]
+            s.mem_wait = [r for r in s.mem_wait if r.seq not in gone]
+            load_waiters = s.load_waiters
+            for victim in gone.intersection(load_waiters):
+                del load_waiters[victim]
+            for waiters in load_waiters.values():
+                waiters[:] = [w for w in waiters if w.seq not in gone]
         # every member of the commit order at or past seq is a victim
         del s.commit_order[bisect_left(s.commit_order, seq):]
         s.lsq.squash(seq)

@@ -252,8 +252,6 @@ class PipelineState:
 
         self.cycle = 0
         self.dispatch_counter = 0
-        self.retired_total = 0
-        self.skipped_faults = 0
         self.progress_cycle = 0
         # per-PC profile for the criticality tagger
         self.pc_l1_misses: Dict[int, int] = {}
@@ -264,10 +262,6 @@ class PipelineState:
     def schedule_completion(self, op: InflightOp, when: int) -> None:
         op.exec_token += 1
         heapq.heappush(self.completion_heap, (when, op.seq, op.exec_token))
-
-    def progress(self, cycle: int) -> None:
-        """Stamp forward progress (resets the deadlock watchdog)."""
-        self.progress_cycle = cycle
 
     def resolve_spec(self, op: InflightOp) -> None:
         """Clear the SPEC bit of a no-longer-speculative instruction."""

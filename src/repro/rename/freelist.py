@@ -25,6 +25,16 @@ class PhysRegFreeList:
         self.available -= 1
         return reg
 
+    def claim_lowest(self, count: int) -> None:
+        """Allocate registers ``0 .. count - 1`` of a full list at once,
+        as ``count`` calls of :meth:`allocate` would."""
+        if self.available != self.num_regs or count > self.num_regs:
+            raise ValueError(f"cannot claim {count} registers of a list "
+                             f"with {self.available} of {self.num_regs} free")
+        del self._free[self.num_regs - count:]
+        self._live[:count] = [True] * count
+        self.available -= count
+
     def free(self, reg: int) -> None:
         if not self._live[reg]:
             raise ValueError(f"physical register {reg} not live")

@@ -18,10 +18,13 @@ per field rather than one object per register.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import List, Optional
 
 from ..isa import FP_BASE, NUM_ARCH_REGS, NUM_INT_REGS
 from .freelist import PhysRegFreeList
+
+_SEQ = attrgetter("seq")
 
 
 class RenameUnit:
@@ -66,22 +69,27 @@ class RenameUnit:
         self.int_freelist = PhysRegFreeList(num_phys_regs)
         self.fp_freelist = PhysRegFreeList(num_phys_regs)
         #: architectural register -> the free list its renames draw on
-        self.freelist_of = [
-            self.fp_freelist if arch >= FP_BASE else self.int_freelist
-            for arch in range(NUM_ARCH_REGS)]
+        self.freelist_of = ([self.int_freelist] * FP_BASE
+                            + [self.fp_freelist] * (NUM_ARCH_REGS - FP_BASE))
+        # the initial mappings: integer arch reg r is phys r, FP arch
+        # reg FP_BASE + k is phys num_phys_regs + k (each file's lowest
+        # registers, claimed in its pop order), each row live,
+        # architectural and its producer done
+        fp_regs = NUM_ARCH_REGS - FP_BASE
+        self.int_freelist.claim_lowest(FP_BASE)
+        self.fp_freelist.claim_lowest(fp_regs)
+        self.rat: List[int] = list(range(FP_BASE)) + list(
+            range(num_phys_regs, num_phys_regs + fp_regs))
         total = 2 * num_phys_regs
         self.live = [False] * total
+        self.live[:FP_BASE] = [True] * FP_BASE
+        self.live[num_phys_regs:num_phys_regs + fp_regs] = [True] * fp_regs
         self.consumers = [0] * total
-        self.producer_done = [False] * total
+        self.producer_done = self.live[:]
         self.overwriter_committed = [False] * total
-        self.architectural = [False] * total
+        self.architectural = self.live[:]
         self.producer_seq = [-1] * total
-        self.live_regs = 0
-        self.rat: List[int] = []
-        for arch in range(NUM_ARCH_REGS):
-            phys = self._allocate(arch, -1)
-            self.producer_done[phys] = True
-            self.rat.append(phys)
+        self.live_regs = NUM_ARCH_REGS
         self.freed = 0
 
     def _allocate(self, arch_reg: int, seq: int) -> Optional[int]:
@@ -213,7 +221,7 @@ class RenameUnit:
         """Undo renames, youngest first (ops may be any order)."""
         live = self.live
         consumers = self.consumers
-        for op in sorted(ops, key=lambda op: op.seq, reverse=True):
+        for op in sorted(ops, key=_SEQ, reverse=True):
             if op.reads_outstanding:
                 for phys in op.srcs_phys:
                     if live[phys]:

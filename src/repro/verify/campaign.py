@@ -32,6 +32,7 @@ import os
 import pathlib
 import traceback
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..harness.resilience import (CellStatus, TaskSpec, exception_failure,
@@ -60,6 +61,9 @@ ECL_POLICIES = frozenset({"vb", "br", "ecl"})
 
 #: cycle budget per verification cell (programs are ~30 instructions)
 CELL_MAX_CYCLES = 50_000
+
+#: what composition reads of an apparent-order event (not its cycle)
+_ORDER_KEY = attrgetter("index", "kind", "addr", "value")
 
 
 def combos() -> List[Tuple[str, str]]:
@@ -152,6 +156,10 @@ def verify_program(program: VerifyProgram, lanes: int = 1,
                 record_error(cell.index, exc)
 
     violations: List[dict] = []
+    # combos often witness the same apparent orders: compose each
+    # distinct set once, and ask the oracle once per model
+    composed_by_orders: Dict[tuple, frozenset] = {}
+    allowed_by_model: Dict[str, frozenset] = {}
     for c, (model, policy) in enumerate(grid):
         if c in failed:
             continue
@@ -160,8 +168,16 @@ def verify_program(program: VerifyProgram, lanes: int = 1,
                      for t in range(len(program.threads))]
         sequences = [apparent_order(program, t, witnesses[t], model)
                      for t in range(len(program.threads))]
-        composed = compose_outcomes(program, sequences)
-        bad = composed - allowed_outcomes(program, model)
+        key = tuple(tuple(map(_ORDER_KEY, events)) for events in sequences)
+        composed = composed_by_orders.get(key)
+        if composed is None:
+            composed = composed_by_orders[key] = \
+                compose_outcomes(program, sequences)
+        allowed = allowed_by_model.get(model)
+        if allowed is None:
+            allowed = allowed_by_model[model] = \
+                allowed_outcomes(program, model)
+        bad = composed - allowed
         if bad:
             violations.append({
                 "cell": cell_name(program.name, model, policy),

@@ -35,25 +35,38 @@ Both searches memoize on (per-thread progress, memory image) and return
 so shared suffixes are explored once.  Program sizes are capped by the
 generator grammar (≤3 threads × ≤8 memory ops), keeping the state space
 a few thousand nodes.
+
+**Packed representation.**  An :class:`OutcomeCodec` gives every
+outcome of a program one int: each load owns a bit field holding the
+index of the value it bound, each address a field holding the index of
+its final value, in a value table of 0 followed by every store value.
+A future is the OR of its fields, so a move that binds nothing merges
+its child's futures with one set union and a load move ORs its field
+into each of them; no tuple is built or hashed below the root.  The
+search state is an int too, with the control fields above the outcome
+fields: TSO keeps each thread's program counter and count of drained
+stores (its buffer is exactly its issued, not yet drained stores, in
+program order), RVWMO one done bit per op.  Per-op facts the search
+asks in every state — what blocks an op, where a load must forward
+from — are computed once per program.
 """
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
-from .generator import MemOp, VerifyProgram
+from .generator import VerifyProgram
 
-__all__ = ["MODELS", "Outcome", "allowed_outcomes", "format_outcome"]
+__all__ = ["MODELS", "Outcome", "OutcomeCodec", "allowed_outcomes",
+           "format_outcome"]
 
 MODELS = ("rvwmo", "tso")
 
 #: ``(((thread, op_index), value), ...) sorted`` × ``((addr, value), ...)``
 Outcome = Tuple[Tuple[Tuple[Tuple[int, int], int], ...],
                 Tuple[Tuple[int, int], ...]]
-
-Binding = Tuple[Tuple[int, int], int]
-Future = Tuple[Tuple[Binding, ...], Tuple[int, ...]]
 
 
 def format_outcome(outcome: Outcome) -> str:
@@ -63,186 +76,232 @@ def format_outcome(outcome: Outcome) -> str:
     return f"{reads or '(no loads)'} | {mem}".strip()
 
 
-def _canonical(bindings: Tuple[Binding, ...],
-               memory: Tuple[int, ...],
-               addrs: Tuple[int, ...]) -> Outcome:
-    return (tuple(sorted(bindings)),
-            tuple(zip(addrs, memory)))
+class OutcomeCodec:
+    """One int per outcome of ``program``.
+
+    The value table is 0 followed by every store value of the program.
+    Store values are program-unique, so whatever value a load binds,
+    forwarded or read from memory, has an index — a table per address
+    would turn a faulty binding into a ``KeyError`` instead of a
+    violation.  Fields are ``width`` bits wide: one per load, in
+    ``(thread, op_index)`` order from bit 0, then one per address of
+    ``program.addrs``; ``bits`` is their total.  Searches keep their
+    own state above ``bits``.
+    """
+
+    def __init__(self, program: VerifyProgram):
+        values = [0]
+        for ops in program.threads:
+            values.extend(op.value for op in ops if op.kind == "store")
+        self.values = tuple(values)
+        #: value -> its index in the table
+        self.index = {value: i for i, value in enumerate(values)}
+        self.width = width = max(1, (len(values) - 1).bit_length())
+        self.field_mask = (1 << width) - 1
+        self.loads = tuple((t, i) for t, ops in enumerate(program.threads)
+                           for i, op in enumerate(ops) if op.kind == "load")
+        #: ``(thread, op_index)`` -> the shift of that load's field
+        self.load_shift = {key: n * width for n, key in enumerate(self.loads)}
+        self.addrs = program.addrs
+        base = len(self.loads) * width
+        #: address -> the shift of its final-value field
+        self.addr_shift = {addr: base + k * width
+                           for k, addr in enumerate(program.addrs)}
+        self.bits = base + len(program.addrs) * width
+
+    def decode(self, packed: int) -> Outcome:
+        """The canonical :data:`Outcome` of a packed one."""
+        values, mask, width = self.values, self.field_mask, self.width
+        binds = []
+        for key in self.loads:
+            binds.append((key, values[packed & mask]))
+            packed >>= width
+        memory = []
+        for addr in self.addrs:
+            memory.append((addr, values[packed & mask]))
+            packed >>= width
+        return tuple(binds), tuple(memory)
+
+
+# move kinds of the search tables below
+_LOAD, _STORE, _FENCE = 0, 1, 2
 
 
 # -- TSO ---------------------------------------------------------------------
 
-def _tso_outcomes(program: VerifyProgram) -> Set[Outcome]:
-    threads = program.threads
-    addrs = program.addrs
-    addr_index = {a: i for i, a in enumerate(addrs)}
-    n = len(threads)
-    init_mem = tuple(0 for _ in addrs)
+def _tso_futures(program: VerifyProgram, codec: OutcomeCodec) -> Set[int]:
+    fmask = codec.field_mask
+    index = codec.index
+    shift = codec.bits
+    threads = []
+    for t, ops in enumerate(program.threads):
+        pc_shift, width = shift, len(ops).bit_length()
+        drained_shift = pc_shift + width
+        shift = drained_shift + width
+        # moves[pc]: the op at pc; buffered_at[pc]: stores issued
+        # before pc; drains[k]: the k-th store's memory write
+        moves: List[tuple] = []
+        buffered_at: List[int] = []
+        drains: List[Tuple[int, int]] = []
+        youngest: Dict[int, Tuple[int, int]] = {}  # addr -> (rank, value)
+        for i, op in enumerate(ops):
+            buffered_at.append(len(drains))
+            if op.kind == "store":
+                at = codec.addr_shift[op.addr]
+                youngest[op.addr] = (len(drains), index[op.value])
+                drains.append((~(fmask << at), index[op.value] << at))
+                moves.append((_STORE,))
+            elif op.kind == "load":
+                load_shift = codec.load_shift[(t, i)]
+                rank, value = youngest.get(op.addr, (-1, 0))
+                moves.append((_LOAD, codec.addr_shift[op.addr], load_shift,
+                              rank, value << load_shift))
+            else:
+                moves.append((_FENCE,))
+        buffered_at.append(len(drains))
+        threads.append((pc_shift, drained_shift, (1 << width) - 1,
+                        1 << pc_shift, 1 << drained_shift, len(ops),
+                        moves, buffered_at, drains))
+    outcome_mask = (1 << codec.bits) - 1
 
-    memo: Dict[Tuple, FrozenSet[Future]] = {}
+    memo: Dict[int, Set[int]] = {}
 
-    def explore(pcs: Tuple[int, ...],
-                buffers: Tuple[Tuple[Tuple[int, int], ...], ...],
-                memory: Tuple[int, ...]) -> FrozenSet[Future]:
-        key = (pcs, buffers, memory)
-        cached = memo.get(key)
+    def explore(state: int) -> Set[int]:
+        cached = memo.get(state)
         if cached is not None:
             return cached
-        futures: Set[Future] = set()
+        futures: Set[int] = set()
         moved = False
-        for t in range(n):
-            ops = threads[t]
-            buf = buffers[t]
+        for (pc_shift, drained_shift, mask, pc_step, drained_step, length,
+             moves, buffered_at, drains) in threads:
+            pc = state >> pc_shift & mask
+            drained = state >> drained_shift & mask
+            buffered = buffered_at[pc] > drained
             # (a) execute this thread's next instruction
-            if pcs[t] < len(ops):
-                op = ops[pcs[t]]
-                if op.kind == "fence" and buf:
-                    pass                     # fence waits for own drain
-                else:
+            if pc < length:
+                move = moves[pc]
+                kind = move[0]
+                if kind == _LOAD:
                     moved = True
-                    pcs2 = pcs[:t] + (pcs[t] + 1,) + pcs[t + 1:]
-                    if op.kind == "store":
-                        buf2 = buffers[:t] + (buf + ((op.addr, op.value),),) \
-                            + buffers[t + 1:]
-                        for sub in explore(pcs2, buf2, memory):
-                            futures.add(sub)
-                    elif op.kind == "load":
-                        value = None
-                        for a, v in reversed(buf):
-                            if a == op.addr:
-                                value = v
-                                break
-                        if value is None:
-                            value = memory[addr_index[op.addr]]
-                        bind = ((t, pcs[t]), value)
-                        for binds, final in explore(pcs2, buffers, memory):
-                            futures.add(((bind,) + binds, final))
-                    else:                    # fence, buffer empty
-                        for sub in explore(pcs2, buffers, memory):
-                            futures.add(sub)
+                    _, at, load_shift, rank, forwarded = move
+                    # the youngest same-address store forwards while it
+                    # is still buffered; once it drained, so did every
+                    # older one (FIFO), and the load reads memory
+                    bound = forwarded if rank >= drained else \
+                        (state >> at & fmask) << load_shift
+                    futures.update([f | bound
+                                    for f in explore(state + pc_step)])
+                elif kind == _STORE or not buffered:
+                    moved = True             # a fence waits for own drain
+                    futures |= explore(state + pc_step)
             # (b) drain the oldest entry of this thread's buffer
-            if buf:
+            if buffered:
                 moved = True
-                addr, value = buf[0]
-                buf2 = buffers[:t] + (buf[1:],) + buffers[t + 1:]
-                i = addr_index[addr]
-                mem2 = memory[:i] + (value,) + memory[i + 1:]
-                for sub in explore(pcs, buf2, mem2):
-                    futures.add(sub)
+                clear, write = drains[drained]
+                futures |= explore((state & clear | write) + drained_step)
         if not moved:
-            futures.add(((), memory))
-        result = frozenset(futures)
-        memo[key] = result
-        return result
+            futures.add(state & outcome_mask)
+        memo[state] = futures
+        return futures
 
-    finals = explore(tuple(0 for _ in range(n)),
-                     tuple(() for _ in range(n)), init_mem)
+    finals = explore(0)
     # ``explore`` refers to itself, so only the cyclic collector would
     # free it and the memo it holds: drop the memo now
     memo.clear()
-    return {_canonical(binds, mem, addrs) for binds, mem in finals}
+    return finals
 
 
 # -- RVWMO -------------------------------------------------------------------
 
-def _rvwmo_outcomes(program: VerifyProgram) -> Set[Outcome]:
-    threads = program.threads
-    addrs = program.addrs
-    addr_index = {a: i for i, a in enumerate(addrs)}
-    n = len(threads)
-    init_mem = tuple(0 for _ in addrs)
+def _rvwmo_futures(program: VerifyProgram, codec: OutcomeCodec) -> Set[int]:
+    fmask = codec.field_mask
+    index = codec.index
+    # one done bit per op above the outcome fields; per op, the done
+    # bits of the po-earlier ops that must be done before it performs
+    moves: List[tuple] = []
+    base = codec.bits
+    for t, ops in enumerate(program.threads):
+        for i, op in enumerate(ops):
+            # fences order both ways; a store waits for every
+            # po-earlier same-address access
+            blocked = 0
+            for j in range(i):
+                prior = ops[j]
+                if prior.kind == "fence" or op.kind == "fence" or (
+                        op.kind == "store" and prior.addr == op.addr):
+                    blocked |= 1 << base + j
+            bit = 1 << base + i
+            if op.kind == "store":
+                at = codec.addr_shift[op.addr]
+                moves.append((bit, blocked, _STORE, ~(fmask << at),
+                              index[op.value] << at, 0, 0))
+            elif op.kind == "load":
+                load_shift = codec.load_shift[(t, i)]
+                # the youngest po-earlier same-address store forwards
+                # until it is done (RVWMO's load-value axiom)
+                source, forwarded = 0, 0
+                for j in range(i - 1, -1, -1):
+                    prior = ops[j]
+                    if prior.kind == "store" and prior.addr == op.addr:
+                        source = 1 << base + j
+                        forwarded = index[prior.value] << load_shift
+                        break
+                moves.append((bit, blocked, _LOAD, codec.addr_shift[op.addr],
+                              load_shift, source, forwarded))
+            else:
+                moves.append((bit, blocked, _FENCE, 0, 0, 0, 0))
+        base += len(ops)
+    outcome_mask = (1 << codec.bits) - 1
 
-    # done-state per thread: a bitmask over that thread's ops
-    memo: Dict[Tuple, FrozenSet[Future]] = {}
+    memo: Dict[int, Set[int]] = {}
 
-    def ready(t: int, i: int, done: int) -> bool:
-        """May op i of thread t perform now, given its thread's done set?"""
-        ops = threads[t]
-        op = ops[i]
-        for j in range(i):
-            prior = ops[j]
-            if done >> j & 1:
-                continue
-            if prior.kind == "fence":
-                return False                 # fence orders everything
-            if op.kind == "fence":
-                return False                 # ...in both directions
-            if op.kind == "store" and prior.kind in ("store", "load") \
-                    and prior.addr == op.addr:
-                return False                 # PPO: same-addr any→W
-        return True
-
-    def forward_value(t: int, i: int, done: int) -> Optional[int]:
-        """Youngest po-earlier undrained same-address store, if any."""
-        ops = threads[t]
-        addr = ops[i].addr
-        for j in range(i - 1, -1, -1):
-            prior = ops[j]
-            if prior.kind == "store" and prior.addr == addr:
-                if done >> j & 1:
-                    return None              # already in memory
-                return prior.value           # must forward (load-value axiom)
-        return None
-
-    def explore(done: Tuple[int, ...],
-                memory: Tuple[int, ...]) -> FrozenSet[Future]:
-        key = (done, memory)
-        cached = memo.get(key)
+    def explore(state: int) -> Set[int]:
+        cached = memo.get(state)
         if cached is not None:
             return cached
-        futures: Set[Future] = set()
+        futures: Set[int] = set()
         moved = False
-        for t in range(n):
-            ops = threads[t]
-            mask = done[t]
-            for i, op in enumerate(ops):
-                if mask >> i & 1 or not ready(t, i, mask):
-                    continue
-                moved = True
-                done2 = done[:t] + (mask | 1 << i,) + done[t + 1:]
-                if op.kind == "store":
-                    k = addr_index[op.addr]
-                    mem2 = memory[:k] + (op.value,) + memory[k + 1:]
-                    for sub in explore(done2, mem2):
-                        futures.add(sub)
-                elif op.kind == "load":
-                    value = forward_value(t, i, mask)
-                    if value is None:
-                        value = memory[addr_index[op.addr]]
-                    bind = ((t, i), value)
-                    for binds, final in explore(done2, memory):
-                        futures.add(((bind,) + binds, final))
-                else:                        # fence: pure ordering
-                    for sub in explore(done2, memory):
-                        futures.add(sub)
+        for bit, blocked, kind, a, b, source, forwarded in moves:
+            if state & bit or blocked & ~state:
+                continue
+            moved = True
+            if kind == _LOAD:
+                bound = forwarded if source and not state & source else \
+                    (state >> a & fmask) << b
+                futures.update([f | bound for f in explore(state | bit)])
+            elif kind == _STORE:
+                futures |= explore((state | bit) & a | b)
+            else:                            # fence: pure ordering
+                futures |= explore(state | bit)
         if not moved:
-            futures.add(((), memory))
-        result = frozenset(futures)
-        memo[key] = result
-        return result
+            futures.add(state & outcome_mask)
+        memo[state] = futures
+        return futures
 
-    finals = explore(tuple(0 for _ in range(n)), init_mem)
-    memo.clear()                     # see _tso_outcomes
-    return {_canonical(binds, mem, addrs) for binds, mem in finals}
+    finals = explore(0)
+    memo.clear()                     # see _tso_futures
+    return finals
 
 
 # -- public API --------------------------------------------------------------
 
+_SEARCHES = {"tso": _tso_futures, "rvwmo": _rvwmo_futures}
+
+
 @lru_cache(maxsize=256)
 def _allowed_cached(model: str, blob: str) -> FrozenSet[Outcome]:
-    import json
+    search = _SEARCHES.get(model)
+    if search is None:
+        raise ValueError(f"unknown memory model {model!r}; "
+                         f"choose from {MODELS}")
     program = VerifyProgram.from_dict(json.loads(blob))
-    if model == "tso":
-        return frozenset(_tso_outcomes(program))
-    if model == "rvwmo":
-        return frozenset(_rvwmo_outcomes(program))
-    raise ValueError(f"unknown memory model {model!r}; choose from {MODELS}")
+    codec = OutcomeCodec(program)
+    return frozenset(map(codec.decode, search(program, codec)))
 
 
 def allowed_outcomes(program: VerifyProgram,
                      model: str) -> FrozenSet[Outcome]:
     """Every architecturally allowed outcome of ``program`` under
     ``model`` (``"tso"`` or ``"rvwmo"``)."""
-    import json
     blob = json.dumps(program.to_dict(), sort_keys=True)
     return _allowed_cached(model, blob)

@@ -23,7 +23,9 @@ system).  So differential checking works on *orderings*:
    events *within* a thread; across threads any interleaving is fair),
    binding forwarded loads to their store's value and memory loads to
    the memory image at their merge point.  The result is the set of
-   outcomes consistent with what the pipeline actually did.
+   outcomes consistent with what the pipeline actually did.  Like the
+   oracle it searches on ints packed by
+   :class:`~repro.verify.oracle.OutcomeCodec`.
 
 A run is correct iff that composed set is a **subset** of the oracle's
 allowed set (:mod:`~repro.verify.oracle`); any outcome outside it is a
@@ -49,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .generator import VerifyProgram
-from .oracle import Outcome
+from .oracle import Outcome, OutcomeCodec
 
 __all__ = ["AppEvent", "ThreadWitness", "WitnessSubscriber",
            "apparent_order", "compose_outcomes", "extract_witness"]
@@ -292,51 +294,64 @@ def compose_outcomes(program: VerifyProgram,
     """Every outcome reachable by interleaving the threads' apparent
     sequences (order within a thread fixed, any merge across threads).
 
-    Memoized futures DFS on (per-thread positions, memory image); the
-    returned outcomes use the oracle's canonical form, so correctness
-    is a subset test against :func:`~repro.verify.oracle.allowed_outcomes`.
+    Memoized futures DFS on (per-thread positions, memory image), with
+    futures and states packed by the oracle's
+    :class:`~repro.verify.oracle.OutcomeCodec`; the returned outcomes
+    use the oracle's canonical form, so correctness is a subset test
+    against :func:`~repro.verify.oracle.allowed_outcomes`.  Each
+    sequence holds every load of its thread once, as
+    :func:`apparent_order` builds it.
     """
-    addrs = program.addrs
-    addr_index = {a: i for i, a in enumerate(addrs)}
-    n = len(sequences)
-    init_mem = tuple(0 for _ in addrs)
+    codec = OutcomeCodec(program)
+    fmask = codec.field_mask
+    index = codec.index
+    threads = []
+    shift = codec.bits                   # positions sit above the outcome
+    for t, sequence in enumerate(sequences):
+        moves = []
+        for event in sequence:
+            at = codec.addr_shift[event.addr]
+            if event.kind == "drain":
+                moves.append((True, ~(fmask << at), index[event.value] << at,
+                              None))
+            else:
+                load_shift = codec.load_shift[(t, event.index)]
+                # a forwarded load binds its source's value; None reads
+                # memory at the merge point
+                forwarded = None if event.value is None \
+                    else index[event.value] << load_shift
+                moves.append((False, at, load_shift, forwarded))
+        width = len(moves).bit_length()
+        threads.append((shift, (1 << width) - 1, 1 << shift, len(moves),
+                        moves))
+        shift += width
+    outcome_mask = (1 << codec.bits) - 1
 
-    Binding = Tuple[Tuple[int, int], int]
-    memo: Dict[Tuple, FrozenSet] = {}
+    memo: Dict[int, Set[int]] = {}
 
-    def explore(positions: Tuple[int, ...],
-                memory: Tuple[int, ...]) -> FrozenSet:
-        key = (positions, memory)
-        cached = memo.get(key)
+    def explore(state: int) -> Set[int]:
+        cached = memo.get(state)
         if cached is not None:
             return cached
-        futures: Set[Tuple[Tuple[Binding, ...], Tuple[int, ...]]] = set()
+        futures: Set[int] = set()
         moved = False
-        for t in range(n):
-            pos = positions[t]
-            if pos >= len(sequences[t]):
+        for shift, mask, step, length, moves in threads:
+            pos = state >> shift & mask
+            if pos >= length:
                 continue
             moved = True
-            event = sequences[t][pos]
-            positions2 = positions[:t] + (pos + 1,) + positions[t + 1:]
-            if event.kind == "drain":
-                k = addr_index[event.addr]
-                mem2 = memory[:k] + (event.value,) + memory[k + 1:]
-                for sub in explore(positions2, mem2):
-                    futures.add(sub)
+            drain, a, b, bound = moves[pos]
+            if drain:
+                futures |= explore((state & a | b) + step)
             else:
-                value = event.value
-                if value is None:
-                    value = memory[addr_index[event.addr]]
-                bind = ((t, event.index), value)
-                for binds, final in explore(positions2, memory):
-                    futures.add(((bind,) + binds, final))
+                if bound is None:
+                    bound = (state >> a & fmask) << b
+                futures.update([f | bound for f in explore(state + step)])
         if not moved:
-            futures.add(((), memory))
-        result = frozenset(futures)
-        memo[key] = result
-        return result
+            futures.add(state & outcome_mask)
+        memo[state] = futures
+        return futures
 
-    finals = explore(tuple(0 for _ in range(n)), init_mem)
-    return frozenset((tuple(sorted(binds)), tuple(zip(addrs, mem)))
-                     for binds, mem in finals)
+    finals = explore(0)
+    memo.clear()                     # ``explore`` refers to itself
+    return frozenset(map(codec.decode, finals))

@@ -39,6 +39,12 @@ per branch over folded-history registers).  Each window also has a
 budget of Python-level calls per stepped cycle, so a hot-path
 regression fails tier-1 as a deterministic count.
 
+The verifier has a window of its own: one cold ``allowed_outcomes``
+per memory model and one ``compose_outcomes`` on the seed-0 campaign's
+costliest program, within a budget of Python-level calls and of
+C-level ``set.add`` calls.  The searches merge futures with set unions,
+so ``set.add`` runs once per terminal state, not once per future.
+
 The second half exercises ``REPRO_CHECK=1``: a checked run must match
 an unchecked one.
 """
@@ -64,6 +70,9 @@ from repro.pipeline.resources import FUPool
 from repro.pipeline.stages import issue
 from repro.queues import CircularQueue, CollapsibleQueue, RandomQueue
 from repro.rename import PhysRegFreeList, RenameUnit
+from repro.verify import oracle
+from repro.verify.generator import generate_programs
+from repro.verify.witness import AppEvent, compose_outcomes
 from repro.workloads import build_trace
 
 pytestmark = pytest.mark.skipif(
@@ -125,6 +134,13 @@ CALL_BUDGETS = {
     "age-orinoco-tso": 61.0,
     "age-ioc-wrong-path": 42.0,
 }
+
+
+#: the verifier window's budgets: Python-level calls, and C-level
+#: ``set.add`` calls (``c_call`` events).  Measured on CPython 3.11:
+#: 13,824 and 12.  With tuple futures the window made 19,113 calls and
+#: 109,760 ``set.add`` calls, one per future element built
+VERIFY_BUDGETS = {"calls": 15_200, "set_add": 13}
 
 
 def _forbidden_call_profiler(calls, total):
@@ -264,6 +280,41 @@ def test_vectorized_lane_loop_allocates_nothing():
         f"vectorized lane steps constructed NumPy arrays: {counts} "
         f"over {GUARDED_STEPS} steps — an engine scratch buffer "
         f"regressed")
+
+
+def test_verifier_window_call_budget():
+    """p0023 of the seed-0 campaign has its largest allowed sets (103
+    outcomes under TSO, 144 under RVWMO); the composed orders are
+    program order, one drain per store and one memory read per load."""
+    program = generate_programs(0, 24)[23]
+    sequences = []
+    for ops in program.threads:
+        sequences.append([
+            AppEvent(i, i, "drain" if op.kind == "store" else "load",
+                     op.addr, op.value)
+            for i, op in enumerate(ops) if op.kind != "fence"])
+    oracle._allowed_cached.cache_clear()
+    counts = {"calls": 0, "set_add": 0}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            counts["calls"] += 1
+        elif event == "c_call" and arg.__name__ == "add" \
+                and type(getattr(arg, "__self__", None)) is set:
+            counts["set_add"] += 1
+
+    previous_profiler = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for model in oracle.MODELS:
+            assert oracle.allowed_outcomes(program, model)
+        assert compose_outcomes(program, sequences)
+    finally:
+        sys.setprofile(previous_profiler)
+    over = {key: f"{counts[key]:,} > {budget:,}"
+            for key, budget in VERIFY_BUDGETS.items()
+            if counts[key] > budget}
+    assert not over, f"the verifier window went over its budgets: {over}"
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import pytest
 
 from repro.isa import ProgramBuilder, trace_program
 from repro.pipeline import O3Core, Timeline, base_config
+from repro.workloads import build_trace
 
 
 def run_with_timeline(commit="orinoco", max_entries=10_000):
@@ -102,6 +103,18 @@ class TestSquashedRendering:
         # dimmed rows never use the bright commit mark
         for line in dimmed:
             assert "R" not in line.split("|", 1)[-1]
+
+    def test_wrong_path_ops_carry_their_dispatch_mark(self):
+        """Wrong-path ops are dispatched like any other: every one that
+        issued shows a dispatch cycle no later than its issue cycle."""
+        core = O3Core(build_trace("gcc.mix", scale=0.05), base_config())
+        timeline = Timeline.attach(core)
+        core.run()
+        issued = [e for e in timeline.squashed_entries()
+                  if e.seq < 0 and e.issued is not None]
+        assert issued, "the run must issue wrong-path ops"
+        assert all(e.dispatched is not None and e.dispatched <= e.issued
+                   for e in issued)
 
     def test_committed_rows_unaffected(self):
         _, timeline = self.run_with_squashes()

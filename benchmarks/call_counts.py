@@ -1,4 +1,4 @@
-"""Python-level call count of one in-process Figure 15 or verify pass.
+"""Python-level call count of one in-process figure or verify pass.
 
 Counts ``sys.setprofile`` "call" events (Python functions only; C
 builtins raise "c_call", which is not counted) over the second of two
@@ -6,10 +6,12 @@ in-process passes of a workload.  ``fig15-serial`` (the default) is
 Figure 15 at scale 0.1 on five targets, ten commit policies,
 ``workers=1``, no result cache, ``lanes=1``; the first pass warms
 imports and the trace LRU, so the second counts the simulation and the
-harness around it.  ``verify-campaign`` is the seed-0, 24-program
-``repro verify`` campaign at ``jobs=1``, ``lanes=1``; the oracle's memo
-is cleared before the counted pass, so it pays the cold oracle as a
-fresh process does.
+harness around it.  ``figs`` is Figure 14 then Figure 16 with the same
+settings, so it covers the criticality profiles and the pro and ultra
+presets.  ``verify-campaign`` is the seed-0, 24-program ``repro
+verify`` campaign at ``jobs=1``, ``lanes=1``; the oracle's memo is
+cleared before the counted pass, so it pays the cold oracle as a fresh
+process does.
 
 The count repeats exactly on one interpreter (a pass draws nothing from
 the clock), so it compares across commits where shared-runner timings
@@ -17,10 +19,12 @@ cannot.  It is a measurement of where the cycle loop spends Python
 calls, not a benchmark metric.  Besides the total and the busiest
 functions it reports the split by ``repro`` subpackage (a function's
 module, so a dataclass's generated ``__init__`` counts where the class
-lives; code outside ``repro`` is grouped by top-level package) and the
-number of ``InflightOp`` records built, one per fetched op::
+lives; code outside ``repro`` is grouped by top-level package), the
+number of ``InflightOp`` records built, one per fetched op, and the
+number of ``O3Core``s built, one per simulated cell::
 
     PYTHONPATH=src python benchmarks/call_counts.py --top 25 --json calls.json
+    PYTHONPATH=src python benchmarks/call_counts.py --workload figs
     PYTHONPATH=src python benchmarks/call_counts.py --workload verify-campaign
 """
 
@@ -36,7 +40,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.harness.experiments import fig15                # noqa: E402
+from repro.harness.experiments import fig14, fig15, fig16  # noqa: E402
+from repro.pipeline import O3Core                           # noqa: E402
 from repro.pipeline.stages.state import InflightOp          # noqa: E402
 from repro.verify import oracle                             # noqa: E402
 from repro.verify.campaign import run_campaign              # noqa: E402
@@ -50,6 +55,9 @@ VERIFY_PROGRAMS = 24
 WORKLOADS = {
     "fig15-serial": {"figure": "fig15", "scale": SCALE, "targets": TARGETS,
                      "workers": 1, "lanes": 1, "use_cache": False},
+    "figs": {"figures": ["fig14", "fig16"], "scale": SCALE,
+             "targets": TARGETS, "workers": 1, "lanes": 1,
+             "use_cache": False},
     "verify-campaign": {"campaign": "verify", "seed": VERIFY_SEED,
                         "programs": VERIFY_PROGRAMS, "jobs": 1, "lanes": 1},
 }
@@ -60,6 +68,12 @@ def _pass(workload: str, tmp: Path):
     if workload == "fig15-serial":
         return lambda: fig15(SCALE, list(TARGETS), workers=1,
                              use_cache=False, lanes=1)
+    if workload == "figs":
+        def figs_pass() -> None:
+            for figure in (fig14, fig16):
+                figure(SCALE, list(TARGETS), workers=1, use_cache=False,
+                       lanes=1)
+        return figs_pass
 
     def verify_pass() -> None:
         oracle._allowed_cached.cache_clear()
@@ -126,14 +140,20 @@ def main(argv=None) -> int:
     for (filename, line, name, module), count in calls.items():
         functions[(filename, line, name)] += count
         subpackages[_subpackage(module)] += count
-    init = InflightOp.__init__.__code__
-    inflight_ops = functions[(init.co_filename, init.co_firstlineno,
-                              init.co_name)]
+
+    def built(cls) -> int:
+        """Instances of ``cls`` built: calls of its ``__init__``."""
+        code = cls.__init__.__code__
+        return functions[(code.co_filename, code.co_firstlineno,
+                          code.co_name)]
+
+    inflight_ops, cores = built(InflightOp), built(O3Core)
     top = [(_label(key), count)
            for key, count in functions.most_common(args.top)]
     by_subpackage = dict(subpackages.most_common())
     print(f"python-level calls per {args.workload} pass: {total:,}")
     print(f"InflightOp records built: {inflight_ops:,}")
+    print(f"O3Core cores built: {cores:,}")
     print("calls by subpackage:")
     for package, count in by_subpackage.items():
         print(f"{count:>10,}  {package}")
@@ -147,6 +167,7 @@ def main(argv=None) -> int:
             "hash_seed": os.environ.get("PYTHONHASHSEED"),
             "total_calls": total,
             "inflight_ops": inflight_ops,
+            "cores": cores,
             "by_subpackage": by_subpackage,
             "top": [{"function": label, "calls": count}
                     for label, count in top],

@@ -8,8 +8,9 @@ calls these and records paper-vs-measured in EXPERIMENTS.md.
 Every figure is a grid of independent (config, workload) cells, so the
 drivers build one flat job list and submit it through the parallel
 executor in a single batch: ``workers`` (default ``$REPRO_JOBS``) fans
-the whole grid out at once, and the criticality configurations share
-one profile simulation per workload instead of re-profiling per label.
+the whole grid out at once, and a criticality configuration is
+profiled by the plain cell of its profile config, which the executor
+simulates once per workload — in Figure 14, the AGE column itself.
 """
 
 from __future__ import annotations
@@ -124,9 +125,10 @@ def fig14(scale: float = 1.0, names: Optional[List[str]] = None,
     """Figure 14: IPC improvements of priority scheduling.
 
     Baseline AGE; comparisons MULT, Orinoco, CRI w/ AGE, CRI w/ Orinoco
-    — all with in-order commit.  The two CRI configurations share one
-    AGE profile simulation per workload (the profile→tag→run stages are
-    expressed as an executor dependency, not re-simulated per label).
+    — all with in-order commit.  Both CRI configurations profile under
+    the AGE column's own config, so each workload's AGE cell is also
+    its profile: the executor simulates it once and feeds its per-PC
+    counts to both CRI cells' taggers.
     """
     traces = build_suite(scale, names)
     base = make_config(preset, commit="ioc")

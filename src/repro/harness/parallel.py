@@ -23,11 +23,13 @@ executes them over the fault-isolated dispatcher in
   (:func:`repro.workloads.ensure_target`).  The ``spawn`` start method
   is used explicitly so the executor behaves identically on every
   platform (fork would share the parent's trace cache by accident).
-* **Two-stage criticality** — jobs carrying a ``profile_config``
-  express the profile→tag→run dependency: stage one runs each unique
-  (profile config, workload) cell exactly once, stage two feeds that
-  single profile to every dependent run (the serial path re-simulated
-  the profile per output config).
+* **One unit per cell** — jobs sharing a cache key are one unit,
+  simulated once.  A job carrying a ``profile_config`` depends on the
+  plain cell of that config, whose run also returns the per-PC counts
+  the tagger needs: Figure 14's AGE column is its own profile, and a
+  profile no job reports runs as a profile-only unit,
+  ``profile/<workload>``.  Units a dependent needs run first, then
+  the rest, each dependent carrying its profile.
 * **Graceful degradation** — a crashed, hung, or raising cell is an
   annotated hole in the grid, not a dead campaign: its
   :class:`SuiteResult` slot records a typed status
@@ -39,11 +41,11 @@ executes them over the fault-isolated dispatcher in
   what finished.
 
 One runner, :func:`~repro.harness.resilience.run_tasks`, executes
-each stage's task list: through the pool with ``workers>1``, and
-in-process otherwise, calling the same task functions.  So a failing
-cell is the same annotated hole at every worker count; only pool
-payloads carry the ``crash``/``hang``/``explode`` faults.  Lane
-batching (``lanes>1``) runs in-process only.
+both task lists: through the pool with ``workers>1``, and in-process
+otherwise, calling the same task function.  So a failing cell is the
+same annotated hole at every worker count; only pool payloads carry
+the ``crash``/``hang``/``explode`` faults.  Lane batching
+(``lanes>1``) runs in-process only.
 
 Results come back as ``{label: SuiteResult}`` with per-cell wall-clock
 timings so benchmark output can report actual speedup, and an optional
@@ -114,11 +116,6 @@ def default_lanes() -> int:
     return max(1, env_int("REPRO_LANES", 1))
 
 
-def _workload_spec(workload: str):
-    """The picklable rebuild recipe shipped inside worker payloads."""
-    return get_target(workload).worker_spec()
-
-
 def jobs_for(label: str, config: CoreConfig, traces: Dict[str, object],
              profile_config: Optional[CoreConfig] = None) -> List[Job]:
     """Jobs covering ``traces`` (registered workload targets only)."""
@@ -135,39 +132,33 @@ def jobs_for(label: str, config: CoreConfig, traces: Dict[str, object],
     return jobs
 
 
-# -- task functions --------------------------------------------------------
-# Top-level functions so they pickle by reference under spawn.  A pool
-# worker and, at workers <= 1, this process run the same _guarded_*
-# function: fetch the trace through the bounded in-process LRU
-# (:func:`repro.workloads.fetch_trace` — rebuilt from the registry on a
+# -- the task function -----------------------------------------------------
+# Top-level, so it pickles by reference under spawn.  A pool worker and,
+# at workers <= 1, this process run the same _guarded_cell: rebuild the
+# target from the payload's ``worker_spec()`` recipe
+# (:func:`repro.workloads.ensure_target`; trace-file targets re-import
+# their file under a sha256 guard), fetch the trace through the bounded
+# in-process LRU (:func:`repro.workloads.fetch_trace` — rebuilt on a
 # miss, never pickled), apply the payload's faults, simulate, and return
-# ("ok", value) or ("error", failure dict with a crash bundle).  Each
-# payload carries the target's ``worker_spec()`` rebuild recipe
-# (:func:`repro.workloads.ensure_target`): built-in targets re-register
-# when a worker imports repro.workloads, and trace-file targets ship
-# ``(path, sha256)`` so the worker re-imports the file — verifying the
-# checksum — instead of unpickling megabytes of DynInstr.  Because
-# worker processes persist across chunks and run_suite calls, and the
-# parent sorts cells so same-workload cells share a chunk, successive
-# cells stop re-generating megabyte traces.  The _simulate_* pair takes
-# the trace itself, so the runner's ad-hoc traces use it too.
-
-def _simulate_profile(trace, config: CoreConfig) -> ProfileData:
-    """Stage 1: profile run → per-PC L1-miss / misprediction counts."""
-    core = O3Core(trace, config)
-    core.run()
-    return dict(core.pc_l1_misses), dict(core.pc_mispredicts)
-
+# ("ok", value) or ("error", failure dict with a crash bundle).  Workers
+# persist across chunks and run_suite calls, and same-workload cells
+# share a chunk, so successive cells reuse one trace.  _simulate_cell
+# takes the trace itself, so the runner's ad-hoc traces use it too.
 
 def _simulate_cell(trace, config: CoreConfig,
                    profile: Optional[ProfileData] = None,
-                   subscribers: Sequence = ()) -> Tuple[SimStats, float]:
-    """Stage 2: simulate one cell (tagging first for criticality runs).
+                   subscribers: Sequence = (),
+                   want_profile: bool = False
+                   ) -> Tuple[SimStats, float, Optional[ProfileData]]:
+    """Simulate one cell (tagging first for criticality runs).
 
     Tagging happens *inside* the try so a crash mid-``tag`` (partial
     tags) still clears the shared in-process trace on the way out.
     ``subscribers`` are attached to the core's event bus before the
-    run (fault injection).  Returns ``(stats, seconds)``.
+    run (fault injection).  Returns ``(stats, seconds, counts)``, where
+    ``counts`` is the run's per-PC L1-miss and misprediction counts —
+    the profile a dependent criticality cell tags from — when
+    ``want_profile`` and ``None`` otherwise.
     """
     start = time.perf_counter()
     try:
@@ -182,30 +173,19 @@ def _simulate_cell(trace, config: CoreConfig,
     finally:
         if profile is not None:
             clear_tags(trace)
-    return stats, time.perf_counter() - start
-
-
-def _guarded_profile(payload, attempt: int):
-    """Task function for stage 1: fault hooks + failure capture."""
-    cell_id, config, workload, scale, workload_spec, faults_text = payload
-    specs = faults.parse_fault_specs(faults_text)
-    faults.preflight(specs, cell_id, attempt)
-    try:
-        ensure_target(workload_spec)
-        trace, _hit = fetch_trace(workload, scale)
-        return "ok", _simulate_profile(trace, config)
-    except Exception as exc:
-        tb = traceback.format_exc()
-        return "error", exception_failure(exc, tb, build_crash_bundle(
-            label="profile", config=config, workload=workload, scale=scale,
-            exc=exc, tb=tb, attempt=attempt, faults_text=faults_text))
+    elapsed = time.perf_counter() - start
+    if not want_profile:
+        return stats, elapsed, None
+    return stats, elapsed, (dict(core.pc_l1_misses),
+                            dict(core.pc_mispredicts))
 
 
 def _guarded_cell(payload, attempt: int):
-    """Task function for stage 2: fault hooks + failure capture.
-    Returns ``(stats, seconds, trace_was_cache_hit)`` on success."""
+    """The task function: fault hooks + failure capture.  Returns
+    ``(stats, seconds, trace_was_cache_hit, counts)`` on success, with
+    ``counts`` the per-PC profile when the payload asks for it."""
     (label, config, workload, scale, workload_spec, profile,
-     profile_config, faults_text) = payload
+     profile_config, want_profile, faults_text) = payload
     cell_id = f"{label}/{workload}"
     specs = faults.parse_fault_specs(faults_text)
     faults.preflight(specs, cell_id, attempt)
@@ -214,8 +194,9 @@ def _guarded_cell(payload, attempt: int):
     try:
         ensure_target(workload_spec)
         trace, trace_hit = fetch_trace(workload, scale)
-        stats, elapsed = _simulate_cell(trace, config, profile, subscribers)
-        return "ok", (stats, elapsed, trace_hit)
+        stats, elapsed, counts = _simulate_cell(
+            trace, config, profile, subscribers, want_profile)
+        return "ok", (stats, elapsed, trace_hit, counts)
     except Exception as exc:
         tb = traceback.format_exc()
         return "error", exception_failure(exc, tb, build_crash_bundle(
@@ -228,7 +209,7 @@ def _guarded_cell(payload, attempt: int):
 
 @dataclass
 class _CellRecord:
-    """Terminal state of one job's cell, pre-assembly."""
+    """Terminal state of one unit's cell, pre-assembly."""
 
     status: CellStatus
     stats: Optional[SimStats] = None
@@ -243,30 +224,27 @@ class _CellRecord:
     batch: Optional[Tuple[int, int, int]] = None
 
 
-def _lane_groups(jobs: Sequence[Job], indices: Sequence[int]
-                 ) -> List[List[int]]:
-    """Partition lane-eligible job indices into compatible groups.
+def _affinity(job: Job) -> tuple:
+    """Run-order key: same-(workload, scale) cells adjacent."""
+    return job.workload, job.scale, job.label
 
-    Cells sharing a :func:`~repro.pipeline.lanes.lane_key` (the IQ
-    size) may share a lane stack, whatever their commit policy or queue
-    organisation; within a group, cells are ordered by (workload,
-    scale) so batch-mates share traces from the LRU.  Outcomes are
-    keyed by job index, so grouping never affects what a cell
-    computes.
-    """
-    groups: Dict[tuple, List[int]] = {}
-    for index in indices:
-        groups.setdefault(lane_key(jobs[index].config), []).append(index)
-    for members in groups.values():
-        members.sort(key=lambda i: (jobs[i].workload, jobs[i].scale,
-                                    jobs[i].label))
+
+def _lane_groups(units: Dict[str, Job], keys: Sequence[str]
+                 ) -> List[List[str]]:
+    """Partition lane-eligible unit keys into groups that may share a
+    lane stack: one per :func:`~repro.pipeline.lanes.lane_key` (the IQ
+    size), whatever the commit policy or queue organisation, each in
+    (workload, scale) order so batch-mates share traces from the LRU."""
+    groups: Dict[tuple, List[str]] = {}
+    for key in sorted(keys, key=lambda k: _affinity(units[k])):
+        groups.setdefault(lane_key(units[key].config), []).append(key)
     return list(groups.values())
 
 
-def _run_lane_batches(jobs: Sequence[Job], indices: Sequence[int],
-                      lanes: int, records: Dict[int, "_CellRecord"],
+def _run_lane_batches(units: Dict[str, Job], keys: Sequence[str],
+                      lanes: int, records: Dict[str, "_CellRecord"],
                       flush_cell, timeout: Optional[float]) -> None:
-    """In-process lane path: run eligible cells through LaneBatch.
+    """In-process lane path: run eligible units through LaneBatch.
 
     Failures become annotated holes, as on the task path, so one
     deadlocking cell never sinks its batch-mates.  Completed cells
@@ -274,26 +252,26 @@ def _run_lane_batches(jobs: Sequence[Job], indices: Sequence[int],
     result cannot do.
     """
     do_check = check.check_enabled()
-    for members in _lane_groups(jobs, indices):
+    for members in _lane_groups(units, keys):
         cells, hits = [], {}
-        for index in members:
-            job = jobs[index]
+        for key in members:
+            job = units[key]
             trace, hit = fetch_trace(job.workload, job.scale)
-            cells.append(LaneCell(index, trace, job.config))
-            hits[index] = hit
-        (iq_size,) = lane_key(jobs[members[0]].config)
+            cells.append(LaneCell(key, trace, job.config))
+            hits[key] = hit
+        (iq_size,) = lane_key(units[members[0]].config)
         batch = LaneBatch(min(lanes, len(cells)), iq_size)
         batch_id = next_task_id()
 
-        def cell_done(outcome, hits=hits):
-            index = outcome.index
+        def lane_done(outcome, hits=hits):
+            key = outcome.index
             if outcome.stats is not None:
-                records[index] = _CellRecord(
+                records[key] = _CellRecord(
                     CellStatus.OK, outcome.stats, outcome.elapsed,
-                    trace_hit=hits[index])
-                flush_cell(index, outcome.stats)
+                    trace_hit=hits[key])
+                flush_cell(key, outcome.stats)
             elif outcome.timed_out:
-                records[index] = _CellRecord(
+                records[key] = _CellRecord(
                     CellStatus.TIMEOUT,
                     failure=CellFailure(
                         kind="timeout",
@@ -302,18 +280,18 @@ def _run_lane_batches(jobs: Sequence[Job], indices: Sequence[int],
             else:
                 # the same failure, crash bundle included, that
                 # _guarded_cell returns for a cell that raises
-                job = jobs[index]
+                job = units[key]
                 exc, tb = outcome.error, outcome.error_tb
                 failed = task_outcome("error", exception_failure(
                     exc, tb, build_crash_bundle(
                         label=job.label, config=job.config,
                         workload=job.workload, scale=job.scale,
                         exc=exc, tb=tb)), 1)
-                records[index] = _CellRecord(
+                records[key] = _CellRecord(
                     CellStatus.FAILED,
                     failure=_finalize_failure(failed.failure))
 
-        report = batch.run(cells, on_cell=cell_done, timeout=timeout)
+        report = batch.run(cells, on_cell=lane_done, timeout=timeout)
         for outcome in report.outcomes:
             records[outcome.index].batch = (batch_id, report.steps,
                                             report.lane_steps)
@@ -337,12 +315,6 @@ def _finalize_failure(failure: Optional[CellFailure]
     return failure
 
 
-def _affinity_order(jobs: Sequence[Job], indices: List[int]) -> List[int]:
-    """``indices`` with same-(workload, scale) cells adjacent."""
-    return sorted(indices, key=lambda i: (jobs[i].workload, jobs[i].scale,
-                                          jobs[i].label))
-
-
 def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
               cache: Optional[ResultCache] = None,
               progress: bool = False,
@@ -352,32 +324,37 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
               lanes: Optional[int] = None) -> Dict[str, "SuiteResult"]:
     """Execute every job; return ``{label: SuiteResult}`` in job order.
 
-    ``workers=None`` reads ``$REPRO_JOBS``.  Each stage's tasks run
-    through :func:`~repro.harness.resilience.run_tasks`: in the pool
-    with ``workers>1``, otherwise in-process, with the same task
-    functions either way.  ``cache``
-    short-circuits cells (and profiles) already on disk — resolved in
-    the parent *before* dispatch, so a fully warm sweep never spawns a
-    worker — and receives each completed cell as it finishes.
-    ``timeout`` (seconds; ``None`` reads ``$REPRO_CELL_TIMEOUT``)
-    bounds each cell on the worker path; ``retries`` (``None`` reads
-    ``$REPRO_RETRIES``) bounds crash retries.  ``chunk`` (``None``
-    reads ``$REPRO_CHUNK``) fixes how many cells share one dispatch
-    round-trip; 0/unset sizes chunks by factoring, so they shrink as
-    the queue drains and the workers finish together.  Both paths run
-    cells grouped by (workload, scale), so consecutive cells hit the
-    trace LRU (a worker's, on the pool path), and a factored chunk
-    never spans two such groups.  Failed cells come back as annotated
-    holes in the :class:`SuiteResult`, never as raised exceptions.
+    Jobs sharing a :func:`~repro.harness.cache.cache_key` are one unit,
+    simulated once; each of them records the unit's outcome.  A
+    criticality job depends on the unit of the plain cell of its
+    ``profile_config``: a profile-only unit, ``profile/<workload>``,
+    that no label reports, when no job has that cell.  Units run
+    through :func:`~repro.harness.resilience.run_tasks` (the pool with
+    ``workers>1``, else in-process; one task function and one
+    completion callback either way) in two calls: first the units
+    whose per-PC profile a dependent still needs, then the rest, each
+    dependent carrying its profile.  Both calls run cells grouped by
+    (workload, scale), so consecutive cells hit the trace LRU (a
+    worker's, on the pool path), and a factored chunk never spans two
+    such groups.
 
-    ``lanes`` (``None`` reads ``$REPRO_LANES``; 1 = off) batches
-    lane-compatible cells through the lockstep engine
-    (:mod:`repro.pipeline.lanes`) at ``workers<=1`` only: groups
-    sharing matrix shapes run over one struct-of-arrays stack, and
-    batched results are field-identical per cell.  With workers every
-    cell is its own task.  Criticality cells (tagging mutates the
-    shared trace) and fault-injection runs always take the per-cell
-    path.
+    ``cache`` short-circuits units (and profiles) already on disk —
+    resolved before dispatch, so a fully warm sweep never spawns a
+    worker — and receives each completed cell as it finishes.  ``None``
+    for ``workers``, ``timeout``, ``retries``, ``chunk`` or ``lanes``
+    reads ``$REPRO_JOBS``, ``$REPRO_CELL_TIMEOUT`` (a per-cell bound on
+    the worker path), ``$REPRO_RETRIES`` (crash retries),
+    ``$REPRO_CHUNK`` (cells per dispatch round-trip; 0/unset sizes
+    chunks by factoring) or ``$REPRO_LANES``.  Failed cells come back
+    as annotated holes in the :class:`SuiteResult`, never as raised
+    exceptions; a criticality cell whose profile failed is a
+    ``dependency`` hole.
+
+    ``lanes>1`` batches lane-compatible cells through the lockstep
+    engine (:mod:`repro.pipeline.lanes`) at ``workers<=1`` only, with
+    field-identical results.  Criticality cells (tagging mutates the
+    shared trace), units that serve a profile (a lane returns no
+    per-PC counts) and fault-injection runs take the per-cell path.
     """
     from .runner import SuiteResult          # local: avoid import cycle
     if workers is None:
@@ -397,154 +374,135 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
     fault_specs = faults.parse_fault_specs(faults_text)
     payload_faults = faults.payload_faults(faults_text, workers)
 
-    def flush_cell(index: int, stats: SimStats) -> None:
-        if cache is None:
-            return
-        cache.put(cell_keys[index], stats)
-        if fault_specs:
-            faults.apply_corrupt_faults(
-                fault_specs, jobs[index].cell_id,
-                cache.path_for(cell_keys[index]))
-
-    # cached cells short-circuit everything, including their profiles;
-    # resolving them here, before any dispatch, means a fully warm
-    # sweep never touches (or spawns) the worker pool at all
+    # one unit per distinct cell key, represented by its first job
     cell_keys = [cache_key(job.config, job.workload, job.scale,
                            job.profile_config) for job in jobs]
-    records: Dict[int, _CellRecord] = {}
-    if cache is not None:
-        hits = cache.get_many(cell_keys)
-        for index, key in enumerate(cell_keys):
-            if key in hits:
-                records[index] = _CellRecord(CellStatus.CACHED, hits[key])
+    units: Dict[str, Job] = {}
+    for key, job in zip(cell_keys, jobs):
+        units.setdefault(key, job)
 
-    # stage 1: one profile simulation per unique (profile, workload) cell
-    profile_keys = {}                        # job index -> profile cell key
-    profile_cells = {}                       # key -> (config, name, scale)
-    for index, job in enumerate(jobs):
-        if job.profile_config is None or index in records:
-            continue
-        key = cache_key(job.profile_config, job.workload, job.scale)
-        profile_keys[index] = key
-        profile_cells.setdefault(
-            key, (job.profile_config, job.workload, job.scale))
-    profiles: Dict[str, ProfileData] = {}
-    profile_failures: Dict[str, CellFailure] = {}
-    if cache is not None:
-        for key in list(profile_cells):
-            hit = cache.get_profile(key)
-            if hit is not None:
-                profiles[key] = hit
-                del profile_cells[key]
-    pending = list(profile_cells.items())
-    if progress:
-        for key, (config, name, scale) in pending:
-            print(f"    profile[{config.scheduler}/{config.commit}]: "
-                  f"{name}", flush=True)
-    specs, key_of = [], {}
-    # affinity: same-workload profiles share a chunk → trace LRU hits
-    for key, (config, name, scale) in sorted(
-            pending, key=lambda kv: (kv[1][1], kv[1][2])):
-        spec = TaskSpec(next_task_id(), f"profile/{name}", _guarded_profile,
-                        (f"profile/{name}", config, name, scale,
-                         _workload_spec(name), payload_faults),
-                        affinity=(name, scale))
-        specs.append(spec)
-        key_of[spec.task_id] = key
-
-    def profile_done(spec: TaskSpec, outcome: TaskOutcome) -> None:
-        key = key_of[spec.task_id]
-        if outcome.status is not CellStatus.OK:
-            profile_failures[key] = _finalize_failure(outcome.failure)
+    def flush_cell(key: str, stats: SimStats) -> None:
+        if cache is None:
             return
-        profiles[key] = outcome.value
-        if cache is not None:
-            cache.put_profile(key, *outcome.value)
+        cache.put(key, stats)
+        if fault_specs:
+            faults.apply_corrupt_faults(fault_specs, units[key].cell_id,
+                                        cache.path_for(key))
 
-    run_tasks(specs, workers, timeout=timeout, retries=retries,
-              on_complete=profile_done, chunk=chunk)
+    # cached units short-circuit everything, including their profiles;
+    # resolving them here, before any dispatch, means a fully warm
+    # sweep never touches (or spawns) the worker pool at all
+    records: Dict[str, _CellRecord] = {}
+    if cache is not None:
+        for key, stats in cache.get_many(cell_keys).items():
+            records[key] = _CellRecord(CellStatus.CACHED, stats)
 
-    # stage 2: the remaining runs
-    if progress:
-        for index, job in enumerate(jobs):
-            note = " (cached)" if index in records else ""
-            print(f"    {job.label}: {job.workload}{note}", flush=True)
-    task_indices = [index for index in range(len(jobs))
-                    if index not in records]
-    # lane eligibility: in-process plain cells only — criticality runs
-    # mutate the shared trace (tagging) and fault programmes target the
-    # per-cell task hooks, so both keep the per-cell path
-    lane_set = set()
-    if workers <= 1 and lanes > 1 and not fault_specs:
-        lane_set = {index for index in task_indices
-                    if jobs[index].profile_config is None}
-    specs, index_of = [], {}
-    # affinity scheduling: run same-(workload, scale) cells adjacently
-    # so they share a trace-LRU entry (and, with workers, a chunk and
-    # so a worker); a factored chunk ends where the key changes, so two
-    # costly workloads never share one.  Outcomes are keyed by task id
-    # and assembled in job order below, so run order never affects
-    # results.
-    for index in _affinity_order(
-            jobs, [i for i in task_indices if i not in lane_set]):
-        job = jobs[index]
-        key = profile_keys.get(index)
-        if key is not None and key not in profiles:
-            # the profile this cell depends on failed upstream
-            upstream = profile_failures.get(key)
-            records[index] = _CellRecord(
-                CellStatus.FAILED,
-                failure=CellFailure(
-                    kind="dependency",
-                    message=(f"profile cell failed: "
-                             f"{upstream.summary()}" if upstream
-                             else "profile cell failed"),
-                    bundle=upstream.bundle if upstream else None))
+    # a criticality unit depends on the plain cell of its profile config
+    # (Figure 14's AGE column); each such cell whose profile is not on
+    # disk serves it in phase one, as a profile-only unit if no job has it
+    upstream = {key: cache_key(job.profile_config, job.workload, job.scale)
+                for key, job in units.items()
+                if job.profile_config is not None and key not in records}
+    profiles: Dict[str, ProfileData] = {}
+    serving: List[str] = []
+    for key, source in upstream.items():
+        if source in profiles or source in serving:
             continue
-        profile = profiles[key] if key is not None else None
+        hit = cache.get_profile(source) if cache is not None else None
+        if hit is not None:
+            profiles[source] = hit
+            continue
+        serving.append(source)
+        job = units[key]
+        units.setdefault(source, Job("profile", job.profile_config,
+                                     job.workload, job.scale))
+    rest = [key for key in units if key not in records and key not in serving]
+    total = sum(key in serving or key not in records for key in cell_keys)
+    # lane eligibility: in-process plain units of phase two only — a
+    # lane returns no per-PC counts, criticality runs mutate the shared
+    # trace (tagging) and fault programmes target the per-cell hooks
+    in_lanes = workers <= 1 and lanes > 1 and not fault_specs
+    lane_keys = [key for key in rest
+                 if in_lanes and units[key].profile_config is None]
+    if progress:
+        for key, job in units.items():
+            cached = key in records and key not in serving
+            note = " (cached)" if cached else ""
+            print(f"    {job.label}: {job.workload}{note}", flush=True)
+
+    def ordered(keys) -> List[str]:
+        # affinity scheduling; outcomes are keyed by unit and assembled
+        # in job order, so run order never affects results
+        return sorted(keys, key=lambda key: _affinity(units[key]))
+
+    key_of: Dict[int, str] = {}            # task id -> unit key
+
+    def task(key: str) -> TaskSpec:
+        job = units[key]
+        source = upstream.get(key)
         spec = TaskSpec(next_task_id(), job.cell_id, _guarded_cell,
-                        (job.label, job.config, job.workload,
-                         job.scale, _workload_spec(job.workload),
-                         profile, job.profile_config, payload_faults),
+                        (job.label, job.config, job.workload, job.scale,
+                         get_target(job.workload).worker_spec(),
+                         profiles[source] if source else None,
+                         job.profile_config, key in serving,
+                         payload_faults),
                         affinity=(job.workload, job.scale))
-        specs.append(spec)
-        index_of[spec.task_id] = index
+        key_of[spec.task_id] = key
+        return spec
 
     def cell_done(spec: TaskSpec, outcome: TaskOutcome) -> None:
-        index = index_of[spec.task_id]
-        if outcome.status is CellStatus.OK:
-            stats, elapsed, trace_hit = outcome.value
-            records[index] = _CellRecord(CellStatus.OK, stats, elapsed,
-                                         queued=outcome.queued_s,
-                                         trace_hit=trace_hit)
-            flush_cell(index, stats)
-        else:
-            records[index] = _CellRecord(
-                outcome.status,
-                failure=_finalize_failure(outcome.failure),
-                queued=outcome.queued_s)
+        key = key_of[spec.task_id]
+        if outcome.status is not CellStatus.OK:
+            records[key] = _CellRecord(
+                outcome.status, queued=outcome.queued_s,
+                failure=_finalize_failure(outcome.failure))
+            return
+        stats, elapsed, trace_hit, counts = outcome.value
+        records[key] = _CellRecord(CellStatus.OK, stats, elapsed,
+                                   queued=outcome.queued_s,
+                                   trace_hit=trace_hit)
+        flush_cell(key, stats)
+        if counts is not None:
+            profiles[key] = counts
+            if cache is not None:
+                cache.put_profile(key, *counts)
+
+    def run(keys: List[str]) -> None:
+        specs = [task(key) for key in keys]
+        outcomes = run_tasks(specs, workers, timeout=timeout,
+                             retries=retries, on_complete=cell_done,
+                             chunk=chunk)
+        for spec in specs:                 # backstop: no task goes missing
+            if spec.task_id not in outcomes:
+                cell_done(spec, TaskOutcome(CellStatus.FAILED, failure=(
+                    CellFailure(kind="crash", message="no outcome recorded"))))
 
     try:
-        if lane_set:
-            _run_lane_batches(jobs, sorted(lane_set), lanes, records,
+        run(ordered(serving))
+        keys, lane_set = [], set(lane_keys)
+        for key in ordered([key for key in rest if key not in lane_set]):
+            source = upstream.get(key)
+            if source is None or source in profiles:
+                keys.append(key)
+                continue
+            # the profile this cell depends on failed upstream
+            failure = records[source].failure
+            records[key] = _CellRecord(CellStatus.FAILED, failure=CellFailure(
+                kind="dependency", bundle=failure.bundle,
+                message=f"profile cell {units[source].cell_id} failed: "
+                        f"{failure.summary()}"))
+        if lane_keys:
+            _run_lane_batches(units, lane_keys, lanes, records,
                               flush_cell, timeout)
-        run_tasks(specs, workers, timeout=timeout, retries=retries,
-                  on_complete=cell_done, chunk=chunk)
+        run(keys)
     except KeyboardInterrupt:
-        done = [jobs[i].cell_id for i in task_indices
-                if i in records and records[i].status is CellStatus.OK]
-        raise SuiteInterrupted(done, len(task_indices)) from None
-    for spec in specs:                   # backstop: no task goes missing
-        index = index_of[spec.task_id]
-        if index not in records:
-            records[index] = _CellRecord(
-                CellStatus.FAILED,
-                failure=CellFailure(kind="crash",
-                                    message="no outcome recorded"))
+        done = [job.cell_id for job, key in zip(jobs, cell_keys)
+                if key in records and records[key].status is CellStatus.OK]
+        raise SuiteInterrupted(done, total) from None
 
     results: Dict[str, SuiteResult] = {}
-    for index, job in enumerate(jobs):
-        record = records[index]
+    for key, job in zip(cell_keys, jobs):
+        record = records[key]
         result = results.get(job.label)
         if result is None:
             result = results[job.label] = SuiteResult(job.label, job.config)

@@ -1,12 +1,13 @@
 """Experiment runner: simulate suites of (config, workload) pairs.
 
-``run_config`` / ``run_config_with_criticality`` keep their original
-signatures but now submit through the parallel executor
-(:mod:`repro.harness.parallel`): ``workers`` defaults to ``$REPRO_JOBS``
-and ``use_cache`` to ``$REPRO_CACHE``.  Ad-hoc traces that are not
-rebuildable from the workload registry run in-process through the
-executor's own simulate functions instead; they have no cache key and
-no crash bundle, so a failing ad-hoc cell raises.
+``run_config`` and ``run_config_with_criticality`` keep their original
+signatures as one-line calls of :func:`run_criticality_suite`, which
+submits through the parallel executor (:mod:`repro.harness.parallel`):
+``workers`` defaults to ``$REPRO_JOBS`` and ``use_cache`` to
+``$REPRO_CACHE``.  Ad-hoc traces that are not rebuildable from the
+workload registry run in-process through the executor's own
+``_simulate_cell`` instead; they have no cache key and no crash bundle,
+so a failing ad-hoc cell raises.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..isa import Trace
 from ..pipeline import CoreConfig, SimStats
 from .cache import ResultCache
-from .parallel import (Job, _simulate_cell, _simulate_profile,
-                       default_use_cache, default_workers, jobs_for,
-                       run_suite)
+from .parallel import (_simulate_cell, default_use_cache, default_workers,
+                       jobs_for, run_suite)
 from .resilience import CellFailure, CellStatus
 
 
@@ -173,20 +173,28 @@ def _adhoc_suite(specs: Sequence[Tuple[str, CoreConfig]],
                  traces: Dict[str, Trace],
                  profile_config: Optional[CoreConfig] = None,
                  progress: bool = False) -> Dict[str, SuiteResult]:
-    """Ad-hoc traces, in-process: profile each trace once (criticality
-    runs), then simulate every spec on it.  Exceptions propagate."""
+    """Ad-hoc traces, in-process: for criticality runs, profile each
+    trace by running ``profile_config`` as a cell, then simulate every
+    spec on the tagged trace.  A spec whose cell is that same run (the
+    profile config, blind to tags) reuses it.  Exceptions propagate."""
     results = {label: SuiteResult(label, config)
                for label, config in specs}
     for name, trace in traces.items():
-        profile = None
+        profile = profiled = None
         if profile_config is not None:
             if progress:
                 print(f"    profile: {name}", flush=True)
-            profile = _simulate_profile(trace, profile_config)
+            stats, elapsed, profile = _simulate_cell(
+                trace, profile_config, want_profile=True)
+            if not profile_config.criticality:
+                profiled = stats, elapsed
         for label, config in specs:
             if progress:
                 print(f"    {label}: {name}", flush=True)
-            stats, elapsed = _simulate_cell(trace, config, profile)
+            if profiled is not None and config == profile_config:
+                stats, elapsed = profiled
+            else:
+                stats, elapsed, _ = _simulate_cell(trace, config, profile)
             results[label].record(name, CellStatus.OK, stats, elapsed)
     return results
 
@@ -201,19 +209,15 @@ def run_config(label: str, config: CoreConfig,
                chunk: Optional[int] = None,
                lanes: Optional[int] = None) -> SuiteResult:
     """Simulate every trace under ``config`` (via the executor)."""
-    if not _registry_backed(traces):
-        return _adhoc_suite([(label, config)], traces,
-                            progress=progress)[label]
-    workers, cache = resolve_execution(workers, use_cache, cache)
-    results = run_suite(jobs_for(label, config, traces),
-                        workers=workers, cache=cache, progress=progress,
-                        timeout=timeout, chunk=chunk, lanes=lanes)
-    return results.get(label, SuiteResult(label, config))
+    return run_criticality_suite(
+        [(label, config)], traces, None, progress, workers=workers,
+        use_cache=use_cache, cache=cache, timeout=timeout, chunk=chunk,
+        lanes=lanes)[label]
 
 
 def run_criticality_suite(specs: Sequence[Tuple[str, CoreConfig]],
                           traces: Dict[str, Trace],
-                          profile_config: CoreConfig,
+                          profile_config: Optional[CoreConfig] = None,
                           progress: bool = False,
                           workers: Optional[int] = None,
                           use_cache: Optional[bool] = None,
@@ -222,19 +226,19 @@ def run_criticality_suite(specs: Sequence[Tuple[str, CoreConfig]],
                           chunk: Optional[int] = None,
                           lanes: Optional[int] = None
                           ) -> Dict[str, SuiteResult]:
-    """CRI runs for several output configs sharing one profile.
+    """Simulate every ``(label, config)`` spec on every trace.
 
-    Profile under ``profile_config`` (HPC stand-in) once per workload,
-    tag the critical slices via CCT+IBDA, then simulate every
-    ``(label, config)`` spec against the tagged trace.  The profile
-    simulation is deduplicated: one profile feeds all dependent runs.
+    With a ``profile_config`` these are CRI runs: profile each workload
+    under it (HPC stand-in), tag the critical slices via CCT+IBDA, then
+    simulate every spec against the tagged trace.  The profile is the
+    plain cell of ``profile_config``, simulated once per workload
+    however many specs depend on it.
     """
     if not _registry_backed(traces):
         return _adhoc_suite(specs, traces, profile_config, progress)
     workers, cache = resolve_execution(workers, use_cache, cache)
-    jobs: List[Job] = []
-    for label, config in specs:
-        jobs.extend(jobs_for(label, config, traces, profile_config))
+    jobs = [job for label, config in specs
+            for job in jobs_for(label, config, traces, profile_config)]
     results = run_suite(jobs, workers=workers, cache=cache,
                         progress=progress, timeout=timeout, chunk=chunk,
                         lanes=lanes)
@@ -254,12 +258,10 @@ def run_config_with_criticality(label: str, config: CoreConfig,
                                 lanes: Optional[int] = None
                                 ) -> SuiteResult:
     """One CRI configuration (see :func:`run_criticality_suite`)."""
-    results = run_criticality_suite([(label, config)], traces,
-                                    profile_config, progress,
-                                    workers=workers, use_cache=use_cache,
-                                    cache=cache, timeout=timeout,
-                                    chunk=chunk, lanes=lanes)
-    return results[label]
+    return run_criticality_suite(
+        [(label, config)], traces, profile_config, progress,
+        workers=workers, use_cache=use_cache, cache=cache,
+        timeout=timeout, chunk=chunk, lanes=lanes)[label]
 
 
 def geomean(values: List[float]) -> float:

@@ -8,8 +8,8 @@ paths can be exercised on demand.  ``REPRO_FAULT`` injects failures at
     REPRO_FAULT=<kind>:<cell-pattern>[:<param>][,<kind>:<pattern>...]
 
 ``cell-pattern`` is an ``fnmatch`` glob matched case-sensitively
-against the cell id ``"<label>/<workload>"`` (criticality profile
-cells are named ``"profile/<workload>"``).  Kinds:
+against the cell id ``"<label>/<workload>"`` (a criticality profile
+that no job reports runs as ``"profile/<workload>"``).  Kinds:
 
 ``crash``
     The worker process dies via ``os._exit(CRASH_EXIT_CODE)`` the

@@ -153,7 +153,7 @@ def verify_program(program: VerifyProgram, lanes: int = 1,
                 O3Core(cell.trace, cell.config,
                        bus=cell.bus).run(cell.max_cycles)
             except Exception as exc:
-                record_error(cell.index, exc)
+                record_error(cell.index, exc, traceback.format_exc())
 
     violations: List[dict] = []
     # combos often witness the same apparent orders: compose each

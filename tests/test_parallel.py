@@ -12,10 +12,9 @@ import pathlib
 
 import pytest
 
-import repro.harness.parallel as parallel
 from repro.criticality import CriticalityTagger, clear_tags
 from repro.harness import (CellStatus, Job, ResultCache, SuiteResult,
-                           cache_key, jobs_for, run_config,
+                           cache_key, fig14, jobs_for, run_config,
                            run_config_with_criticality,
                            run_criticality_suite, run_suite)
 from repro.isa import Trace
@@ -49,6 +48,20 @@ CRI_CONFIGS = [
 
 def fields(stats):
     return dataclasses.asdict(stats)
+
+
+@pytest.fixture
+def cores_built(monkeypatch):
+    """The config of every ``O3Core`` built during the test, in order."""
+    built = []
+    original = O3Core.__init__
+
+    def counting(self, trace, config, *args, **kwargs):
+        built.append(config)
+        original(self, trace, config, *args, **kwargs)
+
+    monkeypatch.setattr(O3Core, "__init__", counting)
+    return built
 
 
 @pytest.fixture(scope="module")
@@ -272,24 +285,72 @@ class TestExecutor:
         assert again.cache_hits() == len(WORKLOADS)
         assert again.sim_seconds() == 0.0
 
-    def test_profile_shared_across_dependent_configs(self, traces,
-                                                     monkeypatch):
-        original = parallel._simulate_profile
-        calls = []
+    def test_fig14_builds_one_core_per_cell(self, cores_built):
+        """Figure 14 profiles under its AGE column's config, so the AGE
+        cells are the CRI columns' profiles: one core per cell."""
+        result = fig14(SCALE, WORKLOADS[:2], workers=1, use_cache=False,
+                       lanes=1)
+        assert result.cells() == 5 * 2
+        assert len(cores_built) == result.cells()
 
-        def counting(trace, config):
-            calls.append(trace.name)
-            return original(trace, config)
-
-        monkeypatch.setattr(parallel, "_simulate_profile", counting)
-        specs = [("cri/orinoco", base_config(scheduler="cri")),
-                 ("cri/age", base_config(scheduler="age",
-                                         criticality=True))]
-        results = run_criticality_suite(specs, traces, base_config(),
+    def test_profile_only_unit_shared_across_dependent_configs(
+            self, traces, cores_built):
+        results = run_criticality_suite(CRI_CONFIGS, traces, base_config(),
                                         workers=1, use_cache=False)
-        # one profile per workload feeds both dependent configs
-        assert len(calls) == len(WORKLOADS)
-        assert set(results) == {"cri/orinoco", "cri/age"}
+        assert set(results) == {label for label, _ in CRI_CONFIGS}
+        # one profile-only core per workload feeds both dependent configs
+        assert len(cores_built) == 3 * len(WORKLOADS)
+        assert cores_built[:len(WORKLOADS)] == [base_config()] * len(WORKLOADS)
+
+    def test_warm_stats_without_profiles_rerun_each_profile_once(
+            self, traces, tmp_path, cores_built):
+        """The cache holds the AGE cells but no profile: each AGE unit
+        runs once more, for its profile, before the CRI cells."""
+        cache = ResultCache(tmp_path)
+        age = base_config()
+        warm = run_config("AGE", age, traces, workers=1, cache=cache)
+        assert not list(tmp_path.glob("*.profile.json"))
+        del cores_built[:]
+        jobs = jobs_for("AGE", age, traces)
+        for label, config in CRI_CONFIGS:
+            jobs += jobs_for(label, config, traces, age)
+        results = run_suite(jobs, workers=1, cache=cache, lanes=1)
+        assert cores_built[:len(WORKLOADS)] == [age] * len(WORKLOADS)
+        assert len(cores_built) == 3 * len(WORKLOADS)
+        assert len(list(tmp_path.glob("*.profile.json"))) == len(WORKLOADS)
+        for name in WORKLOADS:
+            assert fields(results["AGE"].stats[name]) == \
+                fields(warm.stats[name])
+        for label, _ in CRI_CONFIGS:
+            assert results[label].complete()
+
+    def test_failed_profile_fails_its_dependents_at_any_worker_count(
+            self, traces):
+        """A profile config that fails at construction and is also a
+        reported job: the job is an ``exception`` hole with a bundle,
+        and both CRI jobs are ``dependency`` holes that name it."""
+        bad = base_config(lq_size=0)
+        jobs = [Job("bad", bad, "gcc.mix", SCALE)]
+        jobs += [Job(label, config, "gcc.mix", SCALE, bad)
+                 for label, config in CRI_CONFIGS]
+        holes = []
+        for workers in (1, 2):
+            results = run_suite(jobs, workers=workers, cache=None, lanes=1)
+            assert results["bad"].statuses["gcc.mix"] is CellStatus.FAILED
+            failure = results["bad"].failures["gcc.mix"]
+            assert failure.kind == "exception"
+            assert pathlib.Path(failure.bundle).is_file()
+            for label, _ in CRI_CONFIGS:
+                assert results[label].statuses["gcc.mix"] is \
+                    CellStatus.FAILED
+                dependent = results[label].failures["gcc.mix"]
+                assert dependent.kind == "dependency"
+                assert dependent.message == \
+                    f"profile cell bad/gcc.mix failed: {failure.summary()}"
+                assert dependent.bundle == failure.bundle
+            holes.append(failure.message)
+        assert holes[0] == holes[1] == \
+            "ValueError: queue size must be positive"
 
     def test_tag_crash_does_not_leak_tags(self, traces, monkeypatch):
         def exploding_tag(self, trace):
@@ -341,6 +402,20 @@ class TestExecutor:
                             workers=4, use_cache=False)
         assert result.stats["custom"].committed > 0
         assert result.cached == {"custom": False}
+
+    def test_adhoc_profile_run_serves_its_own_config(self, cores_built):
+        """Ad-hoc traces follow the executor's rule: the profile is the
+        plain cell of the profile config, so a spec with that config
+        reuses the profile run."""
+        adhoc = Trace(build_trace("gcc.mix", SCALE).instrs, name="custom")
+        cri_label, cri = CRI_CONFIGS[1]
+        results = run_criticality_suite(
+            [("AGE", base_config()), (cri_label, cri)], {"custom": adhoc},
+            base_config(), workers=1, use_cache=False)
+        assert cores_built == [base_config(), cri]
+        assert fields(results["AGE"].stats["custom"]) == \
+            fields(O3Core(adhoc, base_config()).run())
+        assert results[cri_label].stats["custom"].committed > 0
 
     def test_jobs_for_rejects_non_registry_traces(self):
         adhoc = Trace([], name="custom")

@@ -29,7 +29,7 @@ from repro.harness.diagnostics import CRASH_KEEP, _crash_keep, load_bundle
 from repro.harness.parallel import Job, default_use_cache, default_workers
 from repro.harness.resilience import ResilientPool, TaskSpec, next_task_id
 from repro.harness.runner import SuiteResult, speedups
-from repro.pipeline import base_config
+from repro.pipeline import O3Core, base_config
 from repro.testing import faults
 
 SCALE = 0.05
@@ -334,6 +334,28 @@ class TestInterrupt:
         assert after.statuses["mcf.chase"] is CellStatus.OK
 
 
+    def test_ctrl_c_while_profiling_reports_cells(self, monkeypatch):
+        """Ctrl-C during the units that serve profiles counts the cells
+        to run and names finished cells, not profile tasks."""
+        original = O3Core.__init__
+        built = []
+
+        def interrupt_second(self, *args, **kwargs):
+            built.append(None)
+            if len(built) == 2:
+                raise KeyboardInterrupt
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(O3Core, "__init__", interrupt_second)
+        cri = base_config().with_policies(scheduler="cri")
+        jobs = _jobs("AGE") + _jobs("CRI", config=cri,
+                                    profile_config=base_config())
+        with pytest.raises(SuiteInterrupted) as excinfo:
+            run_suite(jobs, workers=1, cache=None, lanes=1)
+        assert excinfo.value.total == len(jobs)
+        assert excinfo.value.completed == ["AGE/gcc.mix"]
+
+
 class TestChunkedDispatch:
     """The factored chunk schedule, and partial-chunk failure
     semantics: a fault in one chunk cell must never poison its
@@ -410,12 +432,17 @@ class TestChunkedDispatch:
 
     def test_run_suite_keys_chunks_by_workload(self, monkeypatch):
         # 4 cells per workload: the second factored chunk (3 cells)
-        # would take gcc.mix's last cell and two of mcf.chase's
+        # would take gcc.mix's last cell and two of mcf.chase's.  Each
+        # label has its own config, since jobs sharing a cache key are
+        # one unit and so one task
         from repro.harness.resilience import get_pool
         monkeypatch.delenv("REPRO_CHUNK", raising=False)
         sent = self._record(get_pool(2), monkeypatch)
         workloads = ("gcc.mix", "mcf.chase", "sjeng.listupd")
-        jobs = [job for label in "ABCD" for job in _jobs(label, workloads)]
+        jobs = [job for label, commit in zip("ABCD", ("ioc", "orinoco",
+                                                     "rob", "ecl"))
+                for job in _jobs(label, workloads,
+                                 base_config(commit=commit))]
         results = run_suite(jobs, workers=2, lanes=1)
         assert all(result.complete() for result in results.values())
         assert [[task.cell_id for task, _ in chunk] for chunk in sent][:2] \

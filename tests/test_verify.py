@@ -21,6 +21,7 @@ import pytest
 from repro.cli import main
 from repro.harness import load_bundle
 from repro.testing.faults import parse_fault_specs
+from repro.verify import campaign
 from repro.verify.campaign import (cell_name, combos, default_checkpoint,
                                    run_campaign, verify_program)
 from repro.verify.generator import (CLASSIC_SHAPES, MemOp, VerifyProgram,
@@ -104,6 +105,15 @@ class TestGrid:
         laned = verify_program(CLASSIC_SHAPES["sb"], lanes=4)
         assert laned["violations"] == serial["violations"] == []
         assert laned["combos"] == serial["combos"]
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_cell_errors_carry_their_traceback(self, monkeypatch, lanes):
+        monkeypatch.setattr(campaign, "CELL_MAX_CYCLES", 1)
+        result = verify_program(CLASSIC_SHAPES["sb"], lanes=lanes)
+        assert result["errors"]
+        for error in result["errors"]:
+            assert error["error"].startswith("DeadlockError")
+            assert "DeadlockError" in error["traceback"]
 
 
 # -- checkpointed campaigns -------------------------------------------------

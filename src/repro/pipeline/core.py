@@ -54,7 +54,8 @@ __all__ = ["ENGINE_VERSION", "DeadlockError", "InflightOp", "O3Core",
 #: different arbitration, changed latencies) so stale cached SimStats
 #: from an older engine can never satisfy a lookup.  A change that the
 #: identity matrix shows to be bit-identical keeps the version: a bump
-#: changes every cache key and the verify checkpoint digest.
+#: changes every cache key, so every cached cell is simulated again.
+#: Verify checkpoints do not hold it, so their digests do not move.
 ENGINE_VERSION = 6
 
 _CYCLE = EventType.CYCLE

@@ -80,12 +80,16 @@ class MemoryStage:
                         s.violated_load_pcs.add(victim.dyn.pc)
                 self.squash.squash_from(min(violated), cycle,
                                         reason="mem_order")
-        self.recheck_loads()
+        else:
+            self.recheck_loads()
 
     def recheck_loads(self) -> None:
         """A store resolved: loads whose count of unresolved older
-        stores reached zero become non-speculative — after a violation,
-        the loads the squash or replay left in the LQ too."""
+        stores reached zero become non-speculative.
+
+        The scan covers the whole LQ, not just the store's bypassers:
+        a resolve that found a violation skipped this recheck, so a
+        load it unblocked waits for the next clean resolve."""
         s = self.s
         for entry in list(s.lsq.lq):
             load = s.lsq.lq.get(entry)

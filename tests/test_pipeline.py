@@ -234,28 +234,6 @@ class TestMemOrderViolations:
         assert stats.mem_order_violations == 0
         assert stats.committed == len(trace)
 
-    @pytest.mark.parametrize("commit", ["ioc", "orinoco", "rob", "spec"])
-    def test_violating_resolve_disambiguates_older_load(self, commit):
-        """Two stores, then two loads reading them back.  The first load
-        issues past the second store, forwards from the first and
-        completes; the second store's late resolve both clears that
-        load's last blocker and finds the second load violated.  The
-        load left behind by the squash (or the replay) must become
-        non-speculative then: no later store resolves to recheck it,
-        and a completed load that never disambiguates deadlocks commit."""
-        b = ProgramBuilder("viol-unblocks-older")
-        b.li("x1", 0).li("x3", 0x1000)
-        b.add("x10", "x13", "x1").add("x11", "x14", "x1")
-        b.add("x12", "x15", "x1")
-        b.sd("x16", "x3", 0).sd("x17", "x3", 8)
-        b.add("x15", "x10", "x1")
-        b.ld("x16", "x3", 0).ld("x17", "x3", 8)
-        b.halt()
-        trace = trace_program(b.build())
-        stats = O3Core(trace, base_config(commit=commit)).run()
-        assert stats.mem_order_violations >= 1
-        assert stats.committed == len(trace)
-
 
 class TestWrongPathModeling:
     def _mispredict_trace(self):

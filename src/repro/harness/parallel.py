@@ -348,7 +348,8 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
     chunks by factoring) or ``$REPRO_LANES``.  Failed cells come back
     as annotated holes in the :class:`SuiteResult`, never as raised
     exceptions; a criticality cell whose profile failed is a
-    ``dependency`` hole.
+    ``dependency`` hole, while a cached cell whose profile run failed
+    keeps its cached stats.
 
     ``lanes>1`` batches lane-compatible cells through the lockstep
     engine (:mod:`repro.pipeline.lanes`) at ``workers<=1`` only, with
@@ -436,6 +437,7 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
         return sorted(keys, key=lambda key: _affinity(units[key]))
 
     key_of: Dict[int, str] = {}            # task id -> unit key
+    failed: Dict[str, CellFailure] = {}    # unit key -> why its run failed
 
     def task(key: str) -> TaskSpec:
         job = units[key]
@@ -453,9 +455,12 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
     def cell_done(spec: TaskSpec, outcome: TaskOutcome) -> None:
         key = key_of[spec.task_id]
         if outcome.status is not CellStatus.OK:
-            records[key] = _CellRecord(
+            failed[key] = _finalize_failure(outcome.failure)
+            # a cached unit run again for its profile keeps its stats:
+            # only its dependents see the failure
+            records.setdefault(key, _CellRecord(
                 outcome.status, queued=outcome.queued_s,
-                failure=_finalize_failure(outcome.failure))
+                failure=failed[key]))
             return
         stats, elapsed, trace_hit, counts = outcome.value
         records[key] = _CellRecord(CellStatus.OK, stats, elapsed,
@@ -486,7 +491,7 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
                 keys.append(key)
                 continue
             # the profile this cell depends on failed upstream
-            failure = records[source].failure
+            failure = failed[source]
             records[key] = _CellRecord(CellStatus.FAILED, failure=CellFailure(
                 kind="dependency", bundle=failure.bundle,
                 message=f"profile cell {units[source].cell_id} failed: "

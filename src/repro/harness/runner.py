@@ -175,26 +175,20 @@ def _adhoc_suite(specs: Sequence[Tuple[str, CoreConfig]],
                  progress: bool = False) -> Dict[str, SuiteResult]:
     """Ad-hoc traces, in-process: for criticality runs, profile each
     trace by running ``profile_config`` as a cell, then simulate every
-    spec on the tagged trace.  A spec whose cell is that same run (the
-    profile config, blind to tags) reuses it.  Exceptions propagate."""
+    spec on the tagged trace.  Exceptions propagate."""
     results = {label: SuiteResult(label, config)
                for label, config in specs}
     for name, trace in traces.items():
-        profile = profiled = None
+        profile = None
         if profile_config is not None:
             if progress:
                 print(f"    profile: {name}", flush=True)
-            stats, elapsed, profile = _simulate_cell(
-                trace, profile_config, want_profile=True)
-            if not profile_config.criticality:
-                profiled = stats, elapsed
+            _, _, profile = _simulate_cell(trace, profile_config,
+                                           want_profile=True)
         for label, config in specs:
             if progress:
                 print(f"    {label}: {name}", flush=True)
-            if profiled is not None and config == profile_config:
-                stats, elapsed = profiled
-            else:
-                stats, elapsed, _ = _simulate_cell(trace, config, profile)
+            stats, elapsed, _ = _simulate_cell(trace, config, profile)
             results[label].record(name, CellStatus.OK, stats, elapsed)
     return results
 

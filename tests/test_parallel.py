@@ -403,19 +403,23 @@ class TestExecutor:
         assert result.stats["custom"].committed > 0
         assert result.cached == {"custom": False}
 
-    def test_adhoc_profile_run_serves_its_own_config(self, cores_built):
-        """Ad-hoc traces follow the executor's rule: the profile is the
-        plain cell of the profile config, so a spec with that config
-        reuses the profile run."""
+    def test_adhoc_criticality_matches_the_executor(self, traces,
+                                                    cores_built):
+        """Ad-hoc traces profile in-process by running the profile
+        config as a cell, then tag: the same stats as the executor's
+        criticality cell of the same instructions."""
         adhoc = Trace(build_trace("gcc.mix", SCALE).instrs, name="custom")
         cri_label, cri = CRI_CONFIGS[1]
-        results = run_criticality_suite(
-            [("AGE", base_config()), (cri_label, cri)], {"custom": adhoc},
-            base_config(), workers=1, use_cache=False)
+        result = run_config_with_criticality(
+            cri_label, cri, {"custom": adhoc}, base_config(), workers=1,
+            use_cache=False)
         assert cores_built == [base_config(), cri]
-        assert fields(results["AGE"].stats["custom"]) == \
-            fields(O3Core(adhoc, base_config()).run())
-        assert results[cri_label].stats["custom"].committed > 0
+        executor = run_config_with_criticality(
+            cri_label, cri, {"gcc.mix": traces["gcc.mix"]}, base_config(),
+            workers=1, use_cache=False)
+        stats = result.stats["custom"]         # named after its trace
+        assert fields(stats) == fields(dataclasses.replace(
+            executor.stats["gcc.mix"], name=stats.name))
 
     def test_jobs_for_rejects_non_registry_traces(self):
         adhoc = Trace([], name="custom")

@@ -560,6 +560,26 @@ class TestProfileDependency:
         assert failure.kind == "dependency"
         assert "profile" in failure.message
 
+    def test_failed_profile_rerun_keeps_the_cached_cell(self, tmp_path,
+                                                        monkeypatch):
+        """The cache holds the AGE cell but not its profile, and the run
+        for the profile hangs past the timeout: AGE still reports its
+        cached stats, and only the CRI cell is a hole."""
+        cache = ResultCache(tmp_path)
+        age = _jobs("AGE", ("gcc.mix",))
+        warm = run_suite(age, workers=1, cache=cache)["AGE"]
+        monkeypatch.setenv("REPRO_FAULT", "hang:AGE/gcc.mix")
+        cri = _jobs("CRI", ("gcc.mix",), base_config(scheduler="cri"),
+                    base_config())
+        results = run_suite(age + cri, workers=2, cache=cache, timeout=3.0)
+        assert results["AGE"].statuses["gcc.mix"] is CellStatus.CACHED
+        assert results["AGE"].stats == warm.stats
+        assert results["CRI"].statuses["gcc.mix"] is CellStatus.FAILED
+        failure = results["CRI"].failures["gcc.mix"]
+        assert failure.kind == "dependency"
+        assert failure.message.startswith(
+            "profile cell AGE/gcc.mix failed: timeout: ")
+
 
 class TestMissingCellRendering:
     def _holey_results(self):

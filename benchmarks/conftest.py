@@ -34,8 +34,8 @@ def jobs() -> int:
     """Parallel simulation workers (``$REPRO_JOBS``, default 1)."""
     # imported on use: pytest also loads this conftest for
     # benchmarks/e2e, whose tests never import the program
-    from repro.harness import default_workers
-    return default_workers()
+    from repro.harness import RunOptions
+    return RunOptions.resolve().workers
 
 
 def publish(name: str, text: str) -> None:

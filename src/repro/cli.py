@@ -18,20 +18,21 @@ Commands mirror the paper's evaluation artefacts:
 * ``bench``         — executor smoke run: one figure end-to-end with
   wall-clock / cache-hit accounting
 * ``profile``       — profile the simulator itself on one kernel
-  (per-stage time, event counts, optional cProfile)
+  (per-stage time, event counts, optional cProfile), or with ``--lanes
+  L`` above 1 that kernel's L copies in one lane batch
 * ``replay``        — re-run a crash-diagnostic bundle from
   ``benchmarks/crash/`` and report whether the failure reproduces
 
 Experiment commands accept ``--jobs N`` (parallel simulation workers,
 default ``$REPRO_JOBS``), ``--no-cache`` (bypass the on-disk result
 cache under ``benchmarks/.cache/``), ``--timeout S`` (per-cell limit
-on the worker path, default ``$REPRO_CELL_TIMEOUT``), ``--chunk K``
-(fixed cells per worker dispatch batch, default ``$REPRO_CHUNK``,
-else factoring: chunks shrink as the queue drains) and ``--lanes L``
-(lane-batch width: up to L compatible cells simulated in lockstep per
-batch, default ``$REPRO_LANES`` or 1; in-process only, so with more
-than one job every cell is its own task; ``repro profile`` requires
-``--lanes 1``).
+on the worker path, default ``$REPRO_CELL_TIMEOUT``; zero or less is
+no limit) and ``--lanes L`` (lane-batch width: up to L compatible
+cells simulated in lockstep per batch, default ``$REPRO_LANES`` or 1;
+in-process only, so with more than one job every cell is its own
+task; ``repro profile --events`` requires ``--lanes 1``).  Unset
+flags resolve from the environment in
+:meth:`repro.harness.RunOptions.resolve`.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ import sys
 from typing import List, Optional
 
 from .circuit import (format_scalability, format_table2, overhead_report)
-from .envutil import env_int
-from .harness import (default_lanes, default_workers, fig14, fig15, fig16,
+from .harness import (RunOptions, fig14, fig15, fig16,
                       format_characterization, hbar_chart, stall_breakdown,
                       table1, table2_measured)
 from .isa import convert_trace_file, save_trace, validate_trace_file
@@ -66,14 +66,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--timeout", type=float, default=None, metavar="S",
                         help="per-cell timeout in seconds when running "
                              "with workers (default $REPRO_CELL_TIMEOUT; "
-                             "timed-out cells are reported, not fatal)")
-    parser.add_argument("--chunk", type=int, default=None, metavar="K",
-                        help="fixed cells per worker dispatch batch "
-                             "(default $REPRO_CHUNK, else factoring: each "
-                             "idle worker takes half its share of the "
-                             "remaining cells, so chunks shrink as the "
-                             "queue drains and never mix workloads; 1 "
-                             "disables batching)")
+                             "zero or less is no limit; timed-out cells "
+                             "are reported, not fatal)")
     parser.add_argument("--lanes", type=int, default=None, metavar="L",
                         help="lane-batch width: simulate up to L "
                              "compatible cells in lockstep over shared "
@@ -189,10 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("tottime", "cumulative", "ncalls"),
                          help="cProfile sort order")
     profile.add_argument("--lanes", type=int, default=None, metavar="L",
-                         help="must be 1: the profiler instruments one "
-                              "core's stages and attaches per-cycle "
-                              "subscribers, which lane batching bypasses "
-                              "(default $REPRO_LANES or 1)")
+                         help="above 1, profile L copies of the kernel "
+                              "in one lane batch, with per-stage time "
+                              "split into scalar and vector buckets; "
+                              "--events needs 1 (default $REPRO_LANES "
+                              "or 1)")
 
     replay = sub.add_parser(
         "replay", help="re-run a crash-diagnostic bundle and report "
@@ -210,17 +205,19 @@ def build_parser() -> argparse.ArgumentParser:
                         help="campaign size (default 1000)")
     verify.add_argument("--quick", action="store_true",
                         help="500-program smoke campaign")
-    verify.add_argument("--seed", type=int, default=None, metavar="S",
-                        help="generator seed (default $REPRO_VERIFY_SEED "
-                             "or 0); one seed = byte-identical programs "
-                             "and checkpoint across runs")
+    verify.add_argument("--seed", type=int, default=0, metavar="S",
+                        help="generator seed (default 0); one seed = "
+                             "byte-identical programs and checkpoint "
+                             "across runs")
     verify.add_argument("--jobs", type=int, default=None, metavar="J",
                         help="worker processes (default $REPRO_JOBS or 1)")
     verify.add_argument("--lanes", type=int, default=None, metavar="L",
                         help="lane-batch width (default $REPRO_LANES or 1)")
     verify.add_argument("--timeout", type=float, default=None,
                         metavar="SEC",
-                        help="per-program wall cap under --jobs")
+                        help="per-program wall cap under --jobs "
+                             "(default $REPRO_CELL_TIMEOUT; zero or less "
+                             "is no limit)")
     verify.add_argument("--checkpoint", default=None, metavar="PATH",
                         help="progress JSONL (default benchmarks/verify/"
                              "campaign-s<seed>-n<count>.jsonl); an "
@@ -308,34 +305,36 @@ def _cmd_run(args) -> str:
 
 
 def _exec_opts(args) -> dict:
-    """Executor knobs shared by the experiment commands.
+    """The execution keywords of a command's flags, ``None`` where
+    unset (:meth:`~repro.harness.RunOptions.resolve` reads the
+    environment for those).
 
     The CLI caches by default (``--no-cache`` opts out), unlike the
-    library default which requires ``$REPRO_CACHE=1``.
+    library default which requires ``$REPRO_CACHE=1``; a command
+    without the flag never caches.
     """
-    return {"workers": args.jobs, "use_cache": not args.no_cache,
-            "timeout": args.timeout, "chunk": args.chunk,
-            "lanes": args.lanes}
+    return {"workers": getattr(args, "jobs", None),
+            "use_cache": not getattr(args, "no_cache", True),
+            "timeout": getattr(args, "timeout", None), "lanes": args.lanes}
 
 
 def _cmd_bench(args) -> str:
     """Executor smoke target: one figure end-to-end, with accounting."""
     import time
     figures = {"fig14": fig14, "fig15": fig15, "fig16": fig16}
+    execution = _exec_opts(args)
+    options = RunOptions.resolve(**execution)
     start = time.perf_counter()
     result = figures[args.figure](scale=args.scale, names=args.kernels,
-                                  **_exec_opts(args))
+                                  **execution)
     wall = time.perf_counter() - start
-    workers = args.jobs if args.jobs is not None else default_workers()
     # lane batching applies only in-process (workers <= 1)
-    lanes = args.lanes if args.lanes is not None else default_lanes()
-    if workers > 1:
-        lanes = 1
+    lanes = options.lanes if options.workers <= 1 else 1
     sim = result.sim_seconds()
     lines = [result.format(), "",
-             f"executor: {result.cells()} cells, workers={workers}, "
-             f"lanes={lanes}, "
-             f"cache {'off' if args.no_cache else 'on'} "
+             f"executor: {result.cells()} cells, "
+             f"workers={options.workers}, lanes={lanes}, "
+             f"cache {'off' if options.cache is None else 'on'} "
              f"({result.cache_hits()} hits)",
              f"trace LRU: {result.trace_cache_hits()} hits, "
              f"{result.trace_cache_misses()} misses",
@@ -441,7 +440,7 @@ def _dispatch(args) -> int:
     elif command == "bench":
         print(_cmd_bench(args))
     elif command == "profile":
-        lanes = args.lanes if args.lanes is not None else default_lanes()
+        lanes = RunOptions.resolve(**_exec_opts(args)).lanes
         if lanes != 1:
             # lane batches get their own attribution: scalar stage
             # buckets summed over lanes plus the cross-lane fused
@@ -487,15 +486,11 @@ def _dispatch(args) -> int:
         return 0 if report.reproduced else 3
     elif command == "verify":
         from .verify.campaign import run_campaign
-        seed = args.seed
-        if seed is None:
-            seed = env_int("REPRO_VERIFY_SEED", 0)
-        count = 500 if args.quick else args.programs
-        jobs = args.jobs if args.jobs is not None else default_workers()
-        lanes = args.lanes if args.lanes is not None else default_lanes()
+        options = RunOptions.resolve(**_exec_opts(args))
         result = run_campaign(
-            seed=seed, count=count, jobs=jobs, lanes=lanes,
-            timeout=args.timeout, checkpoint=args.checkpoint,
+            seed=args.seed, count=500 if args.quick else args.programs,
+            jobs=options.workers, lanes=options.lanes,
+            timeout=options.timeout, checkpoint=args.checkpoint,
             fresh=args.fresh, minimise=not args.no_minimise)
         print(result.format())
         return 0 if result.ok else 1

@@ -9,16 +9,11 @@ from .diagnostics import (ReplayReport, build_crash_bundle,
                           load_bundle, replay_bundle, write_bundle)
 from .experiments import (ExperimentResult, FIG15_CONFIGS, fig14, fig15,
                           fig16, stall_breakdown, table1)
-from .parallel import (Job, default_lanes, default_use_cache,
-                       default_workers, jobs_for, run_suite,
-                       shutdown_pools)
+from .parallel import Job, RunOptions, jobs_for, run_suite, shutdown_pools
 from .plots import grouped_bars, hbar_chart, sparkline
 from .report import format_speedup_matrix, format_table, percent
-from .resilience import (CellFailure, CellStatus, SuiteInterrupted,
-                         default_cell_timeout, default_chunk_size,
-                         default_max_retries)
-from .runner import (SuiteResult, geomean, geomean_speedup,
-                     resolve_execution, run_config,
+from .resilience import CellFailure, CellStatus, SuiteInterrupted
+from .runner import (SuiteResult, geomean, geomean_speedup, run_config,
                      run_config_with_criticality, run_criticality_suite,
                      speedups)
 
@@ -29,13 +24,10 @@ __all__ = ["KernelProfile", "characterize", "format_characterization",
            "stall_breakdown", "table1", "format_speedup_matrix",
            "format_table", "percent", "SuiteResult", "geomean",
            "geomean_speedup", "run_config", "run_config_with_criticality",
-           "run_criticality_suite", "resolve_execution", "speedups",
+           "run_criticality_suite", "speedups",
            "ResultCache", "cache_key", "config_fingerprint",
-           "Job", "default_lanes", "default_use_cache", "default_workers",
-           "jobs_for", "run_suite", "shutdown_pools",
+           "Job", "RunOptions", "jobs_for", "run_suite", "shutdown_pools",
            "CellFailure", "CellStatus", "SuiteInterrupted",
-           "default_cell_timeout", "default_chunk_size",
-           "default_max_retries",
            "ReplayReport", "build_crash_bundle", "config_from_fingerprint",
            "default_crash_dir", "load_bundle", "replay_bundle",
            "write_bundle"]

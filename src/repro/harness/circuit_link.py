@@ -20,19 +20,12 @@ from .runner import run_config
 
 def measured_activities(scale: float = 1.0,
                         names: Optional[List[str]] = None,
-                        preset: str = "base",
-                        workers: Optional[int] = None,
-                        use_cache: Optional[bool] = None,
-                        timeout: Optional[float] = None,
-                        chunk: Optional[int] = None,
-                        lanes: Optional[int] = None
+                        preset: str = "base", **execution
                         ) -> Dict[str, float]:
     """Cycle-weighted mean matrix activities over the suite."""
     traces = build_suite(scale, names)
     config = make_config(preset, scheduler="orinoco", commit="orinoco")
-    result = run_config("activity", config, traces,
-                        workers=workers, use_cache=use_cache,
-                        timeout=timeout, chunk=chunk, lanes=lanes)
+    result = run_config("activity", config, traces, **execution)
     totals: Dict[str, float] = {}
     cycles = 0
     for stats in result.stats.values():
@@ -45,17 +38,9 @@ def measured_activities(scale: float = 1.0,
 
 def table2_measured(scale: float = 1.0,
                     names: Optional[List[str]] = None,
-                    preset: str = "base",
-                    workers: Optional[int] = None,
-                    use_cache: Optional[bool] = None,
-                    timeout: Optional[float] = None,
-                    chunk: Optional[int] = None,
-                    lanes: Optional[int] = None) -> List[Table2Row]:
+                    preset: str = "base", **execution) -> List[Table2Row]:
     """Table 2 with powers computed from simulated activities."""
-    activity = measured_activities(scale, names, preset,
-                                   workers=workers, use_cache=use_cache,
-                                   timeout=timeout, chunk=chunk,
-                                   lanes=lanes)
+    activity = measured_activities(scale, names, preset, **execution)
     config = make_config(preset)
     rob_rows = max(1, int(round(activity.get("rob_rows", 8.0))))
 

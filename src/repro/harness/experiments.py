@@ -7,10 +7,13 @@ calls these and records paper-vs-measured in EXPERIMENTS.md.
 
 Every figure is a grid of independent (config, workload) cells, so the
 drivers build one flat job list and submit it through the parallel
-executor in a single batch: ``workers`` (default ``$REPRO_JOBS``) fans
-the whole grid out at once, and a criticality configuration is
-profiled by the plain cell of its profile config, which the executor
-simulates once per workload — in Figure 14, the AGE column itself.
+executor in a single batch, passing their execution keywords
+(``workers``, ``use_cache``, ``timeout``, ``lanes``, ...; see
+:meth:`~repro.harness.parallel.RunOptions.resolve`) through to
+:func:`~repro.harness.parallel.run_suite` unchanged.  A criticality
+configuration is profiled by the plain cell of its profile config,
+which the executor simulates once per workload — in Figure 14, the
+AGE column itself.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from ..pipeline import CoreConfig, make_config
 from ..workloads import build_suite
 from .parallel import Job, jobs_for, run_suite
 from .report import format_speedup_matrix, format_table, percent
-from .runner import (SuiteResult, geomean, resolve_execution, speedups)
+from .runner import SuiteResult, geomean, speedups
 
 
 @dataclass
@@ -116,12 +119,7 @@ def _collect(results: Dict[str, SuiteResult], baseline_label: str,
 
 
 def fig14(scale: float = 1.0, names: Optional[List[str]] = None,
-          preset: str = "base", progress: bool = False,
-          workers: Optional[int] = None,
-          use_cache: Optional[bool] = None,
-          timeout: Optional[float] = None,
-          chunk: Optional[int] = None,
-          lanes: Optional[int] = None) -> ExperimentResult:
+          preset: str = "base", **execution) -> ExperimentResult:
     """Figure 14: IPC improvements of priority scheduling.
 
     Baseline AGE; comparisons MULT, Orinoco, CRI w/ AGE, CRI w/ Orinoco
@@ -133,7 +131,6 @@ def fig14(scale: float = 1.0, names: Optional[List[str]] = None,
     traces = build_suite(scale, names)
     base = make_config(preset, commit="ioc")
     profile_config = base.with_policies(scheduler="age")
-    workers, cache = resolve_execution(workers, use_cache)
     jobs: List[Job] = []
     jobs += jobs_for("AGE", base.with_policies(scheduler="age"), traces)
     jobs += jobs_for("MULT", base.with_policies(scheduler="mult"), traces)
@@ -144,9 +141,7 @@ def fig14(scale: float = 1.0, names: Optional[List[str]] = None,
                      traces, profile_config)
     jobs += jobs_for("CRI w/ Orinoco", base.with_policies(scheduler="cri"),
                      traces, profile_config)
-    results = run_suite(jobs, workers=workers, cache=cache,
-                        progress=progress, timeout=timeout, chunk=chunk,
-                        lanes=lanes)
+    results = run_suite(jobs, **execution)
     return _collect(results, "AGE", "Figure 14",
                     "IPC improvement of priority scheduling over AGE")
 
@@ -166,33 +161,21 @@ FIG15_CONFIGS = {
 
 
 def fig15(scale: float = 1.0, names: Optional[List[str]] = None,
-          preset: str = "base", progress: bool = False,
-          workers: Optional[int] = None,
-          use_cache: Optional[bool] = None,
-          timeout: Optional[float] = None,
-          chunk: Optional[int] = None,
-          lanes: Optional[int] = None) -> ExperimentResult:
+          preset: str = "base", **execution) -> ExperimentResult:
     """Figure 15: IPC improvements of out-of-order commit over IOC
     (all with the AGE scheduler, as in the paper's baseline)."""
     traces = build_suite(scale, names)
     base = make_config(preset, scheduler="age")
-    workers, cache = resolve_execution(workers, use_cache)
     jobs = jobs_for("IOC", base.with_policies(commit="ioc"), traces)
     for label, commit in FIG15_CONFIGS.items():
         jobs += jobs_for(label, base.with_policies(commit=commit), traces)
-    results = run_suite(jobs, workers=workers, cache=cache,
-                        progress=progress, timeout=timeout, chunk=chunk,
-                        lanes=lanes)
+    results = run_suite(jobs, **execution)
     return _collect(results, "IOC", "Figure 15",
                     "IPC improvement of out-of-order commit over IOC")
 
 
 def fig16(scale: float = 1.0, names: Optional[List[str]] = None,
-          progress: bool = False, workers: Optional[int] = None,
-          use_cache: Optional[bool] = None,
-          timeout: Optional[float] = None,
-          chunk: Optional[int] = None,
-          lanes: Optional[int] = None) -> ExperimentResult:
+          **execution) -> ExperimentResult:
     """Figure 16: sensitivity to core size (Base / Pro / Ultra).
 
     For each size, speedups of priority scheduling (Orinoco issue),
@@ -200,7 +183,6 @@ def fig16(scale: float = 1.0, names: Optional[List[str]] = None,
     AGE+IOC baseline.  All 12 configurations are submitted as one batch.
     """
     traces = build_suite(scale, names)
-    workers, cache = resolve_execution(workers, use_cache)
     variant_kinds = {
         "priority": dict(scheduler="orinoco"),
         "ooo-commit": dict(commit="orinoco"),
@@ -213,9 +195,7 @@ def fig16(scale: float = 1.0, names: Optional[List[str]] = None,
         for kind, policies in variant_kinds.items():
             jobs += jobs_for(f"{preset}: {kind}",
                              base.with_policies(**policies), traces)
-    results = run_suite(jobs, workers=workers, cache=cache,
-                        progress=progress, timeout=timeout, chunk=chunk,
-                        lanes=lanes)
+    results = run_suite(jobs, **execution)
     experiment = ExperimentResult(
         "Figure 16", "normalized performance sensitivity",
         baseline_label="AGE+IOC", results=results)
@@ -238,13 +218,7 @@ def fig16(scale: float = 1.0, names: Optional[List[str]] = None,
 
 def stall_breakdown(scale: float = 1.0,
                     names: Optional[List[str]] = None,
-                    preset: str = "base",
-                    progress: bool = False,
-                    workers: Optional[int] = None,
-                    use_cache: Optional[bool] = None,
-                    timeout: Optional[float] = None,
-                    chunk: Optional[int] = None,
-                    lanes: Optional[int] = None
+                    preset: str = "base", **execution
                     ) -> Dict[str, Dict[str, float]]:
     """§2.2 / §6.2 statistics.
 
@@ -257,13 +231,10 @@ def stall_breakdown(scale: float = 1.0,
     """
     traces = build_suite(scale, names)
     base = make_config(preset, scheduler="age")
-    workers, cache = resolve_execution(workers, use_cache)
     jobs = (jobs_for("IOC", base.with_policies(commit="ioc"), traces)
             + jobs_for("Orinoco", base.with_policies(commit="orinoco"),
                        traces))
-    results = run_suite(jobs, workers=workers, cache=cache,
-                        progress=progress, timeout=timeout, chunk=chunk,
-                        lanes=lanes)
+    results = run_suite(jobs, **execution)
     out: Dict[str, Dict[str, float]] = {}
     for label in ("IOC", "Orinoco"):
         result = results[label]

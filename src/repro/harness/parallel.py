@@ -47,6 +47,9 @@ same annotated hole at every worker count; only pool payloads carry
 the ``crash``/``hang``/``explode`` faults.  Lane batching
 (``lanes>1``) runs in-process only.
 
+How a sweep executes is one :class:`RunOptions`, resolved once per
+sweep; no setting in it changes a cell's stats.
+
 Results come back as ``{label: SuiteResult}`` with per-cell wall-clock
 timings so benchmark output can report actual speedup, and an optional
 :class:`~repro.harness.cache.ResultCache` short-circuits cells whose
@@ -63,7 +66,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import check
 from ..criticality import CriticalityTagger, clear_tags
-from ..envutil import env_flag, env_int
+from ..envutil import env_flag, env_float, env_int
 from ..pipeline import CoreConfig, O3Core, SimStats
 from ..pipeline.lanes import LaneBatch, LaneCell, crosscheck, lane_key
 from ..testing import faults
@@ -71,13 +74,12 @@ from ..workloads import ensure_target, fetch_trace, get_target, has_target
 from .cache import ResultCache, cache_key
 from .diagnostics import build_crash_bundle, write_bundle
 from .resilience import (CellFailure, CellStatus, SuiteInterrupted,
-                         TaskOutcome, TaskSpec, default_cell_timeout,
-                         default_chunk_size, default_max_retries,
-                         exception_failure, next_task_id, run_tasks,
-                         shutdown_pools, task_outcome)
+                         TaskOutcome, TaskSpec, exception_failure,
+                         next_task_id, run_tasks, shutdown_pools,
+                         task_outcome)
 
-__all__ = ["Job", "ProfileData", "default_lanes", "default_use_cache",
-           "default_workers", "jobs_for", "run_suite", "shutdown_pools"]
+__all__ = ["Job", "ProfileData", "RunOptions", "jobs_for", "run_suite",
+           "shutdown_pools"]
 
 #: pc_l1_misses, pc_mispredicts — the profile payload fed to the tagger
 ProfileData = Tuple[Dict[int, int], Dict[int, int]]
@@ -98,22 +100,6 @@ class Job:
     @property
     def cell_id(self) -> str:
         return f"{self.label}/{self.workload}"
-
-
-def default_workers() -> int:
-    """Worker count from ``$REPRO_JOBS`` (default 1 = in-process)."""
-    return max(1, env_int("REPRO_JOBS", 1))
-
-
-def default_use_cache() -> bool:
-    """Cache policy from ``$REPRO_CACHE`` (off unless set truthy —
-    ``false``/``off``/``no``/``0``/unset all disable)."""
-    return env_flag("REPRO_CACHE", default=False)
-
-
-def default_lanes() -> int:
-    """Lane-batch width from ``$REPRO_LANES`` (default 1 = off)."""
-    return max(1, env_int("REPRO_LANES", 1))
 
 
 def jobs_for(label: str, config: CoreConfig, traces: Dict[str, object],
@@ -315,14 +301,50 @@ def _finalize_failure(failure: Optional[CellFailure]
     return failure
 
 
-def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
-              cache: Optional[ResultCache] = None,
-              progress: bool = False,
-              timeout: Optional[float] = None,
-              retries: Optional[int] = None,
-              chunk: Optional[int] = None,
-              lanes: Optional[int] = None) -> Dict[str, "SuiteResult"]:
-    """Execute every job; return ``{label: SuiteResult}`` in job order.
+@dataclass(frozen=True)
+class RunOptions:
+    """How a sweep executes; no field changes a cell's stats.  Build it
+    with :meth:`resolve`, the one reader of the environment variables
+    behind the fields."""
+
+    workers: int = 1                  # 1 runs every cell in-process
+    cache: Optional[ResultCache] = None
+    timeout: Optional[float] = None   # seconds per cell; None: no limit
+    lanes: int = 1                    # lane-batch width at workers <= 1
+    chunk: Optional[int] = None       # cells per dispatch; None: factoring
+    retries: int = 1                  # retries of a cell whose worker died
+
+    @classmethod
+    def resolve(cls, workers: Optional[int] = None,
+                use_cache: Optional[bool] = None,
+                cache: Optional[ResultCache] = None,
+                timeout: Optional[float] = None,
+                lanes: Optional[int] = None,
+                chunk: Optional[int] = None,
+                retries: int = 1) -> "RunOptions":
+        """The options of these keywords, unset ones from the
+        environment: ``workers`` from ``$REPRO_JOBS`` (default 1),
+        ``timeout`` from ``$REPRO_CELL_TIMEOUT`` and ``lanes`` from
+        ``$REPRO_LANES`` (default 1).  A ``cache`` object wins over
+        ``use_cache``, whose ``None`` reads ``$REPRO_CACHE`` (off
+        unless truthy).  A timeout of zero or less is no limit."""
+        if workers is None:
+            workers = max(1, env_int("REPRO_JOBS", 1))
+        if cache is None and (env_flag("REPRO_CACHE") if use_cache is None
+                              else use_cache):
+            cache = ResultCache()
+        if timeout is None:
+            timeout = env_float("REPRO_CELL_TIMEOUT")
+        if lanes is None:
+            lanes = max(1, env_int("REPRO_LANES", 1))
+        return cls(workers, cache,
+                   timeout if timeout and timeout > 0 else None,
+                   lanes, chunk, retries)
+
+
+def run_suite(jobs: Sequence[Job], **execution) -> Dict[str, "SuiteResult"]:
+    """Execute every job; return ``{label: SuiteResult}`` in job order,
+    resolving ``execution``, :meth:`RunOptions.resolve`'s keywords, once.
 
     Jobs sharing a :func:`~repro.harness.cache.cache_key` are one unit,
     simulated once; each of them records the unit's outcome.  A
@@ -338,18 +360,13 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
     worker's, on the pool path), and a factored chunk never spans two
     such groups.
 
-    ``cache`` short-circuits units (and profiles) already on disk —
+    The cache short-circuits units (and profiles) already on disk —
     resolved before dispatch, so a fully warm sweep never spawns a
-    worker — and receives each completed cell as it finishes.  ``None``
-    for ``workers``, ``timeout``, ``retries``, ``chunk`` or ``lanes``
-    reads ``$REPRO_JOBS``, ``$REPRO_CELL_TIMEOUT`` (a per-cell bound on
-    the worker path), ``$REPRO_RETRIES`` (crash retries),
-    ``$REPRO_CHUNK`` (cells per dispatch round-trip; 0/unset sizes
-    chunks by factoring) or ``$REPRO_LANES``.  Failed cells come back
-    as annotated holes in the :class:`SuiteResult`, never as raised
-    exceptions; a criticality cell whose profile failed is a
-    ``dependency`` hole, while a cached cell whose profile run failed
-    keeps its cached stats.
+    worker — and receives each completed cell as it finishes.  Failed
+    cells come back as annotated holes in the :class:`SuiteResult`,
+    never as raised exceptions; a criticality cell whose profile
+    failed is a ``dependency`` hole, while a cached cell whose profile
+    run failed keeps its cached stats.
 
     ``lanes>1`` batches lane-compatible cells through the lockstep
     engine (:mod:`repro.pipeline.lanes`) at ``workers<=1`` only, with
@@ -358,16 +375,8 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
     per-PC counts) and fault-injection runs take the per-cell path.
     """
     from .runner import SuiteResult          # local: avoid import cycle
-    if workers is None:
-        workers = default_workers()
-    if timeout is None:
-        timeout = default_cell_timeout()
-    if retries is None:
-        retries = default_max_retries()
-    if chunk is None:
-        chunk = default_chunk_size()
-    if lanes is None:
-        lanes = default_lanes()
+    options = RunOptions.resolve(**execution)
+    workers, cache = options.workers, options.cache
     # the fault programme is sampled here, in the parent, and travels
     # inside task payloads: persistent pools may predate the env var,
     # and a typo'd programme must fail the suite, not silently no-op
@@ -422,14 +431,9 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
     # lane eligibility: in-process plain units of phase two only — a
     # lane returns no per-PC counts, criticality runs mutate the shared
     # trace (tagging) and fault programmes target the per-cell hooks
-    in_lanes = workers <= 1 and lanes > 1 and not fault_specs
+    in_lanes = workers <= 1 and options.lanes > 1 and not fault_specs
     lane_keys = [key for key in rest
                  if in_lanes and units[key].profile_config is None]
-    if progress:
-        for key, job in units.items():
-            cached = key in records and key not in serving
-            note = " (cached)" if cached else ""
-            print(f"    {job.label}: {job.workload}{note}", flush=True)
 
     def ordered(keys) -> List[str]:
         # affinity scheduling; outcomes are keyed by unit and assembled
@@ -474,9 +478,9 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
 
     def run(keys: List[str]) -> None:
         specs = [task(key) for key in keys]
-        outcomes = run_tasks(specs, workers, timeout=timeout,
-                             retries=retries, on_complete=cell_done,
-                             chunk=chunk)
+        outcomes = run_tasks(specs, workers, timeout=options.timeout,
+                             retries=options.retries,
+                             on_complete=cell_done, chunk=options.chunk)
         for spec in specs:                 # backstop: no task goes missing
             if spec.task_id not in outcomes:
                 cell_done(spec, TaskOutcome(CellStatus.FAILED, failure=(
@@ -497,8 +501,8 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
                 message=f"profile cell {units[source].cell_id} failed: "
                         f"{failure.summary()}"))
         if lane_keys:
-            _run_lane_batches(units, lane_keys, lanes, records,
-                              flush_cell, timeout)
+            _run_lane_batches(units, lane_keys, options.lanes, records,
+                              flush_cell, options.timeout)
         run(keys)
     except KeyboardInterrupt:
         done = [job.cell_id for job, key in zip(jobs, cell_keys)

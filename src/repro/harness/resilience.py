@@ -17,7 +17,7 @@ built for graceful degradation:
   *chunk* of tasks per message, sized by factoring: each idle worker
   takes half its even share of the fresh backlog, so chunks shrink as
   the queue drains, and a chunk never spans two affinity keys
-  (``--chunk`` / ``$REPRO_CHUNK`` fix the size instead).  The worker
+  (a ``chunk`` argument fixes the size instead).  The worker
   streams **one result per cell** back up the pipe as it finishes, so
   per-cell statuses, timeout accounting, and interrupt reporting are
   unchanged — the chunk is a transport optimisation, not a unit of
@@ -30,15 +30,15 @@ built for graceful degradation:
   so a hard-crashing cell cannot repeatedly evict innocent
   chunk-mates.
 * **Per-cell timeouts.**  Every in-flight cell carries a deadline
-  (``timeout`` argument, ``$REPRO_CELL_TIMEOUT`` default); a cell past
+  (the ``timeout`` argument; zero or less is no limit); a cell past
   its deadline has its worker killed, the cell is recorded as
   ``timeout``, and a replacement worker is spawned.
 * **Crash isolation + retries.**  A worker that dies mid-cell
   (segfault, ``os._exit``, OOM kill) is detected, the pool is
   replenished, and the cell is retried with capped exponential
-  backoff (``$REPRO_RETRIES`` attempts beyond the first, default 1) —
-  transient faults recover, hard faults end as a ``failed`` cell, and
-  the rest of the suite is unaffected either way.
+  backoff (``retries`` attempts beyond the first) — transient faults
+  recover, hard faults end as a ``failed`` cell, and the rest of the
+  suite is unaffected either way.
 * **Typed outcomes.**  Every task ends as a :class:`TaskOutcome`
   carrying a :class:`CellStatus` (``ok | failed | timeout | cached``)
   and, for failures, a :class:`CellFailure` with the kind, message,
@@ -47,7 +47,10 @@ built for graceful degradation:
 * **Clean interruption.**  Ctrl-C kills the pool, and
   :class:`SuiteInterrupted` (a ``KeyboardInterrupt`` subclass)
   reports exactly which cells finished — results already handed to
-  ``on_complete`` (the cache-flush hook) are durable.
+  ``on_complete`` (the cache-flush hook) are durable.  Any other
+  exception that escapes a run, such as an ``OSError`` from
+  ``on_complete``, also kills the pool before it propagates, so the
+  next run never collects a stale result.
 
 Callers go through :func:`run_tasks`, which uses the pool only for
 ``workers > 1``.  Otherwise it calls each task's function in this
@@ -74,12 +77,9 @@ import traceback
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
-from ..envutil import env_float, env_int
-
 __all__ = ["CellFailure", "CellStatus", "ResilientPool", "SuiteInterrupted",
-           "TaskOutcome", "TaskSpec", "default_cell_timeout",
-           "default_chunk_size", "default_max_retries", "exception_failure",
-           "get_pool", "run_tasks", "shutdown_pools"]
+           "TaskOutcome", "TaskSpec", "exception_failure", "get_pool",
+           "run_tasks", "shutdown_pools"]
 
 
 class CellStatus(str, enum.Enum):
@@ -161,25 +161,6 @@ class SuiteInterrupted(KeyboardInterrupt):
         super().__init__(
             f"interrupted with {len(self.completed)}/{total} cells "
             f"finished (completed: {done})")
-
-
-def default_cell_timeout() -> Optional[float]:
-    """Per-cell timeout from ``$REPRO_CELL_TIMEOUT`` (seconds;
-    unset/non-positive → no timeout)."""
-    value = env_float("REPRO_CELL_TIMEOUT")
-    return value if value is not None and value > 0 else None
-
-
-def default_max_retries() -> int:
-    """Crash-retry budget from ``$REPRO_RETRIES`` (default 1)."""
-    return max(0, env_int("REPRO_RETRIES", 1))
-
-
-def default_chunk_size() -> Optional[int]:
-    """Fixed dispatch chunk size from ``$REPRO_CHUNK`` (unset/0 →
-    ``None``: :meth:`ResilientPool.run` sizes chunks by factoring)."""
-    value = env_int("REPRO_CHUNK", 0)
-    return value if value > 0 else None
 
 
 def exception_failure(exc: BaseException, tb: str,
@@ -364,11 +345,12 @@ class ResilientPool:
         :meth:`_factored`), so chunks shrink as the queue drains, stay
         within one affinity key, and the workers finish close
         together.  The ``timeout`` stays **per cell**: the deadline
-        re-arms each time a chunk member's result arrives.  Never
-        raises for a failing *task*; raises :class:`SuiteInterrupted`
-        on Ctrl-C after killing the pool.
+        re-arms each time a chunk member's result arrives; zero or
+        less is no limit.  Never raises for a failing *task*; whatever
+        escapes (Ctrl-C as :class:`SuiteInterrupted`) kills the pool.
         """
         start = time.monotonic()
+        timeout = timeout if timeout and timeout > 0 else None
         outcomes: Dict[int, TaskOutcome] = {}
         pending: List[_Pending] = [_Pending(task, enqueued_at=start)
                                    for task in tasks]
@@ -418,12 +400,15 @@ class ResilientPool:
                     elif (handle.deadline is not None
                           and now >= handle.deadline):
                         self._on_timeout(handle, pending, finish)
-        except KeyboardInterrupt:
+        except BaseException as exc:
             # kill, don't drain: a hung worker would block a graceful
-            # close.  Completed cells were already flushed via
+            # close, and a live one would hand this run's results to
+            # the next.  Completed cells were already flushed via
             # on_complete, so nothing durable is lost.
             self.shutdown(kill=True)
             _forget_pool(self)
+            if not isinstance(exc, KeyboardInterrupt):
+                raise
             raise SuiteInterrupted(completed_cells, len(tasks)) from None
         return outcomes
 
@@ -569,8 +554,8 @@ class ResilientPool:
 # CLI figure with several sub-suites) pays worker spawn + import once.
 # The pool is *resized in place* when a different width is requested:
 # a one-off ``--jobs 8`` run no longer strands 6 idle spawn processes
-# for the rest of the session, and a Ctrl-C (SuiteInterrupted) kills
-# and forgets the pool outright.
+# for the rest of the session, and a run that raises (Ctrl-C included)
+# kills and forgets the pool outright.
 
 _POOL: Optional[ResilientPool] = None
 _TASK_IDS = itertools.count(1)

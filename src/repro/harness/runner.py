@@ -1,13 +1,12 @@
 """Experiment runner: simulate suites of (config, workload) pairs.
 
-``run_config`` and ``run_config_with_criticality`` keep their original
-signatures as one-line calls of :func:`run_criticality_suite`, which
-submits through the parallel executor (:mod:`repro.harness.parallel`):
-``workers`` defaults to ``$REPRO_JOBS`` and ``use_cache`` to
-``$REPRO_CACHE``.  Ad-hoc traces that are not rebuildable from the
-workload registry run in-process through the executor's own
-``_simulate_cell`` instead; they have no cache key and no crash bundle,
-so a failing ad-hoc cell raises.
+``run_config`` and ``run_config_with_criticality`` are one-line calls
+of :func:`run_criticality_suite`, which submits through the parallel
+executor (:mod:`repro.harness.parallel`), passing its execution
+keywords through to ``run_suite`` unchanged.  Ad-hoc traces that are
+not rebuildable from the workload registry run in-process through the
+executor's own ``_simulate_cell`` instead; they have no cache key and
+no crash bundle, so a failing ad-hoc cell raises.
 """
 
 from __future__ import annotations
@@ -18,9 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..isa import Trace
 from ..pipeline import CoreConfig, SimStats
-from .cache import ResultCache
-from .parallel import (_simulate_cell, default_use_cache, default_workers,
-                       jobs_for, run_suite)
+from .parallel import RunOptions, _simulate_cell, jobs_for, run_suite
 from .resilience import CellFailure, CellStatus
 
 
@@ -142,20 +139,6 @@ class SuiteResult:
         return lane_steps / steps if steps else 0.0
 
 
-def resolve_execution(workers: Optional[int] = None,
-                      use_cache: Optional[bool] = None,
-                      cache: Optional[ResultCache] = None
-                      ) -> Tuple[int, Optional[ResultCache]]:
-    """Fill executor knobs from the environment where unspecified."""
-    if workers is None:
-        workers = default_workers()
-    if cache is None:
-        if use_cache is None:
-            use_cache = default_use_cache()
-        cache = ResultCache() if use_cache else None
-    return workers, cache
-
-
 def _registry_backed(traces: Dict[str, Trace]) -> bool:
     """Every trace rebuildable by name from the target registry?
 
@@ -171,8 +154,8 @@ def _registry_backed(traces: Dict[str, Trace]) -> bool:
 
 def _adhoc_suite(specs: Sequence[Tuple[str, CoreConfig]],
                  traces: Dict[str, Trace],
-                 profile_config: Optional[CoreConfig] = None,
-                 progress: bool = False) -> Dict[str, SuiteResult]:
+                 profile_config: Optional[CoreConfig] = None
+                 ) -> Dict[str, SuiteResult]:
     """Ad-hoc traces, in-process: for criticality runs, profile each
     trace by running ``profile_config`` as a cell, then simulate every
     spec on the tagged trace.  Exceptions propagate."""
@@ -181,61 +164,40 @@ def _adhoc_suite(specs: Sequence[Tuple[str, CoreConfig]],
     for name, trace in traces.items():
         profile = None
         if profile_config is not None:
-            if progress:
-                print(f"    profile: {name}", flush=True)
             _, _, profile = _simulate_cell(trace, profile_config,
                                            want_profile=True)
         for label, config in specs:
-            if progress:
-                print(f"    {label}: {name}", flush=True)
             stats, elapsed, _ = _simulate_cell(trace, config, profile)
             results[label].record(name, CellStatus.OK, stats, elapsed)
     return results
 
 
 def run_config(label: str, config: CoreConfig,
-               traces: Dict[str, Trace],
-               progress: bool = False,
-               workers: Optional[int] = None,
-               use_cache: Optional[bool] = None,
-               cache: Optional[ResultCache] = None,
-               timeout: Optional[float] = None,
-               chunk: Optional[int] = None,
-               lanes: Optional[int] = None) -> SuiteResult:
+               traces: Dict[str, Trace], **execution) -> SuiteResult:
     """Simulate every trace under ``config`` (via the executor)."""
-    return run_criticality_suite(
-        [(label, config)], traces, None, progress, workers=workers,
-        use_cache=use_cache, cache=cache, timeout=timeout, chunk=chunk,
-        lanes=lanes)[label]
+    return run_criticality_suite([(label, config)], traces, None,
+                                 **execution)[label]
 
 
 def run_criticality_suite(specs: Sequence[Tuple[str, CoreConfig]],
                           traces: Dict[str, Trace],
                           profile_config: Optional[CoreConfig] = None,
-                          progress: bool = False,
-                          workers: Optional[int] = None,
-                          use_cache: Optional[bool] = None,
-                          cache: Optional[ResultCache] = None,
-                          timeout: Optional[float] = None,
-                          chunk: Optional[int] = None,
-                          lanes: Optional[int] = None
-                          ) -> Dict[str, SuiteResult]:
+                          **execution) -> Dict[str, SuiteResult]:
     """Simulate every ``(label, config)`` spec on every trace.
 
     With a ``profile_config`` these are CRI runs: profile each workload
     under it (HPC stand-in), tag the critical slices via CCT+IBDA, then
     simulate every spec against the tagged trace.  The profile is the
     plain cell of ``profile_config``, simulated once per workload
-    however many specs depend on it.
+    however many specs depend on it.  ``execution`` goes to
+    ``run_suite``; for ad-hoc traces it is only checked.
     """
     if not _registry_backed(traces):
-        return _adhoc_suite(specs, traces, profile_config, progress)
-    workers, cache = resolve_execution(workers, use_cache, cache)
+        RunOptions.resolve(**execution)    # a misspelt setting raises
+        return _adhoc_suite(specs, traces, profile_config)
     jobs = [job for label, config in specs
             for job in jobs_for(label, config, traces, profile_config)]
-    results = run_suite(jobs, workers=workers, cache=cache,
-                        progress=progress, timeout=timeout, chunk=chunk,
-                        lanes=lanes)
+    results = run_suite(jobs, **execution)
     return {label: results.get(label, SuiteResult(label, config))
             for label, config in specs}
 
@@ -243,19 +205,10 @@ def run_criticality_suite(specs: Sequence[Tuple[str, CoreConfig]],
 def run_config_with_criticality(label: str, config: CoreConfig,
                                 traces: Dict[str, Trace],
                                 profile_config: CoreConfig,
-                                progress: bool = False,
-                                workers: Optional[int] = None,
-                                use_cache: Optional[bool] = None,
-                                cache: Optional[ResultCache] = None,
-                                timeout: Optional[float] = None,
-                                chunk: Optional[int] = None,
-                                lanes: Optional[int] = None
-                                ) -> SuiteResult:
+                                **execution) -> SuiteResult:
     """One CRI configuration (see :func:`run_criticality_suite`)."""
-    return run_criticality_suite(
-        [(label, config)], traces, profile_config, progress,
-        workers=workers, use_cache=use_cache, cache=cache,
-        timeout=timeout, chunk=chunk, lanes=lanes)[label]
+    return run_criticality_suite([(label, config)], traces, profile_config,
+                                 **execution)[label]
 
 
 def geomean(values: List[float]) -> float:

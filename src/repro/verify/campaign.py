@@ -289,8 +289,7 @@ def run_campaign(seed: int, count: int, jobs: int = 1, lanes: int = 1,
                  timeout: Optional[float] = None,
                  checkpoint: Optional[os.PathLike] = None,
                  fresh: bool = False, minimise: bool = True,
-                 faults_text: Optional[str] = None,
-                 progress=None) -> CampaignResult:
+                 faults_text: Optional[str] = None) -> CampaignResult:
     """Run (or resume) a campaign; returns the aggregated result.
 
     ``checkpoint=None`` uses :func:`default_checkpoint`.  ``fresh``
@@ -361,8 +360,6 @@ def run_campaign(seed: int, count: int, jobs: int = 1, lanes: int = 1,
         result.completed += 1
         result.violations.extend(entry["violations"])
         result.errors.extend(entry["errors"])
-        if progress is not None:
-            progress(result.completed + result.resumed, count)
 
     try:
         run_tasks(tasks, jobs, timeout=timeout, retries=1,

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import repro.harness.parallel as parallel
 from repro.core import LaneStack, check
-from repro.harness import default_lanes, jobs_for, run_config, \
+from repro.harness import RunOptions, jobs_for, run_config, \
     run_config_with_criticality, run_suite
 from repro.isa import ProgramBuilder, trace_program
 from repro.pipeline import (DeadlockError, LaneBatch, LaneCell,
@@ -316,13 +316,13 @@ def test_property_lane_batches_match_serial(data):
 class TestHarnessWiring:
     def test_default_lanes_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_LANES", raising=False)
-        assert default_lanes() == 1
+        assert RunOptions.resolve().lanes == 1
         monkeypatch.setenv("REPRO_LANES", "6")
-        assert default_lanes() == 6
+        assert RunOptions.resolve().lanes == 6
         monkeypatch.setenv("REPRO_LANES", "0")
-        assert default_lanes() == 1
+        assert RunOptions.resolve().lanes == 1
         monkeypatch.setenv("REPRO_LANES", "junk")
-        assert default_lanes() == 1
+        assert RunOptions.resolve().lanes == 1
 
     def test_repro_check_samples_a_crosscheck(self, traces, monkeypatch):
         """REPRO_CHECK=1 pays for one serial re-run per lane batch and

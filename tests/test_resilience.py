@@ -26,8 +26,9 @@ from repro.harness.cache import (ResultCache, _reset_corrupt_warning,
                                  cache_key, payload_checksum,
                                  stats_to_dict)
 from repro.harness.diagnostics import CRASH_KEEP, _crash_keep, load_bundle
-from repro.harness.parallel import Job, default_use_cache, default_workers
-from repro.harness.resilience import ResilientPool, TaskSpec, next_task_id
+from repro.harness.parallel import Job, RunOptions
+from repro.harness.resilience import (ResilientPool, TaskSpec, get_pool,
+                                     next_task_id, run_tasks)
 from repro.harness.runner import SuiteResult, speedups
 from repro.pipeline import O3Core, base_config
 from repro.testing import faults
@@ -100,7 +101,7 @@ class TestEnvParsing:
             assert env_int("REPRO_TEST_NUM", 3) == 3
 
     @pytest.mark.parametrize("name, read, default", [
-        ("REPRO_JOBS", default_workers, 1),
+        ("REPRO_JOBS", lambda: RunOptions.resolve().workers, 1),
         ("REPRO_CRASH_KEEP", _crash_keep, CRASH_KEEP)],
         ids=["jobs", "crash_keep"])
     def test_malformed_count_warns_once(self, monkeypatch, name, read,
@@ -118,10 +119,10 @@ class TestEnvParsing:
         """Regression: REPRO_CACHE=false/off used to *enable* caching."""
         for raw in ("false", "off", "no", "0", ""):
             monkeypatch.setenv("REPRO_CACHE", raw)
-            assert default_use_cache() is False, raw
+            assert RunOptions.resolve().cache is None, raw
         for raw in ("1", "true", "yes", "on"):
             monkeypatch.setenv("REPRO_CACHE", raw)
-            assert default_use_cache() is True, raw
+            assert RunOptions.resolve().cache is not None, raw
 
 
 class TestFaultGrammar:
@@ -191,6 +192,21 @@ class TestTimeout:
         assert result.failures["gcc.mix"].kind == "timeout"
         assert result.statuses["mcf.chase"] is CellStatus.OK
         assert result.stats["mcf.chase"] == serial_reference["mcf.chase"]
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0])
+    def test_nonpositive_timeout_is_no_limit(self, timeout):
+        """Zero or less is no limit, as for ``$REPRO_CELL_TIMEOUT``: in
+        a sweep, and in the pool itself, which the verify campaign
+        calls directly."""
+        jobs = [Job("Z", base_config(), name, 0.02) for name in WORKLOADS]
+        result = run_suite(jobs, workers=2, timeout=timeout)["Z"]
+        assert result.statuses == {name: CellStatus.OK
+                                   for name in WORKLOADS}
+        tasks = [TaskSpec(next_task_id(), f"noop/{i}", _noop, i)
+                 for i in range(2)]
+        outcomes = run_tasks(tasks, 2, timeout=timeout)
+        assert [outcomes[t.task_id].status for t in tasks] == \
+            [CellStatus.OK] * 2
 
 
 class TestCrashBundles:
@@ -332,6 +348,26 @@ class TestInterrupt:
         monkeypatch.delenv("REPRO_FAULT")
         after = run_suite(_jobs("I2", ("mcf.chase",)), workers=2)["I2"]
         assert after.statuses["mcf.chase"] is CellStatus.OK
+
+    def test_escaped_error_kills_the_pool(self, tmp_path, monkeypatch):
+        """An exception out of a pooled run, here a full disk failing
+        gcc.mix's cache write while mcf.chase hangs in the other
+        worker, kills the shared pool: the next sweep gets fresh
+        workers, none still busy with the failed run's cells."""
+        class FullDisk(ResultCache):
+            def put(self, key, stats):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setenv("REPRO_FAULT", "hang:F/mcf.chase")
+        with pytest.raises(OSError):
+            run_suite(_jobs("F"), workers=2, cache=FullDisk(tmp_path),
+                      chunk=1)
+        monkeypatch.delenv("REPRO_FAULT")
+        jobs = _jobs("F1") + _jobs("F2", config=base_config(commit="rob"))
+        after = run_suite(jobs, workers=2)
+        assert all(result.complete() for result in after.values())
+        assert sum(len(result.stats) for result in after.values()) == 4
+        assert not any(handle.busy for handle in get_pool(2).handles)
 
 
     def test_ctrl_c_while_profiling_reports_cells(self, monkeypatch):

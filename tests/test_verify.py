@@ -356,36 +356,14 @@ class TestCrashDirCap:
 # -- CLI seed plumbing (satellite) ------------------------------------------
 
 class TestCliSeedPlumbing:
-    def test_env_seed_names_checkpoint(self, tmp_path, monkeypatch,
-                                       capsys):
-        monkeypatch.setenv("REPRO_VERIFY_SEED", "123")
-        monkeypatch.setenv("REPRO_VERIFY_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path / "crash"))
-        assert main(["verify", "--programs", "2", "--jobs", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "seed=123" in out
-        assert (tmp_path / "campaign-s123-n2.jsonl").exists()
-
-    def test_flag_overrides_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_VERIFY_SEED", "123")
+    def test_seed_flag_names_checkpoint(self, tmp_path, monkeypatch,
+                                        capsys):
         monkeypatch.setenv("REPRO_VERIFY_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path / "crash"))
         assert main(["verify", "--programs", "2", "--seed", "9",
                      "--jobs", "1"]) == 0
         assert "seed=9" in capsys.readouterr().out
         assert (tmp_path / "campaign-s9-n2.jsonl").exists()
-
-    def test_malformed_env_seed_warns_and_uses_default(
-            self, tmp_path, monkeypatch, capsys):
-        from repro import envutil
-        monkeypatch.setattr(envutil, "_warned", set())
-        monkeypatch.setenv("REPRO_VERIFY_SEED", "abc")
-        monkeypatch.setenv("REPRO_VERIFY_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path / "crash"))
-        with pytest.warns(RuntimeWarning, match="REPRO_VERIFY_SEED"):
-            assert main(["verify", "--programs", "2", "--jobs", "1"]) == 0
-        assert "seed=0" in capsys.readouterr().out
-        assert (tmp_path / "campaign-s0-n2.jsonl").exists()
 
     def test_campaigns_byte_identical_across_runs(self, tmp_path,
                                                   monkeypatch, capsys):

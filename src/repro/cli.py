@@ -30,9 +30,10 @@ on the worker path, default ``$REPRO_CELL_TIMEOUT``; zero or less is
 no limit) and ``--lanes L`` (lane-batch width: up to L compatible
 cells simulated in lockstep per batch, default ``$REPRO_LANES`` or 1;
 in-process only, so with more than one job every cell is its own
-task; ``repro profile --events`` requires ``--lanes 1``).  Unset
-flags resolve from the environment in
-:meth:`repro.harness.RunOptions.resolve`.
+task; ``repro profile --events`` requires ``--lanes 1``).  ``repro
+verify`` takes ``--jobs`` and ``--timeout`` but not ``--lanes``: it
+runs every cell on its own core.  Unset flags resolve from the
+environment in :meth:`repro.harness.RunOptions.resolve`.
 """
 
 from __future__ import annotations
@@ -211,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "across runs")
     verify.add_argument("--jobs", type=int, default=None, metavar="J",
                         help="worker processes (default $REPRO_JOBS or 1)")
-    verify.add_argument("--lanes", type=int, default=None, metavar="L",
-                        help="lane-batch width (default $REPRO_LANES or 1)")
     verify.add_argument("--timeout", type=float, default=None,
                         metavar="SEC",
                         help="per-program wall cap under --jobs "
@@ -315,7 +314,8 @@ def _exec_opts(args) -> dict:
     """
     return {"workers": getattr(args, "jobs", None),
             "use_cache": not getattr(args, "no_cache", True),
-            "timeout": getattr(args, "timeout", None), "lanes": args.lanes}
+            "timeout": getattr(args, "timeout", None),
+            "lanes": getattr(args, "lanes", None)}
 
 
 def _cmd_bench(args) -> str:
@@ -489,8 +489,8 @@ def _dispatch(args) -> int:
         options = RunOptions.resolve(**_exec_opts(args))
         result = run_campaign(
             seed=args.seed, count=500 if args.quick else args.programs,
-            jobs=options.workers, lanes=options.lanes,
-            timeout=options.timeout, checkpoint=args.checkpoint,
+            jobs=options.workers, timeout=options.timeout,
+            checkpoint=args.checkpoint,
             fresh=args.fresh, minimise=not args.no_minimise)
         print(result.format())
         return 0 if result.ok else 1

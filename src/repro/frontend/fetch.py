@@ -54,14 +54,21 @@ class FetchUnit:
         #: wrong-path instructions fetched: the k-th is opcode
         #: ``_WP_OPCODES[k % 6]``, and its op's seq is -k
         self.wrong_path_fetched = 0
-        # one record per opcode slot, shared by every wrong-path op and
-        # never in a trace; repeated so that a group is one slice
+        #: the records wrong-path groups slice, built by the first
+        #: wrong-path fetch (a trace with no mispredicted branch, such
+        #: as a litmus thread's, never makes one)
+        self._wp_ring: Optional[List[DynInstr]] = None
+
+    def _build_wp_ring(self) -> List[DynInstr]:
+        """One record per opcode slot, shared by every wrong-path op of
+        this unit and never in a trace; repeated so that a group is one
+        slice."""
         slots = [DynInstr(seq=-1, pc=-1, opcode=opcode,
                           op_class=opcode.op_class, dst=None, srcs=(),
                           imm=0, addr=None, taken=False, next_pc=-1,
                           fault=False, critical=False)
                  for opcode in _WP_OPCODES]
-        self._wp_ring = slots * ((width + 10) // len(slots))
+        return slots * ((self.width + 10) // len(slots))
 
     def exhausted(self) -> bool:
         return self.next_seq >= self.trace_len
@@ -78,9 +85,12 @@ class FetchUnit:
             self.stall_cycles += 1
             if not self.model_wrong_path:
                 return []
+            ring = self._wp_ring
+            if ring is None:
+                ring = self._wp_ring = self._build_wp_ring()
             first = (self.wrong_path_fetched + 1) % len(_WP_OPCODES)
             self.wrong_path_fetched += self.width
-            return self._wp_ring[first:first + self.width]
+            return ring[first:first + self.width]
         if cycle < self._resume_at:
             self.stall_cycles += 1
             return []

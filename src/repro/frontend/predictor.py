@@ -10,6 +10,8 @@ taken) predictors bound the design space in tests and ablations.
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..isa import DynInstr, OpClass, Opcode
 from .bimodal import BimodalPredictor
 from .btb import BranchTargetBuffer
@@ -23,11 +25,19 @@ _LINK_REG = 1
 
 
 class BranchPredictor:
-    """Per-instruction predict-and-update driver over the trace."""
+    """Per-instruction predict-and-update driver over the trace.
 
-    def __init__(self, direction, btb: BranchTargetBuffer = None,
+    ``make_direction`` builds the direction predictor.  The first
+    conditional branch calls it, so a core whose trace has none, such
+    as a litmus thread's, never builds TAGE's tables.  ``None`` is the
+    oracle, which has no tables.
+    """
+
+    def __init__(self, make_direction, btb: BranchTargetBuffer = None,
                  ras: ReturnAddressStack = None):
-        self.direction = direction
+        self.make_direction = make_direction
+        #: the direction predictor, once a conditional branch built it
+        self.direction = None
         self.btb = btb if btb is not None else BranchTargetBuffer()
         self.ras = ras if ras is not None else ReturnAddressStack()
         self.lookups = 0
@@ -44,11 +54,14 @@ class BranchPredictor:
         self.lookups += 1
         if instr.op_class is OpClass.BRANCH:
             self.cond_lookups += 1
-            if self.direction is None:           # oracle
+            direction = self.direction
+            if direction is None and self.make_direction is not None:
+                direction = self.direction = self.make_direction()
+            if direction is None:                # oracle
                 predicted = instr.taken
             else:
-                predicted = self.direction.predict(instr.pc)
-                self.direction.update(instr.pc, instr.taken)
+                predicted = direction.predict(instr.pc)
+                direction.update(instr.pc, instr.taken)
             if instr.taken:
                 self.btb.insert(instr.pc, instr.next_pc)
             mispredicted = predicted != instr.taken
@@ -103,13 +116,13 @@ def make_predictor(kind: str = "tage", **kwargs) -> BranchPredictor:
     ``oracle``."""
     kind = kind.lower()
     if kind == "tage":
-        return BranchPredictor(TagePredictor(**kwargs))
+        return BranchPredictor(partial(TagePredictor, **kwargs))
     if kind == "gshare":
-        return BranchPredictor(GsharePredictor(**kwargs))
+        return BranchPredictor(partial(GsharePredictor, **kwargs))
     if kind == "bimodal":
-        return BranchPredictor(BimodalPredictor(**kwargs))
+        return BranchPredictor(partial(BimodalPredictor, **kwargs))
     if kind == "btfn":
-        return BranchPredictor(_BTFNDirection())
+        return BranchPredictor(_BTFNDirection)
     if kind == "oracle":
         return BranchPredictor(None)
     raise ValueError(f"unknown predictor kind: {kind!r}")

@@ -347,8 +347,11 @@ class ResilientPool:
         together.  The ``timeout`` stays **per cell**: the deadline
         re-arms each time a chunk member's result arrives; zero or
         less is no limit.  Never raises for a failing *task*; whatever
-        escapes (Ctrl-C as :class:`SuiteInterrupted`) kills the pool.
+        escapes (Ctrl-C as :class:`SuiteInterrupted`) kills the pool,
+        and the next run spawns ``workers`` fresh processes.
         """
+        if not self.handles:
+            self.resize(self.workers)
         start = time.monotonic()
         timeout = timeout if timeout and timeout > 0 else None
         outcomes: Dict[int, TaskOutcome] = {}
@@ -568,7 +571,7 @@ def next_task_id() -> int:
 
 def get_pool(workers: int) -> ResilientPool:
     global _POOL
-    if _POOL is None or not _POOL.handles:
+    if _POOL is None:
         _POOL = ResilientPool(workers)
     elif _POOL.workers != workers:
         _POOL.resize(workers)

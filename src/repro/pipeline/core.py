@@ -113,22 +113,16 @@ class O3Core:
         # cycle, so skip the per-call stage.tick attribute lookup
         self._ticks = tuple(stage.tick for stage in self.stages)
 
-        # hot-path facade: commit policies read these every cycle, so
-        # mirror the state's *stable* container references (mutated in
-        # place, never rebound) as plain instance attributes — a direct
-        # dict lookup instead of the __getattr__ fallback.  Rebound
-        # fields (cycle, mem_retry, frontend_pipe, …) must NOT be
-        # mirrored; they keep reading through __getattr__.
-        for attr in ("trace", "config", "stats", "rng", "predictor",
-                     "fetch", "rename", "commit_policy", "select_policy",
-                     "iq_queue", "iq_ops", "rob_queue", "lsq",
-                     "hierarchy", "tlb",
-                     "fupool", "window", "ops", "zombies",
-                     "pending_release", "commit_order", "ready_set",
-                     "completion_heap", "load_waiters",
-                     "violated_load_pcs", "last_writer", "pc_l1_misses",
-                     "pc_mispredicts"):
-            setattr(self, attr, getattr(state, attr))
+        # hot-path facade: commit policies and run() read these every
+        # cycle, so mirror them as plain instance attributes — a direct
+        # dict lookup instead of the __getattr__ fallback.  Each is a
+        # stable reference (mutated in place, never rebound); any other
+        # field reads through __getattr__, which keeps rebound ones
+        # (cycle, mem_retry, frontend_pipe, …) current.
+        self.config = state.config
+        self.window = state.window
+        self.commit_order = state.commit_order
+        self.ready_set = state.ready_set
         # bound stage methods: skip one dispatch layer on the per-
         # candidate commit checks (the hottest calls in the model)
         self.retire = commit.retire

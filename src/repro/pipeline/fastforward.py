@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from ..envutil import env_flag
 from .events import EventType
 from .stats import SimStats
 
@@ -83,7 +84,6 @@ _TRACKED = tuple(
 
 
 def enabled_by_env() -> bool:
-    from ..envutil import env_flag
     return not env_flag("REPRO_NO_FASTFORWARD", default=False)
 
 

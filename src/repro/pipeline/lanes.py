@@ -27,13 +27,9 @@ calls :func:`crosscheck` on a sampled cell per batch — a full serial
 re-run diffed field-by-field against the lane result.
 
 Lane batching is engine-internal: the harness builds fresh cores per
-cell, and the CLI paths that attach live per-cycle subscribers
-(``--timeline``, ``--events``, ``repro profile``) refuse or bypass
-lane mode.  A caller *may* hand a cell a pre-wired event bus
-(``LaneCell.bus`` — the verification campaign's witness subscriber
-does); a live SELECT subscriber routes that lane onto the scalar
-fallback step, and every other event type publishes identically on
-the vectorized path.
+cell, each on its own empty event bus, and the CLI paths that attach
+live per-cycle subscribers (``--timeline``, ``--events``, ``repro
+profile``) refuse or bypass lane mode.
 
 Batches are workload-agnostic: a :class:`LaneCell` holds a concrete
 trace, so any registered workload target (synthetic kernel, imported
@@ -57,7 +53,7 @@ from .config import CoreConfig
 from .core import DeadlockError, O3Core
 from .fastforward import FastForward
 from .stats import SimStats
-from .vectorstages import VectorEngine, lane_vectorizable, select_live
+from .vectorstages import VectorEngine, lane_vectorizable
 
 __all__ = ["LaneBatch", "LaneCell", "LaneDivergence", "LaneOutcome",
            "LaneReport", "crosscheck", "lane_key"]
@@ -78,21 +74,12 @@ def lane_key(config: CoreConfig) -> tuple:
 
 @dataclass
 class LaneCell:
-    """One queued cell: an opaque caller key plus its trace/config.
-
-    ``bus`` optionally supplies a pre-wired
-    :class:`~repro.pipeline.events.EventBus` for the cell's core — the
-    verification campaign attaches its witness subscriber this way.
-    Cells with live SELECT subscribers simply fall back to the scalar
-    per-lane step (see ``select_live``); all other event types publish
-    identically on the vectorized path.
-    """
+    """One queued cell: an opaque caller key plus its trace/config."""
 
     index: object
     trace: object
     config: CoreConfig
     max_cycles: int = 5_000_000
-    bus: object = None
 
 
 @dataclass
@@ -198,7 +185,7 @@ class LaneBatch:
                 cell = queue.popleft()
                 start = perf_counter()
                 try:
-                    core = O3Core(cell.trace, cell.config, bus=cell.bus,
+                    core = O3Core(cell.trace, cell.config,
                                   slot=self.stack.slot(slot_id))
                     ff = FastForward(core) if core.fast_forward_enabled \
                         else None
@@ -257,12 +244,12 @@ class LaneBatch:
                     retired = True
                     continue
                 lane.elapsed += perf_counter() - start
-                if lane.vec_ok and not select_live(lane.core):
+                if lane.vec_ok:
                     vec.append(lane)
                 else:
                     scalar.append(lane)
             # pass 2a — scalar fallback lanes step individually (non-
-            # vectorizable policy, criticality, live SELECT subscriber)
+            # vectorizable policy or criticality)
             for lane in scalar:
                 start = perf_counter()
                 try:

@@ -23,13 +23,14 @@ Wakeup and commit eligibility need no kernel: both are per-op state
 lane's scalar stages keep as they tick.
 
 Lanes that cannot take the vectorized path — a non-``AgeSelect``
-policy, criticality scheduling (profiled cells never reach the lane
-engine), or a live ``SELECT`` event subscriber (the vector path skips
-the per-cycle ``SelectEvent``) — are stepped by the driver through the
-unchanged scalar ``core.step()``; mixed batches are routine.  A lane
-that raises mid-iteration is excluded from the remaining phases (its
-state is mid-cycle, exactly as a scalar ``step()`` abort) and returned
-to the driver for retirement; batch-mates are untouched.
+policy or criticality scheduling (profiled cells never reach the lane
+engine) — are stepped by the driver through the unchanged scalar
+``core.step()``; mixed batches are routine.  The vector path publishes
+no per-cycle ``SelectEvent``, which no lane core subscribes to: each
+builds its own empty event bus.  A lane that raises mid-iteration is
+excluded from the remaining phases (its state is mid-cycle, exactly as
+a scalar ``step()`` abort) and returned to the driver for retirement;
+batch-mates are untouched.
 
 Under ``REPRO_CHECK=1`` the select kernel is cross-checked per cycle:
 its oldest entry is compared against the lowest order key of the
@@ -45,11 +46,9 @@ import numpy as np
 
 from ..core import check
 from ..scheduler import AgeSelect
-from .events import EventType
 
 __all__ = ["VectorEngine", "lane_vectorizable"]
 
-_SELECT = EventType.SELECT
 _I64_MAX = np.iinfo(np.int64).max
 
 #: index of the issue stage in O3Core.stages
@@ -62,19 +61,12 @@ def lane_vectorizable(core) -> bool:
     The select kernel serves the stock :class:`AgeSelect` policy with
     criticality off (``run_suite`` never sends profiled cells to
     lanes), and the lane must be slot-backed so its issue columns live
-    in the stack.  The dynamic part — no live ``SELECT`` subscriber —
-    is checked per iteration by ``LaneBatch.run``.
+    in the stack.
     """
     s = core.state
     return (type(s.select_policy) is AgeSelect
             and not s.config.criticality
             and s.slot is not None)
-
-
-def select_live(core) -> bool:
-    """Dynamic fallback: a live SELECT subscriber needs the scalar
-    tick (the vector path does not publish ``SelectEvent``)."""
-    return core.bus.live[_SELECT]
 
 
 class VectorEngine:

@@ -130,11 +130,6 @@ def parse_fault_specs(text: Optional[str]) -> Tuple[FaultSpec, ...]:
     return tuple(specs)
 
 
-def active_fault_specs() -> Tuple[FaultSpec, ...]:
-    """The fault programme currently in the environment."""
-    return parse_fault_specs(os.environ.get(FAULT_ENV, ""))
-
-
 def payload_faults(text: str, workers: int) -> str:
     """The part of fault programme ``text`` that task payloads carry:
     all of it for pool workers (``workers > 1``), and without the

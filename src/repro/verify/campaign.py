@@ -41,7 +41,6 @@ from ..isa import trace_program
 from ..pipeline import O3Core
 from ..pipeline.config import COMMITS, CoreConfig, base_config
 from ..pipeline.events import EventBus
-from ..pipeline.lanes import LaneBatch, LaneCell, lane_key
 from ..testing import faults
 from .generator import (VerifyProgram, build_thread, generate_programs,
                         program_sha)
@@ -85,7 +84,7 @@ def _combo_config(model: str, policy: str) -> CoreConfig:
 
 # -- one program through the whole grid -------------------------------------
 
-def verify_program(program: VerifyProgram, lanes: int = 1,
+def verify_program(program: VerifyProgram,
                    fault_specs: Sequence[faults.FaultSpec] = (),
                    attempt: int = 1,
                    grid: Optional[Sequence[Tuple[str, str]]] = None) -> dict:
@@ -96,64 +95,34 @@ def verify_program(program: VerifyProgram, lanes: int = 1,
 
     Violations carry the combo, the disallowed outcomes and the raw
     per-thread witnesses; errors carry cells that failed to simulate.
+    Each thread of each combo runs on its own :class:`O3Core`.
     """
     grid = list(grid if grid is not None else combos())
     built = [build_thread(program, t) for t in range(len(program.threads))]
-    traces = [None] * len(built)
+    traces = [trace_program(code) for code, _ in built]
 
-    # (combo index, thread) -> subscriber; cells carry the same key
+    # (combo index, thread) -> the witness of that cell's core
     subscribers: Dict[Tuple[int, int], WitnessSubscriber] = {}
-    cells: List[LaneCell] = []
+    errors: List[dict] = []
+    failed: set = set()
     for c, (model, policy) in enumerate(grid):
         cid = cell_name(program.name, model, policy)
         faults.preflight(fault_specs, cid, attempt)
         drop = any(s.fires(attempt) for s in
                    faults.faults_for(fault_specs, "lockdown", cid))
         config = _combo_config(model, policy)
-        for t in range(len(program.threads)):
-            if traces[t] is None:
-                traces[t] = trace_program(built[t][0])
-            subscriber = WitnessSubscriber(drop_lockdown=drop)
+        for t, trace in enumerate(traces):
+            subscriber = subscribers[(c, t)] = \
+                WitnessSubscriber(drop_lockdown=drop)
             bus = EventBus()
             bus.attach(subscriber)
-            subscribers[(c, t)] = subscriber
-            cells.append(LaneCell((c, t), traces[t], config,
-                                  max_cycles=CELL_MAX_CYCLES, bus=bus))
-
-    errors: List[dict] = []
-    failed: set = set()
-
-    def record_error(index, exc, tb: str = "") -> None:
-        c, t = index
-        model, policy = grid[c]
-        failed.add(c)
-        errors.append({"cell": cell_name(program.name, model, policy),
-                       "thread": t, "error": f"{type(exc).__name__}: {exc}",
-                       "traceback": tb})
-
-    if lanes > 1:
-        # group by structural compatibility key (the IQ size, which
-        # every verify config shares — so one group in practice)
-        groups: Dict[tuple, List[LaneCell]] = {}
-        for cell in cells:
-            groups.setdefault(lane_key(cell.config), []).append(cell)
-        for (iq_size,), group in groups.items():
-            batch = LaneBatch(lanes, iq_size)
-            report = batch.run(group)
-            for outcome in report.outcomes:
-                if outcome.error is not None:
-                    record_error(outcome.index, outcome.error,
-                                 outcome.error_tb)
-                elif outcome.timed_out:
-                    record_error(outcome.index,
-                                 TimeoutError("cell timed out"))
-    else:
-        for cell in cells:
             try:
-                O3Core(cell.trace, cell.config,
-                       bus=cell.bus).run(cell.max_cycles)
+                O3Core(trace, config, bus=bus).run(CELL_MAX_CYCLES)
             except Exception as exc:
-                record_error(cell.index, exc, traceback.format_exc())
+                failed.add(c)
+                errors.append({"cell": cid, "thread": t,
+                               "error": f"{type(exc).__name__}: {exc}",
+                               "traceback": traceback.format_exc()})
 
     violations: List[dict] = []
     # combos often witness the same apparent orders: compose each
@@ -192,12 +161,11 @@ def verify_program(program: VerifyProgram, lanes: int = 1,
 
 def _run_program(payload: tuple, attempt: int) -> tuple:
     """Module-level pool task: verify one program (picklable)."""
-    program_dict, lanes, faults_text = payload
+    program_dict, faults_text = payload
     try:
         specs = faults.parse_fault_specs(faults_text)
         program = VerifyProgram.from_dict(program_dict)
-        result = verify_program(program, lanes=lanes, fault_specs=specs,
-                                attempt=attempt)
+        result = verify_program(program, fault_specs=specs, attempt=attempt)
         return "ok", result
     except Exception as exc:
         return "error", exception_failure(exc, traceback.format_exc())
@@ -295,7 +263,10 @@ def run_campaign(seed: int, count: int, jobs: int = 1, lanes: int = 1,
     ``checkpoint=None`` uses :func:`default_checkpoint`.  ``fresh``
     discards any existing checkpoint.  ``minimise`` shrinks each
     violating program and writes a replayable violation bundle
-    (:mod:`~repro.verify.minimise`).
+    (:mod:`~repro.verify.minimise`).  ``lanes`` has no effect: every
+    cell runs on its own core.  The keyword stays only because the
+    end-to-end benchmark passes it, and goes when the lane engine
+    does (ROADMAP item 3).
     """
     if faults_text is None:
         faults_text = os.environ.get(faults.FAULT_ENV, "")
@@ -338,7 +309,7 @@ def run_campaign(seed: int, count: int, jobs: int = 1, lanes: int = 1,
     for i in range(len(programs)):
         if i not in completed:
             task = TaskSpec(next_task_id(), f"verify/{programs[i].name}",
-                            _run_program, (programs[i].to_dict(), lanes,
+                            _run_program, (programs[i].to_dict(),
                                            payload_faults))
             tasks.append(task)
             task_index[task.task_id] = i
@@ -389,7 +360,7 @@ def run_campaign(seed: int, count: int, jobs: int = 1, lanes: int = 1,
                 continue
             try:
                 bundle_path = minimise_and_bundle(
-                    program, violation, lanes=lanes,
+                    program, violation,
                     faults_text=faults.payload_faults(faults_text, 1))
                 result.bundles.append(str(bundle_path))
             except Exception as exc:

@@ -41,12 +41,12 @@ VERIFY_BUNDLE_FORMAT = 1
 
 
 def _still_fails(program: VerifyProgram, model: str, policy: str,
-                 lanes: int, fault_specs) -> bool:
+                 fault_specs) -> bool:
     """Does ``program`` still violate under exactly this combo?"""
     from .campaign import verify_program
     if not program.threads or not any(program.threads):
         return False
-    result = verify_program(program, lanes=lanes, fault_specs=fault_specs,
+    result = verify_program(program, fault_specs=fault_specs,
                             grid=[(model, policy)])
     return bool(result["violations"])
 
@@ -62,7 +62,6 @@ def _with_threads(program: VerifyProgram,
 
 
 def minimise_violation(program: VerifyProgram, model: str, policy: str,
-                       lanes: int = 1,
                        fault_specs=()) -> Tuple[VerifyProgram, int]:
     """Greedy ddmin: drop ops, then threads, to a 1-minimal failing
     program.  Returns ``(minimised, probes)``; the minimised program is
@@ -83,8 +82,7 @@ def minimise_violation(program: VerifyProgram, model: str, policy: str,
                 threads[t] = tuple(ops)
                 candidate = _with_threads(program, threads)
                 probes += 1
-                if _still_fails(candidate, model, policy, lanes,
-                                fault_specs):
+                if _still_fails(candidate, model, policy, fault_specs):
                     current = candidate
                     changed = True
                 else:
@@ -96,7 +94,7 @@ def minimise_violation(program: VerifyProgram, model: str, policy: str,
             del threads[t]
             candidate = _with_threads(program, threads)
             probes += 1
-            if _still_fails(candidate, model, policy, lanes, fault_specs):
+            if _still_fails(candidate, model, policy, fault_specs):
                 current = candidate
                 changed = True
             else:
@@ -138,7 +136,7 @@ def test_verify_regression_{program.name.replace(".", "_").replace("-", "_")}():
 
 
 def minimise_and_bundle(program: VerifyProgram, violation: dict,
-                        lanes: int = 1, faults_text: str = "",
+                        faults_text: str = "",
                         crash_dir: Optional[os.PathLike] = None
                         ) -> pathlib.Path:
     """Minimise one campaign violation and persist its bundle."""
@@ -147,7 +145,7 @@ def minimise_and_bundle(program: VerifyProgram, violation: dict,
     policy = violation["policy"]
     specs = faults.parse_fault_specs(faults_text)
     minimised, probes = minimise_violation(program, model, policy,
-                                           lanes=lanes, fault_specs=specs)
+                                           fault_specs=specs)
     config = _combo_config(model, policy)
     bundle = {
         "format": VERIFY_BUNDLE_FORMAT,
@@ -172,7 +170,6 @@ def minimise_and_bundle(program: VerifyProgram, violation: dict,
         "verify": {
             "model": model,
             "policy": policy,
-            "lanes": lanes,
             "program": program.to_dict(),
             "program_sha": program_sha(program),
             "minimised": minimised.to_dict(),
@@ -218,13 +215,13 @@ class VerifyReplayReport:
 def replay_violation(bundle: dict) -> VerifyReplayReport:
     """Re-run a violation bundle's minimised program from the bundle
     alone; REPRODUCED iff the same combo still yields any outcome the
-    oracle forbids."""
+    oracle forbids.  A ``"lanes"`` field, which older bundles carry,
+    is ignored."""
     from .campaign import verify_program
     verify = bundle["verify"]
     program = VerifyProgram.from_dict(verify["minimised"])
     specs = faults.parse_fault_specs(bundle.get("faults", ""))
-    result = verify_program(program, lanes=verify.get("lanes", 1),
-                            fault_specs=specs,
+    result = verify_program(program, fault_specs=specs,
                             grid=[(verify["model"], verify["policy"])])
     observed = [o for violation in result["violations"]
                 for o in violation["outcomes"]]

@@ -112,9 +112,10 @@ def _fetched_ops(trace, cycles=400):
 
 
 def test_wrong_path_generator():
-    """Wrong-path fetch shares one record per ``_WP_OPCODES`` slot, and
-    each op built from one has its own negative seq: the k-th
-    wrong-path op fetched is seq -k with opcode ``_WP_OPCODES[k % 6]``."""
+    """Wrong-path fetch shares one record per ``_WP_OPCODES`` slot,
+    built by the first wrong-path fetch, and each op built from one has
+    its own negative seq: the k-th wrong-path op fetched is seq -k with
+    opcode ``_WP_OPCODES[k % 6]``."""
     trace = build_trace("gcc.mix", scale=0.05)
     ops = _fetched_ops(trace)
     wrong = [op for op in ops if op.wrong_path]
@@ -128,7 +129,7 @@ def test_wrong_path_generator():
     assert len({id(record) for record in slots.values()}) == 6
     assert_class_facts(list(slots.values()))
     # never a trace record (the criticality tagger writes those), and
-    # every core builds its own
+    # every core builds its own, on its first wrong-path fetch
     in_trace = {id(instr) for instr in trace}
     assert not any(id(record) in in_trace for record in slots.values())
     other = {id(op.dyn) for op in _fetched_ops(trace) if op.wrong_path}

@@ -20,6 +20,9 @@ create fewer than ``CONSTRUCTION_OBJECT_BUDGET`` GC-tracked objects
 (config-sized tables are flat int lists or lazily built containers,
 never one Python object per entry), and a finished core must be freed
 by reference counting alone (nothing inside a core refers back to it).
+A core for a branch-free verify thread builds no direction predictor
+and no wrong-path record, since the thread reads neither, and stays
+within a budget of Python-level calls.
 
 The serial windows also make no Python-level call for a fact that
 never changes during an op's life: no call into ``random.py`` (select
@@ -27,17 +30,18 @@ shuffles inline), to a ``DynInstr`` or ``InflightOp`` property (class
 facts and ``seq`` are slots) or to a lambda in the issue stage (select
 reads per-entry columns).  They build no ``DynInstr`` either
 (``__init__`` or ``__post_init__``): wrong-path ops share one record
-per opcode slot, built with the core, and one window fetches down the
-wrong path to hold that.  Nor do they make a call whose only job is
-to read a count, hash an enum or re-fold a history: none into
-``enum.py`` (``OpClass`` hashes by identity), to ``Trace.__len__`` or
-``__getitem__`` (fetch keeps the bound and indexes the list), to a
-queue, free-list, LSQ, rename or fetch count accessor (the counts are
-attributes), to ``FUPool.available`` (acquire and the availability
-vector compute it inline) or to TAGE's per-table hashes (one lookup
-per branch over folded-history registers).  Each window also has a
-budget of Python-level calls per stepped cycle, so a hot-path
-regression fails tier-1 as a deterministic count.
+per opcode slot, built by the core's first wrong-path fetch, and one
+window fetches down the wrong path to hold that.  Nor do they make a
+call whose only job is to read a count, hash an enum or re-fold a
+history: none into ``enum.py`` (``OpClass`` hashes by identity), to
+``Trace.__len__`` or ``__getitem__`` (fetch keeps the bound and
+indexes the list), to a queue, free-list, LSQ, rename or fetch count
+accessor (the counts are attributes), to ``FUPool.available``
+(acquire and the availability vector compute it inline) or to TAGE's
+per-table hashes (one lookup per branch over folded-history
+registers).  Each window also has a budget of Python-level calls per
+stepped cycle, so a hot-path regression fails tier-1 as a
+deterministic count.
 
 The verifier has a window of its own: one cold ``allowed_outcomes``
 per memory model and one ``compose_outcomes`` on the seed-0 campaign's
@@ -61,17 +65,19 @@ import numpy as np
 import pytest
 
 from repro.core import check
-from repro.frontend import FetchUnit, TagePredictor
-from repro.isa import DynInstr, Trace
+from repro.frontend import BimodalPredictor, FetchUnit, TagePredictor
+from repro.isa import DynInstr, Trace, trace_program
 from repro.lsq import LSQUnit
 from repro.pipeline import InflightOp, O3Core, base_config, lanes, ultra_config
+from repro.pipeline.events import EventBus
 from repro.pipeline.lanes import LaneBatch, LaneCell, _Lane
 from repro.pipeline.resources import FUPool
 from repro.pipeline.stages import issue
 from repro.queues import CircularQueue, CollapsibleQueue, RandomQueue
 from repro.rename import PhysRegFreeList, RenameUnit
 from repro.verify import oracle
-from repro.verify.generator import generate_programs
+from repro.verify.generator import (CLASSIC_SHAPES, build_thread,
+                                    generate_programs)
 from repro.verify.witness import AppEvent, compose_outcomes
 from repro.workloads import build_trace
 
@@ -85,6 +91,10 @@ GUARDED_STEPS = 200
 #: GC-tracked objects one core construction may create (about 220
 #: today; one object per predictor/cache/BTB entry would be ~9,500)
 CONSTRUCTION_OBJECT_BUDGET = 1000
+#: Python-level calls one core construction for a branch-free verify
+#: thread may make.  Measured on CPython 3.11: 60, and 97 while the
+#: core built its TAGE tables and six wrong-path records up front
+CONSTRUCTION_CALL_BUDGET = 66
 
 
 def _counting_shim(counts):
@@ -341,6 +351,47 @@ def test_core_construction_allocates_few_objects(make_config, gc_disabled):
     assert created < CONSTRUCTION_OBJECT_BUDGET, (
         f"O3Core construction created {created} GC-tracked objects — a "
         f"config-sized table went back to one object per entry")
+
+
+def test_verify_core_builds_only_what_it_reads():
+    """A verify thread has no branch, so its core must not build the
+    direction predictor (TAGE's tables and bimodal base) or the
+    wrong-path records: the first conditional branch and the first
+    wrong-path fetch build them.  Construction also stays within a
+    budget of Python-level calls."""
+    trace = trace_program(build_thread(CLASSIC_SHAPES["sb"], 0)[0])
+    assert not any(instr.is_branch for instr in trace)
+    config = base_config(commit="orinoco")
+    O3Core(trace, config)                    # warm imports
+    watched = {TagePredictor.__init__.__code__: "TagePredictor",
+               BimodalPredictor.__init__.__code__: "BimodalPredictor",
+               DynInstr.__init__.__code__: "DynInstr",
+               DynInstr.__post_init__.__code__: "DynInstr.__post_init__"}
+    built, total = {}, [0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            total[0] += 1
+            name = watched.get(frame.f_code)
+            if name is not None:
+                built[name] = built.get(name, 0) + 1
+
+    bus = EventBus()
+    previous_profiler = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        core = O3Core(trace, config, bus=bus)
+    finally:
+        sys.setprofile(previous_profiler)
+    problems = []
+    if built:
+        problems.append(f"built {built}")
+    if total[0] > CONSTRUCTION_CALL_BUDGET:
+        problems.append(f"made {total[0]} Python-level calls, over the "
+                        f"budget of {CONSTRUCTION_CALL_BUDGET}")
+    assert not problems, "core construction " + "; ".join(problems)
+    core.run()
+    assert core.predictor.direction is None and core.fetch._wp_ring is None
 
 
 def test_finished_serial_core_freed_by_refcount(gc_disabled):

@@ -369,6 +369,25 @@ class TestInterrupt:
         assert sum(len(result.stats) for result in after.values()) == 4
         assert not any(handle.busy for handle in get_pool(2).handles)
 
+    def test_run_after_shutdown_spawns_workers(self):
+        """A pool that an earlier run's escape shut down, here shut down
+        by hand, spawns fresh workers for its next run instead of
+        waiting on none.  The run goes on a thread with a bounded join,
+        so a hang fails the test rather than stalling the suite."""
+        pool = ResilientPool(1)
+        pool.shutdown(kill=True)
+        outcomes = {}
+        runner = threading.Thread(target=lambda: outcomes.update(pool.run(
+            [TaskSpec(next_task_id(), "noop/0", _noop, 0)])), daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        try:
+            assert not runner.is_alive(), \
+                "run() on a shut-down pool did not return within 60 s"
+            assert [o.status for o in outcomes.values()] == [CellStatus.OK]
+            assert len(pool.handles) == 1
+        finally:
+            pool.shutdown(kill=True)
 
     def test_ctrl_c_while_profiling_reports_cells(self, monkeypatch):
         """Ctrl-C during the units that serve profiles counts the cells

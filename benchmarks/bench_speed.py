@@ -17,8 +17,7 @@ comparison into a pass/fail check for CI: exit 1 if parallel wall
 exceeds ``RATIO x`` serial wall (skipped, and recorded as skipped,
 on single-CPU hosts where a speedup is physically unattainable) and
 exit 2 if the stats diverge.  ``--lanes L`` measures the lane-batched
-engine two ways: the heterogeneous sweep (same cells, workers=1,
-lockstep batches of L — end-to-end occupancy included) and a
+engine, which no sweep runs, by driving ``LaneBatch`` directly: a
 *saturated* pass (L copies of each kernel filling one batch — the
 engine's full-occupancy throughput, reported per kernel as
 ``lane_serial_equiv_kcps`` = simulated cycles summed across lanes /
@@ -125,56 +124,15 @@ def _parallel_pass(traces, scheduler, commit, jobs, chunk,
     }
 
 
-def _lane_pass(traces, scheduler, commit, lanes, serial_stats,
-               serial_wall):
-    """In-process lane-batched sweep over the same cells.
-
-    Measures the lane-stacked engine (``repro.pipeline.lanes``): up to
-    ``lanes`` compatible cells stepped in lockstep over one
-    struct-of-arrays stack, single process (workers=1) so the number
-    isolates the lane engine from worker parallelism.  Per-cell stats
-    are checked field-identical against the serial pass — the identity
-    contract matters more than the wall number and is always enforced.
-    """
-    config = base_config(scheduler=scheduler, commit=commit)
-    start = time.perf_counter()
-    result = run_config("bench-lanes", config, traces, workers=1,
-                        use_cache=False, lanes=lanes)
-    wall = time.perf_counter() - start
-    identical = all(result.stats.get(name) == serial_stats[name]
-                    for name in traces)
-    total_cycles = sum(stats.cycles for stats in result.stats.values())
-    speedup = serial_wall / wall if wall > 0 else 0.0
-    return {
-        "lanes": lanes,
-        "wall_seconds": round(wall, 4),
-        "serial_wall_seconds": round(serial_wall, 4),
-        "speedup": round(speedup, 3),
-        "total_cycles": total_cycles,
-        "kcps": round(total_cycles / wall / 1e3, 1) if wall > 0 else 0.0,
-        # simulated cycles summed across lanes / wall: the rate one
-        # process delivers in serial-run-equivalents
-        "lane_serial_equiv_kcps": round(total_cycles / wall / 1e3, 1)
-        if wall > 0 else 0.0,
-        "mean_active_lanes": round(result.mean_lane_occupancy(), 3),
-        "batches": len(result.lane_batches),
-        "trace_cache_hits": result.trace_cache_hits(),
-        "identical": identical,
-        "target_5x_met": speedup >= 5.0,
-        "cpus": os.cpu_count() or 1,
-    }
-
-
 def _saturated_pass(traces, scheduler, commit, lanes, serial,
                     serial_stats):
     """Full-occupancy lane throughput: L copies of each kernel.
 
-    The heterogeneous sweep above under-fills the batch whenever fewer
-    than L cells are live (its mean occupancy is the honest end-to-end
-    number), so it conflates engine speed with suite shape.  This pass
-    keeps all L lanes busy on one kernel at a time and compares the
-    batch wall against L serial runs of that kernel (min-of-reps
-    seconds from the serial pass).  Per-kernel stats are checked
+    A batch of different cells under-fills as short cells retire, so
+    its wall conflates engine speed with suite shape.  This pass keeps
+    all L lanes busy on one kernel at a time and compares the batch
+    wall against L serial runs of that kernel (min-of-reps seconds
+    from the serial pass).  Per-kernel stats are checked
     field-identical against serial; the speedup geomean across kernels
     is the number ``--lane-gate`` enforces.
     """
@@ -219,33 +177,28 @@ def _saturated_pass(traces, scheduler, commit, lanes, serial,
                                         1) if total_wall > 0 else 0.0,
         "lanes_vs_serial_geomean": round(geomean, 3),
         "per_kernel": per_kernel,
+        "cpus": os.cpu_count() or 1,
     }
 
 
 def _apply_lane_gate(report, gate):
     """Enforce ``--lane-gate``; returns the process exit code.
 
-    Identity divergence — in the heterogeneous sweep or the saturated
-    pass — is always fatal (exit 2).  The throughput check gates the
-    *saturated* lanes-vs-serial geomean (``speedup >= R``): the
-    heterogeneous sweep's wall ratio depends on suite shape (a
-    straggler kernel drains the batch to one live lane), so gating it
-    would measure the workload mix, not the engine.  On single-CPU
-    hosts the check is skipped — and recorded as skipped, with the
-    measured geomean — because scheduler noise under CI load makes
-    wall ratios there too unstable to fail a build on.
+    Identity divergence in the saturated pass is always fatal
+    (exit 2).  The throughput check gates its lanes-vs-serial geomean
+    (``speedup >= R``).  On single-CPU hosts the check is skipped —
+    and recorded as skipped, with the measured geomean — because
+    scheduler noise under CI load makes wall ratios there too unstable
+    to fail a build on.
     """
     lane = report["lane"]
-    saturated = lane.get("saturated")
-    if not lane["identical"] or (saturated is not None
-                                 and not saturated["identical"]):
+    if not lane["identical"]:
         report["lane_gate"] = {"min_speedup": gate, "passed": False,
                                "reason": "lane stats diverged from serial"}
         print("GATE FAIL: lane-batched stats are not field-identical "
               "to serial", file=sys.stderr)
         return 2
-    measured = saturated["lanes_vs_serial_geomean"] if saturated \
-        else lane["speedup"]
+    measured = lane["lanes_vs_serial_geomean"]
     if lane["cpus"] <= 1:
         report["lane_gate"] = {
             "min_speedup": gate, "skipped": True,
@@ -332,10 +285,10 @@ def main(argv=None) -> int:
                              "(requires --jobs; skipped on 1-CPU hosts); "
                              "stat divergence always fails")
     parser.add_argument("--lanes", type=int, default=0, metavar="L",
-                        help="also measure the lane-batched engine: the "
-                             "same cells in lockstep batches of L over "
-                             "struct-of-arrays state (workers=1, so the "
-                             "number isolates the lane engine)")
+                        help="also measure the lane-batched engine: L "
+                             "copies of each kernel in one lockstep "
+                             "batch over struct-of-arrays state, against "
+                             "L serial runs")
     parser.add_argument("--lane-gate", type=float, default=None,
                         metavar="R",
                         help="fail if the saturated lanes-vs-serial "
@@ -360,7 +313,7 @@ def main(argv=None) -> int:
     geomean = math.exp(sum(math.log(row["kcps"])
                            for row in serial.values()) / len(serial))
     report = {
-        "schema": "bench-speed/4",
+        "schema": "bench-speed/5",
         "scale": scale,
         "reps": max(1, args.reps),
         "scheduler": args.scheduler,
@@ -380,10 +333,7 @@ def main(argv=None) -> int:
             traces, args.scheduler, args.commit, args.jobs, args.chunk,
             serial_stats, serial_wall)
     if args.lanes > 1:
-        report["lane"] = _lane_pass(
-            traces, args.scheduler, args.commit, args.lanes,
-            serial_stats, serial_wall)
-        report["lane"]["saturated"] = _saturated_pass(
+        report["lane"] = _saturated_pass(
             traces, args.scheduler, args.commit, args.lanes,
             serial, serial_stats)
 
@@ -417,26 +367,18 @@ def main(argv=None) -> int:
               f"{par['trace_cache_hits']} trace-LRU hits, "
               f"stats {'identical' if par['identical'] else 'DIVERGED'})")
     if "lane" in report:
-        lane = report["lane"]
-        print(f"  lanes x{lane['lanes']}: {lane['wall_seconds']:.3f}s "
-              f"wall vs {lane['serial_wall_seconds']:.3f}s serial "
-              f"({lane['speedup']:.2f}x, {lane['kcps']:.1f} kcps, mean "
-              f"{lane['mean_active_lanes']:.2f} active lanes over "
-              f"{lane['batches']} batches, stats "
-              f"{'identical' if lane['identical'] else 'DIVERGED'})")
-        sat = lane.get("saturated")
-        if sat is not None:
-            for kernel, row in sat["per_kernel"].items():
-                print(f"  {kernel:<{width}}  saturated x{sat['lanes']}: "
-                      f"{row['wall_seconds']:>8.3f}s  "
-                      f"{row['speedup']:>5.2f}x  "
-                      f"{row['lane_serial_equiv_kcps']:>8.1f} "
-                      f"serial-equiv kcps")
-            print(f"  saturated x{sat['lanes']}: lanes-vs-serial geomean "
-                  f"{sat['lanes_vs_serial_geomean']:.2f}x "
-                  f"({sat['lane_serial_equiv_kcps']:.1f} serial-equiv "
-                  f"kcps, stats "
-                  f"{'identical' if sat['identical'] else 'DIVERGED'})")
+        sat = report["lane"]
+        for kernel, row in sat["per_kernel"].items():
+            print(f"  {kernel:<{width}}  saturated x{sat['lanes']}: "
+                  f"{row['wall_seconds']:>8.3f}s  "
+                  f"{row['speedup']:>5.2f}x  "
+                  f"{row['lane_serial_equiv_kcps']:>8.1f} "
+                  f"serial-equiv kcps")
+        print(f"  saturated x{sat['lanes']}: lanes-vs-serial geomean "
+              f"{sat['lanes_vs_serial_geomean']:.2f}x "
+              f"({sat['lane_serial_equiv_kcps']:.1f} serial-equiv "
+              f"kcps, stats "
+              f"{'identical' if sat['identical'] else 'DIVERGED'})")
     print(f"wrote {out_path}")
     return exit_code
 

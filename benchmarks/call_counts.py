@@ -4,12 +4,12 @@ Counts ``sys.setprofile`` "call" events (Python functions only; C
 builtins raise "c_call", which is not counted) over the second of two
 in-process passes of a workload.  ``fig15-serial`` (the default) is
 Figure 15 at scale 0.1 on five targets, ten commit policies,
-``workers=1``, no result cache, ``lanes=1``; the first pass warms
+``workers=1``, no result cache; the first pass warms
 imports and the trace LRU, so the second counts the simulation and the
 harness around it.  ``figs`` is Figure 14 then Figure 16 with the same
 settings, so it covers the criticality profiles and the pro and ultra
 presets.  ``verify-campaign`` is the seed-0, 24-program ``repro
-verify`` campaign at ``jobs=1``, ``lanes=1``; the oracle's memo is
+verify`` campaign at ``jobs=1``; the oracle's memo is
 cleared before the counted pass, so it pays the cold oracle as a fresh
 process does.
 
@@ -54,12 +54,11 @@ VERIFY_PROGRAMS = 24
 #: workload -> what a pass runs, as written to the JSON
 WORKLOADS = {
     "fig15-serial": {"figure": "fig15", "scale": SCALE, "targets": TARGETS,
-                     "workers": 1, "lanes": 1, "use_cache": False},
+                     "workers": 1, "use_cache": False},
     "figs": {"figures": ["fig14", "fig16"], "scale": SCALE,
-             "targets": TARGETS, "workers": 1, "lanes": 1,
-             "use_cache": False},
+             "targets": TARGETS, "workers": 1, "use_cache": False},
     "verify-campaign": {"campaign": "verify", "seed": VERIFY_SEED,
-                        "programs": VERIFY_PROGRAMS, "jobs": 1, "lanes": 1},
+                        "programs": VERIFY_PROGRAMS, "jobs": 1},
 }
 
 
@@ -67,17 +66,16 @@ def _pass(workload: str, tmp: Path):
     """The pass to run twice: a function of no arguments."""
     if workload == "fig15-serial":
         return lambda: fig15(SCALE, list(TARGETS), workers=1,
-                             use_cache=False, lanes=1)
+                             use_cache=False)
     if workload == "figs":
         def figs_pass() -> None:
             for figure in (fig14, fig16):
-                figure(SCALE, list(TARGETS), workers=1, use_cache=False,
-                       lanes=1)
+                figure(SCALE, list(TARGETS), workers=1, use_cache=False)
         return figs_pass
 
     def verify_pass() -> None:
         oracle._allowed_cached.cache_clear()
-        run_campaign(VERIFY_SEED, VERIFY_PROGRAMS, jobs=1, lanes=1,
+        run_campaign(VERIFY_SEED, VERIFY_PROGRAMS, jobs=1,
                      checkpoint=tmp / "campaign.jsonl", fresh=True)
     return verify_pass
 

@@ -25,15 +25,12 @@ Commands mirror the paper's evaluation artefacts:
 
 Experiment commands accept ``--jobs N`` (parallel simulation workers,
 default ``$REPRO_JOBS``), ``--no-cache`` (bypass the on-disk result
-cache under ``benchmarks/.cache/``), ``--timeout S`` (per-cell limit
-on the worker path, default ``$REPRO_CELL_TIMEOUT``; zero or less is
-no limit) and ``--lanes L`` (lane-batch width: up to L compatible
-cells simulated in lockstep per batch, default ``$REPRO_LANES`` or 1;
-in-process only, so with more than one job every cell is its own
-task; ``repro profile --events`` requires ``--lanes 1``).  ``repro
-verify`` takes ``--jobs`` and ``--timeout`` but not ``--lanes``: it
-runs every cell on its own core.  Unset flags resolve from the
-environment in :meth:`repro.harness.RunOptions.resolve`.
+cache under ``benchmarks/.cache/``) and ``--timeout S`` (per-cell
+limit on the worker path, default ``$REPRO_CELL_TIMEOUT``; zero or
+less is no limit); every cell runs on its own core.  ``repro verify``
+takes ``--jobs`` and ``--timeout`` too.  Unset flags resolve from the
+environment in :meth:`repro.harness.RunOptions.resolve`.  Only
+``repro profile`` takes ``--lanes``, and ``--events`` needs it at 1.
 """
 
 from __future__ import annotations
@@ -69,14 +66,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "with workers (default $REPRO_CELL_TIMEOUT; "
                              "zero or less is no limit; timed-out cells "
                              "are reported, not fatal)")
-    parser.add_argument("--lanes", type=int, default=None, metavar="L",
-                        help="lane-batch width: simulate up to L "
-                             "compatible cells in lockstep over shared "
-                             "struct-of-arrays state (default "
-                             "$REPRO_LANES or 1 = off; results are "
-                             "field-identical to serial; applies only "
-                             "at --jobs 1, since with workers every "
-                             "cell is its own task)")
     _add_trace_import(parser)
 
 
@@ -183,12 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--sort", default="tottime",
                          choices=("tottime", "cumulative", "ncalls"),
                          help="cProfile sort order")
-    profile.add_argument("--lanes", type=int, default=None, metavar="L",
+    profile.add_argument("--lanes", type=int, default=1, metavar="L",
                          help="above 1, profile L copies of the kernel "
                               "in one lane batch, with per-stage time "
                               "split into scalar and vector buckets; "
-                              "--events needs 1 (default $REPRO_LANES "
-                              "or 1)")
+                              "--events needs 1 (default 1)")
 
     replay = sub.add_parser(
         "replay", help="re-run a crash-diagnostic bundle and report "
@@ -314,8 +302,7 @@ def _exec_opts(args) -> dict:
     """
     return {"workers": getattr(args, "jobs", None),
             "use_cache": not getattr(args, "no_cache", True),
-            "timeout": getattr(args, "timeout", None),
-            "lanes": getattr(args, "lanes", None)}
+            "timeout": getattr(args, "timeout", None)}
 
 
 def _cmd_bench(args) -> str:
@@ -328,12 +315,10 @@ def _cmd_bench(args) -> str:
     result = figures[args.figure](scale=args.scale, names=args.kernels,
                                   **execution)
     wall = time.perf_counter() - start
-    # lane batching applies only in-process (workers <= 1)
-    lanes = options.lanes if options.workers <= 1 else 1
     sim = result.sim_seconds()
     lines = [result.format(), "",
              f"executor: {result.cells()} cells, "
-             f"workers={options.workers}, lanes={lanes}, "
+             f"workers={options.workers}, "
              f"cache {'off' if options.cache is None else 'on'} "
              f"({result.cache_hits()} hits)",
              f"trace LRU: {result.trace_cache_hits()} hits, "
@@ -341,12 +326,6 @@ def _cmd_bench(args) -> str:
              f"wall-clock {wall:.2f}s; per-cell simulation time "
              f"{sim:.2f}s" + (f" ({sim / wall:.2f}x overlap)"
                               if wall > 0 else "")]
-    occupancy = result.mean_lane_occupancy()
-    if occupancy:
-        batches = {bid for r in result.results.values()
-                   for bid in r.lane_batches}
-        lines.append(f"lane batches: {len(batches)}, mean "
-                     f"{occupancy:.2f} active lanes/iteration")
     return "\n".join(lines)
 
 
@@ -440,8 +419,7 @@ def _dispatch(args) -> int:
     elif command == "bench":
         print(_cmd_bench(args))
     elif command == "profile":
-        lanes = RunOptions.resolve(**_exec_opts(args)).lanes
-        if lanes != 1:
+        if args.lanes != 1:
             # lane batches get their own attribution: scalar stage
             # buckets summed over lanes plus the cross-lane fused
             # kernel buckets.  Event subscribers attach to a single
@@ -455,7 +433,7 @@ def _dispatch(args) -> int:
             report = profile_lanes(
                 args.kernel, scale=args.scale, preset=args.preset,
                 scheduler=args.scheduler, commit=args.commit,
-                lanes=lanes, cprofile_top=args.cprofile,
+                lanes=args.lanes, cprofile_top=args.cprofile,
                 cprofile_sort=args.sort)
             print(report.format())
             return 0

@@ -1,14 +1,10 @@
-"""REPRO_CHECK: self-verification mode for the lane engine.
+"""REPRO_CHECK: self-verification mode for the lane engine's select kernel.
 
-``REPRO_CHECK=1`` turns on cross-checks that recompute a fused answer
-from first principles and compare, raising :class:`CheckError` on the
-first divergence:
-
-* the lane engine's cross-lane select kernel against each lane's
-  scalar ready set, every cycle
-  (:mod:`repro.pipeline.vectorstages`);
-* a sampled lane-batched cell against a full serial re-run
-  (:func:`repro.pipeline.lanes.crosscheck`, called by the harness).
+``REPRO_CHECK=1`` recomputes the lane engine's cross-lane select
+answer from first principles every cycle, comparing the kernel's
+``argmin`` with the oldest op of each lane's scalar ready set
+(:mod:`repro.pipeline.vectorstages`), and raises :class:`CheckError`
+on the first divergence.
 
 The flag is read once and latched (the lane engine captures it at
 construction), so the steady-state cost of an unchecked run is a single

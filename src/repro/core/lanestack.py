@@ -44,8 +44,8 @@ class LaneSlot:
 class LaneStack:
     """Lane-stacked issue columns for up to ``lanes`` cells.
 
-    All cells sharing a stack must agree on ``iq_size`` (the harness
-    groups by :func:`~repro.pipeline.lanes.lane_key`).
+    All cells sharing a stack must agree on ``iq_size``
+    (:class:`~repro.pipeline.lanes.LaneBatch` rejects any other).
     """
 
     def __init__(self, lanes: int, iq_size: int):

@@ -8,7 +8,7 @@ calls these and records paper-vs-measured in EXPERIMENTS.md.
 Every figure is a grid of independent (config, workload) cells, so the
 drivers build one flat job list and submit it through the parallel
 executor in a single batch, passing their execution keywords
-(``workers``, ``use_cache``, ``timeout``, ``lanes``, ...; see
+(``workers``, ``use_cache``, ``timeout``, ...; see
 :meth:`~repro.harness.parallel.RunOptions.resolve`) through to
 :func:`~repro.harness.parallel.run_suite` unchanged.  A criticality
 configuration is profiled by the plain cell of its profile config,
@@ -73,20 +73,6 @@ class ExperimentResult:
     def trace_cache_misses(self) -> int:
         """Cells whose trace had to be (re)generated."""
         return sum(r.trace_cache_misses() for r in self.results.values())
-
-    def mean_lane_occupancy(self) -> float:
-        """Mean active lanes per lockstep iteration, whole figure.
-
-        A lane batch can span labels; batches are deduplicated by id
-        across the per-label results before averaging.  0.0 when the
-        figure ran entirely on the per-cell paths.
-        """
-        batches: Dict[int, tuple] = {}
-        for result in self.results.values():
-            batches.update(result.lane_batches)
-        steps = sum(s for s, _ in batches.values())
-        lane_steps = sum(ls for _, ls in batches.values())
-        return lane_steps / steps if steps else 0.0
 
 
 def _missing_notes(results: Dict[str, SuiteResult]) -> List[str]:

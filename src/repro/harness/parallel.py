@@ -42,10 +42,10 @@ executes them over the fault-isolated dispatcher in
 
 One runner, :func:`~repro.harness.resilience.run_tasks`, executes
 both task lists: through the pool with ``workers>1``, and in-process
-otherwise, calling the same task function.  So a failing cell is the
-same annotated hole at every worker count; only pool payloads carry
-the ``crash``/``hang``/``explode`` faults.  Lane batching
-(``lanes>1``) runs in-process only.
+otherwise, calling the same task function.  So every cell takes one
+path and a failing cell is the same annotated hole at every worker
+count; only pool payloads carry the ``crash``/``hang``/``explode``
+faults.
 
 How a sweep executes is one :class:`RunOptions`, resolved once per
 sweep; no setting in it changes a cell's stats.
@@ -64,19 +64,16 @@ import traceback
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core import check
 from ..criticality import CriticalityTagger, clear_tags
 from ..envutil import env_flag, env_float, env_int
 from ..pipeline import CoreConfig, O3Core, SimStats
-from ..pipeline.lanes import LaneBatch, LaneCell, crosscheck, lane_key
 from ..testing import faults
 from ..workloads import ensure_target, fetch_trace, get_target, has_target
 from .cache import ResultCache, cache_key
 from .diagnostics import build_crash_bundle, write_bundle
 from .resilience import (CellFailure, CellStatus, SuiteInterrupted,
                          TaskOutcome, TaskSpec, exception_failure,
-                         next_task_id, run_tasks, shutdown_pools,
-                         task_outcome)
+                         next_task_id, run_tasks, shutdown_pools)
 
 __all__ = ["Job", "ProfileData", "RunOptions", "jobs_for", "run_suite",
            "shutdown_pools"]
@@ -112,8 +109,8 @@ def jobs_for(label: str, config: CoreConfig, traces: Dict[str, object],
             raise ValueError(
                 f"trace {name!r} is not rebuildable from the workload "
                 f"target registry (register it with "
-                f"repro.workloads.register_target / add_trace_target); "
-                f"use the serial runner for ad-hoc traces")
+                f"repro.workloads.add_trace_target to sweep it, or "
+                f"simulate it once with repro.pipeline.simulate)")
         jobs.append(Job(label, config, name, scale, profile_config))
     return jobs
 
@@ -128,8 +125,7 @@ def jobs_for(label: str, config: CoreConfig, traces: Dict[str, object],
 # miss, never pickled), apply the payload's faults, simulate, and return
 # ("ok", value) or ("error", failure dict with a crash bundle).  Workers
 # persist across chunks and run_suite calls, and same-workload cells
-# share a chunk, so successive cells reuse one trace.  _simulate_cell
-# takes the trace itself, so the runner's ad-hoc traces use it too.
+# share a chunk, so successive cells reuse one trace.
 
 def _simulate_cell(trace, config: CoreConfig,
                    profile: Optional[ProfileData] = None,
@@ -205,88 +201,11 @@ class _CellRecord:
     queued: float = 0.0
     #: did the cell's trace come from the in-process/in-worker LRU?
     trace_hit: bool = False
-    #: (batch id, driver steps, lane steps) of the lane batch this
-    #: cell ran in, if it was lane-batched
-    batch: Optional[Tuple[int, int, int]] = None
 
 
 def _affinity(job: Job) -> tuple:
     """Run-order key: same-(workload, scale) cells adjacent."""
     return job.workload, job.scale, job.label
-
-
-def _lane_groups(units: Dict[str, Job], keys: Sequence[str]
-                 ) -> List[List[str]]:
-    """Partition lane-eligible unit keys into groups that may share a
-    lane stack: one per :func:`~repro.pipeline.lanes.lane_key` (the IQ
-    size), whatever the commit policy or queue organisation, each in
-    (workload, scale) order so batch-mates share traces from the LRU."""
-    groups: Dict[tuple, List[str]] = {}
-    for key in sorted(keys, key=lambda k: _affinity(units[k])):
-        groups.setdefault(lane_key(units[key].config), []).append(key)
-    return list(groups.values())
-
-
-def _run_lane_batches(units: Dict[str, Job], keys: Sequence[str],
-                      lanes: int, records: Dict[str, "_CellRecord"],
-                      flush_cell, timeout: Optional[float]) -> None:
-    """In-process lane path: run eligible units through LaneBatch.
-
-    Failures become annotated holes, as on the task path, so one
-    deadlocking cell never sinks its batch-mates.  Completed cells
-    flush to the cache as their lanes retire, which a task with one
-    result cannot do.
-    """
-    do_check = check.check_enabled()
-    for members in _lane_groups(units, keys):
-        cells, hits = [], {}
-        for key in members:
-            job = units[key]
-            trace, hit = fetch_trace(job.workload, job.scale)
-            cells.append(LaneCell(key, trace, job.config))
-            hits[key] = hit
-        (iq_size,) = lane_key(units[members[0]].config)
-        batch = LaneBatch(min(lanes, len(cells)), iq_size)
-        batch_id = next_task_id()
-
-        def lane_done(outcome, hits=hits):
-            key = outcome.index
-            if outcome.stats is not None:
-                records[key] = _CellRecord(
-                    CellStatus.OK, outcome.stats, outcome.elapsed,
-                    trace_hit=hits[key])
-                flush_cell(key, outcome.stats)
-            elif outcome.timed_out:
-                records[key] = _CellRecord(
-                    CellStatus.TIMEOUT,
-                    failure=CellFailure(
-                        kind="timeout",
-                        message=f"lane cell exceeded {timeout}s "
-                                f"attributed simulation time"))
-            else:
-                # the same failure, crash bundle included, that
-                # _guarded_cell returns for a cell that raises
-                job = units[key]
-                exc, tb = outcome.error, outcome.error_tb
-                failed = task_outcome("error", exception_failure(
-                    exc, tb, build_crash_bundle(
-                        label=job.label, config=job.config,
-                        workload=job.workload, scale=job.scale,
-                        exc=exc, tb=tb)), 1)
-                records[key] = _CellRecord(
-                    CellStatus.FAILED,
-                    failure=_finalize_failure(failed.failure))
-
-        report = batch.run(cells, on_cell=lane_done, timeout=timeout)
-        for outcome in report.outcomes:
-            records[outcome.index].batch = (batch_id, report.steps,
-                                            report.lane_steps)
-        if do_check:
-            sample = next((o for o in report.outcomes
-                           if o.stats is not None), None)
-            if sample is not None:
-                cell = next(c for c in cells if c.index == sample.index)
-                crosscheck(cell, sample.stats)
 
 
 def _finalize_failure(failure: Optional[CellFailure]
@@ -310,7 +229,6 @@ class RunOptions:
     workers: int = 1                  # 1 runs every cell in-process
     cache: Optional[ResultCache] = None
     timeout: Optional[float] = None   # seconds per cell; None: no limit
-    lanes: int = 1                    # lane-batch width at workers <= 1
     chunk: Optional[int] = None       # cells per dispatch; None: factoring
     retries: int = 1                  # retries of a cell whose worker died
 
@@ -323,11 +241,15 @@ class RunOptions:
                 chunk: Optional[int] = None,
                 retries: int = 1) -> "RunOptions":
         """The options of these keywords, unset ones from the
-        environment: ``workers`` from ``$REPRO_JOBS`` (default 1),
-        ``timeout`` from ``$REPRO_CELL_TIMEOUT`` and ``lanes`` from
-        ``$REPRO_LANES`` (default 1).  A ``cache`` object wins over
-        ``use_cache``, whose ``None`` reads ``$REPRO_CACHE`` (off
-        unless truthy).  A timeout of zero or less is no limit."""
+        environment: ``workers`` from ``$REPRO_JOBS`` (default 1) and
+        ``timeout`` from ``$REPRO_CELL_TIMEOUT``.  A ``cache`` object
+        wins over ``use_cache``, whose ``None`` reads ``$REPRO_CACHE``
+        (off unless truthy).  A timeout of zero or less is no limit.
+
+        ``lanes`` has no effect: every cell runs on its own core.  The
+        keyword stays only because the end-to-end benchmark passes it
+        (``benchmarks/e2e/child.py``, ``lanes=8``), and goes once the
+        benchmark stops passing it (ROADMAP item 2)."""
         if workers is None:
             workers = max(1, env_int("REPRO_JOBS", 1))
         if cache is None and (env_flag("REPRO_CACHE") if use_cache is None
@@ -335,11 +257,9 @@ class RunOptions:
             cache = ResultCache()
         if timeout is None:
             timeout = env_float("REPRO_CELL_TIMEOUT")
-        if lanes is None:
-            lanes = max(1, env_int("REPRO_LANES", 1))
         return cls(workers, cache,
                    timeout if timeout and timeout > 0 else None,
-                   lanes, chunk, retries)
+                   chunk, retries)
 
 
 def run_suite(jobs: Sequence[Job], **execution) -> Dict[str, "SuiteResult"]:
@@ -367,12 +287,6 @@ def run_suite(jobs: Sequence[Job], **execution) -> Dict[str, "SuiteResult"]:
     never as raised exceptions; a criticality cell whose profile
     failed is a ``dependency`` hole, while a cached cell whose profile
     run failed keeps its cached stats.
-
-    ``lanes>1`` batches lane-compatible cells through the lockstep
-    engine (:mod:`repro.pipeline.lanes`) at ``workers<=1`` only, with
-    field-identical results.  Criticality cells (tagging mutates the
-    shared trace), units that serve a profile (a lane returns no
-    per-PC counts) and fault-injection runs take the per-cell path.
     """
     from .runner import SuiteResult          # local: avoid import cycle
     options = RunOptions.resolve(**execution)
@@ -428,12 +342,6 @@ def run_suite(jobs: Sequence[Job], **execution) -> Dict[str, "SuiteResult"]:
                                      job.workload, job.scale))
     rest = [key for key in units if key not in records and key not in serving]
     total = sum(key in serving or key not in records for key in cell_keys)
-    # lane eligibility: in-process plain units of phase two only — a
-    # lane returns no per-PC counts, criticality runs mutate the shared
-    # trace (tagging) and fault programmes target the per-cell hooks
-    in_lanes = workers <= 1 and options.lanes > 1 and not fault_specs
-    lane_keys = [key for key in rest
-                 if in_lanes and units[key].profile_config is None]
 
     def ordered(keys) -> List[str]:
         # affinity scheduling; outcomes are keyed by unit and assembled
@@ -488,8 +396,8 @@ def run_suite(jobs: Sequence[Job], **execution) -> Dict[str, "SuiteResult"]:
 
     try:
         run(ordered(serving))
-        keys, lane_set = [], set(lane_keys)
-        for key in ordered([key for key in rest if key not in lane_set]):
+        keys = []
+        for key in ordered(rest):
             source = upstream.get(key)
             if source is None or source in profiles:
                 keys.append(key)
@@ -500,9 +408,6 @@ def run_suite(jobs: Sequence[Job], **execution) -> Dict[str, "SuiteResult"]:
                 kind="dependency", bundle=failure.bundle,
                 message=f"profile cell {units[source].cell_id} failed: "
                         f"{failure.summary()}"))
-        if lane_keys:
-            _run_lane_batches(units, lane_keys, options.lanes, records,
-                              flush_cell, options.timeout)
         run(keys)
     except KeyboardInterrupt:
         done = [job.cell_id for job, key in zip(jobs, cell_keys)
@@ -518,9 +423,4 @@ def run_suite(jobs: Sequence[Job], **execution) -> Dict[str, "SuiteResult"]:
         result.record(job.workload, record.status, record.stats,
                       record.elapsed, failure=record.failure,
                       queued=record.queued, trace_hit=record.trace_hit)
-        if record.batch is not None:
-            # keyed by batch id so a batch spanning labels (or holding
-            # many cells) counts once in occupancy aggregation
-            batch_id, steps, lane_steps = record.batch
-            result.lane_batches[batch_id] = (steps, lane_steps)
     return results

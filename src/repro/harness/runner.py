@@ -3,10 +3,9 @@
 ``run_config`` and ``run_config_with_criticality`` are one-line calls
 of :func:`run_criticality_suite`, which submits through the parallel
 executor (:mod:`repro.harness.parallel`), passing its execution
-keywords through to ``run_suite`` unchanged.  Ad-hoc traces that are
-not rebuildable from the workload registry run in-process through the
-executor's own ``_simulate_cell`` instead; they have no cache key and
-no crash bundle, so a failing ad-hoc cell raises.
+keywords through to ``run_suite`` unchanged.  Every trace must be a
+registered workload target: a trace the registry cannot rebuild raises
+``ValueError`` from :func:`~repro.harness.parallel.jobs_for`.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..isa import Trace
 from ..pipeline import CoreConfig, SimStats
-from .parallel import RunOptions, _simulate_cell, jobs_for, run_suite
+from .parallel import jobs_for, run_suite
 from .resilience import CellFailure, CellStatus
 
 
@@ -51,10 +50,6 @@ class SuiteResult:
     statuses: Dict[str, CellStatus] = field(default_factory=dict)
     #: per-workload failure detail for non-ok cells
     failures: Dict[str, CellFailure] = field(default_factory=dict)
-    #: lane batches this suite's cells ran in: batch id →
-    #: (driver steps, lane steps); keyed by id so a batch holding many
-    #: cells — or spanning labels — counts once in occupancy math
-    lane_batches: Dict[int, Tuple[int, int]] = field(default_factory=dict)
 
     def record(self, workload: str, status: CellStatus,
                stats: Optional[SimStats] = None, elapsed: float = 0.0,
@@ -127,50 +122,6 @@ class SuiteResult:
         return sum(1 for name, hit in self.trace_hits.items()
                    if not hit and not self.cached.get(name, False))
 
-    def mean_lane_occupancy(self) -> float:
-        """Mean active lanes per lockstep iteration across batches.
-
-        0.0 when nothing lane-batched (the serial/per-cell paths).
-        Aggregated over driver iterations, so a long low-occupancy
-        batch is not drowned out by a short full one.
-        """
-        steps = sum(s for s, _ in self.lane_batches.values())
-        lane_steps = sum(ls for _, ls in self.lane_batches.values())
-        return lane_steps / steps if steps else 0.0
-
-
-def _registry_backed(traces: Dict[str, Trace]) -> bool:
-    """Every trace rebuildable by name from the target registry?
-
-    Registered targets of any kind (synthetic, scenario, trace-file)
-    qualify for the executor; truly ad-hoc in-memory traces take
-    :func:`_adhoc_suite`.
-    """
-    from ..workloads import has_target
-    return all(has_target(name)
-               and getattr(trace, "scale", None) is not None
-               for name, trace in traces.items())
-
-
-def _adhoc_suite(specs: Sequence[Tuple[str, CoreConfig]],
-                 traces: Dict[str, Trace],
-                 profile_config: Optional[CoreConfig] = None
-                 ) -> Dict[str, SuiteResult]:
-    """Ad-hoc traces, in-process: for criticality runs, profile each
-    trace by running ``profile_config`` as a cell, then simulate every
-    spec on the tagged trace.  Exceptions propagate."""
-    results = {label: SuiteResult(label, config)
-               for label, config in specs}
-    for name, trace in traces.items():
-        profile = None
-        if profile_config is not None:
-            _, _, profile = _simulate_cell(trace, profile_config,
-                                           want_profile=True)
-        for label, config in specs:
-            stats, elapsed, _ = _simulate_cell(trace, config, profile)
-            results[label].record(name, CellStatus.OK, stats, elapsed)
-    return results
-
 
 def run_config(label: str, config: CoreConfig,
                traces: Dict[str, Trace], **execution) -> SuiteResult:
@@ -190,11 +141,8 @@ def run_criticality_suite(specs: Sequence[Tuple[str, CoreConfig]],
     simulate every spec against the tagged trace.  The profile is the
     plain cell of ``profile_config``, simulated once per workload
     however many specs depend on it.  ``execution`` goes to
-    ``run_suite``; for ad-hoc traces it is only checked.
+    ``run_suite``.
     """
-    if not _registry_backed(traces):
-        RunOptions.resolve(**execution)    # a misspelt setting raises
-        return _adhoc_suite(specs, traces, profile_config)
     jobs = [job for label, config in specs
             for job in jobs_for(label, config, traces, profile_config)]
     results = run_suite(jobs, **execution)

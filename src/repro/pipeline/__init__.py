@@ -6,8 +6,7 @@ from .core import (ENGINE_VERSION, DeadlockError, InflightOp, O3Core,
                    simulate)
 from .events import (EventBus, EventRecorder, EventTail, EventType,
                      StatsSubscriber)
-from .lanes import (LaneBatch, LaneCell, LaneDivergence, LaneOutcome,
-                    LaneReport, lane_key)
+from .lanes import LaneBatch, LaneCell, LaneOutcome, LaneReport
 from .pipeview import Timeline, TimelineEntry
 from .resources import FUPool, FUType, fu_type_for
 from .stages import PipelineState
@@ -18,8 +17,7 @@ __all__ = ["COMMITS", "CONFIG_PRESETS", "SCHEDULERS", "CoreConfig",
            "Timeline", "TimelineEntry",
            "EventBus", "EventRecorder", "EventTail", "EventType",
            "StatsSubscriber",
-           "LaneBatch", "LaneCell", "LaneDivergence", "LaneOutcome",
-           "LaneReport", "lane_key",
+           "LaneBatch", "LaneCell", "LaneOutcome", "LaneReport",
            "PipelineState",
            "ENGINE_VERSION",
            "DeadlockError", "InflightOp", "O3Core", "simulate", "FUPool",

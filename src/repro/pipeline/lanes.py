@@ -21,32 +21,24 @@ with a lockstep driver:
 Because each lane's stages run the *scalar* engine over views into
 the stack, per-cell results are field-identical to the serial
 reference by construction; the one cross-lane operation is the select
-kernel (:mod:`repro.pipeline.vectorstages`).  Under ``REPRO_CHECK=1``
-the engine cross-checks that kernel every cycle, and the harness
-calls :func:`crosscheck` on a sampled cell per batch — a full serial
-re-run diffed field-by-field against the lane result.
+kernel (:mod:`repro.pipeline.vectorstages`), which ``REPRO_CHECK=1``
+cross-checks against each lane's scalar ready set every cycle.
 
-Lane batching is engine-internal: the harness builds fresh cores per
-cell, each on its own empty event bus, and the CLI paths that attach
-live per-cycle subscribers (``--timeline``, ``--events``, ``repro
-profile``) refuse or bypass lane mode.
-
-Batches are workload-agnostic: a :class:`LaneCell` holds a concrete
-trace, so any registered workload target (synthetic kernel, imported
-trace file, generated scenario) lane-batches the same way.  The
-harness orders batch-mates by target identity — the ``(name, scale)``
-key of the shared trace LRU — so consecutive lane refills of the same
-target hit the cache instead of rebuilding or re-reading the trace.
+No sweep runs here: every harness cell runs on its own plain core.
+The engine's callers are ``repro profile --lanes``
+(:func:`repro.profiling.profile_lanes`), ``benchmarks/bench_speed.py
+--lanes`` and the end-to-end benchmark's tracer and saturated-lane
+probe; it goes once the benchmark stops timing it (ROADMAP items 2
+and 3).  Each lane core builds its own empty event bus.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..core import LaneStack
 from .config import CoreConfig
@@ -55,21 +47,7 @@ from .fastforward import FastForward
 from .stats import SimStats
 from .vectorstages import VectorEngine, lane_vectorizable
 
-__all__ = ["LaneBatch", "LaneCell", "LaneDivergence", "LaneOutcome",
-           "LaneReport", "crosscheck", "lane_key"]
-
-
-class LaneDivergence(RuntimeError):
-    """A lane-batched result differs from its serial re-run."""
-
-
-def lane_key(config: CoreConfig) -> tuple:
-    """Compatibility key: cells sharing a key may share a stack.
-
-    The stack holds only the IQ-sized issue columns, so the IQ size is
-    all batch-mates must agree on; every other structure is per-lane.
-    """
-    return (config.iq_size,)
+__all__ = ["LaneBatch", "LaneCell", "LaneOutcome", "LaneReport"]
 
 
 @dataclass
@@ -86,8 +64,8 @@ class LaneCell:
 class LaneOutcome:
     """Terminal state of one cell after its lane retired.
 
-    Exactly one of ``stats`` / ``error`` / ``timed_out`` describes the
-    outcome.  ``elapsed`` is the cell's *attributed* time: the sum of
+    Exactly one of ``stats`` / ``error`` describes the outcome.
+    ``elapsed`` is the cell's *attributed* time: the sum of
     its own construction and step durations, measured per lane-step —
     summing outcomes recovers the batch's simulation time without the
     lanes-fold overcount a fill-to-retire wall clock would give.
@@ -97,7 +75,6 @@ class LaneOutcome:
     stats: Optional[SimStats] = None
     error: Optional[Exception] = None
     error_tb: str = ""
-    timed_out: bool = False
     elapsed: float = 0.0
 
 
@@ -133,7 +110,9 @@ class _Lane:
 
 
 class LaneBatch:
-    """Lockstep executor for lane-compatible cells over one stack."""
+    """Lockstep executor for cells of one IQ size over one stack (the
+    stack holds only the IQ-sized issue columns; every other structure
+    is per-lane)."""
 
     def __init__(self, lanes: int, iq_size: int):
         self.lanes = max(1, lanes)
@@ -141,17 +120,11 @@ class LaneBatch:
         self.stack = LaneStack(self.lanes, iq_size)
         self.engine = VectorEngine(self.stack)
 
-    def run(self, cells: Sequence[LaneCell],
-            on_cell: Optional[Callable[[LaneOutcome], None]] = None,
-            timeout: Optional[float] = None) -> LaneReport:
+    def run(self, cells: Sequence[LaneCell]) -> LaneReport:
         """Drive every cell to a terminal outcome.
 
         Cells beyond the lane count queue and refill slots as lanes
-        retire (mid-batch retirement).  ``on_cell`` fires as each cell
-        retires — the harness flushes results to the cache from it, so
-        an interrupt mid-batch keeps completed cells.  ``timeout``
-        bounds each cell's *attributed* simulation seconds
-        (cooperative: checked between lockstep iterations).
+        retire (mid-batch retirement).
         """
         for cell in cells:
             if cell.config.iq_size != self.iq_size:
@@ -169,15 +142,10 @@ class LaneBatch:
         active: List[_Lane] = []
         free = list(range(self.lanes - 1, -1, -1))
 
-        def finish(outcome: LaneOutcome) -> None:
-            report.outcomes.append(outcome)
-            if on_cell is not None:
-                on_cell(outcome)
-
         def retire(lane: _Lane, outcome: LaneOutcome) -> None:
             lane.core = None                 # marks the lane for reaping
             free.append(lane.slot_id)
-            finish(outcome)
+            report.outcomes.append(outcome)
 
         while queue or active:
             while queue and free:
@@ -195,7 +163,7 @@ class LaneBatch:
                     # a cell that cannot even build its core is an
                     # outcome like any other failure; the slot refills
                     free.append(slot_id)
-                    finish(LaneOutcome(
+                    report.outcomes.append(LaneOutcome(
                         cell.index, error=exc,
                         error_tb=traceback.format_exc(),
                         elapsed=perf_counter() - start))
@@ -297,33 +265,7 @@ class LaneBatch:
                         elapsed=lane.elapsed))
                     retired = True
                 report.lane_steps += len(vec) - len(failures)
-            if timeout is not None:
-                for lane in active:
-                    if lane.core is not None and lane.elapsed > timeout:
-                        retire(lane, LaneOutcome(
-                            lane.cell.index, timed_out=True,
-                            elapsed=lane.elapsed))
-                        retired = True
             if retired:
                 active = [lane for lane in active if lane.core is not None]
         return report
 
-
-def crosscheck(cell: LaneCell, stats: SimStats) -> None:
-    """Re-run one cell serially and diff its SimStats field-by-field.
-
-    The ``REPRO_CHECK=1`` sampled-lane cross-check: the harness picks
-    one completed cell per batch and pays for a full serial re-run
-    (fresh :class:`O3Core`, no lane slot) to prove the
-    lane-batched result identical.  Raises :class:`LaneDivergence`
-    naming the differing fields otherwise.
-    """
-    reference = O3Core(cell.trace, cell.config).run(cell.max_cycles)
-    got = dataclasses.asdict(stats)
-    want = dataclasses.asdict(reference)
-    if got != want:
-        diffs = [f"{name}: lane={got[name]!r} serial={want[name]!r}"
-                 for name in want if got.get(name) != want[name]]
-        raise LaneDivergence(
-            f"lane-batched stats diverged from serial re-run for cell "
-            f"{cell.index!r}: " + "; ".join(diffs[:8]))

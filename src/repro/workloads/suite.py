@@ -11,8 +11,8 @@ as a compatibility view over the synthetic kernels.
 This module owns two things the registry deliberately doesn't:
 
 * the bounded trace LRU (:func:`fetch_trace`) keyed on target identity
-  ``(name, scale)``, shared by the serial path, the lane engine, and
-  every worker process;
+  ``(name, scale)``, shared by in-process sweeps and every worker
+  process;
 * suite-level enumeration (:func:`build_suite`, :func:`sweep_names`) —
   default sweeps cover *every* sweep-eligible registered target, so a
   newly registered target automatically joins the figures, the bench,

@@ -194,12 +194,17 @@ class TestExecutorFlags:
         assert "executor:" in out and "workers=2" in out
         assert "wall-clock" in out
 
-    def test_bench_reports_the_lanes_that_applied(self, capsys):
-        """Lanes batch only in-process: with workers the executor line
-        says ``lanes=1`` whatever ``--lanes`` asked for."""
+    def test_experiment_commands_take_no_lanes(self, capsys):
+        """Every sweep cell runs on its own core: no experiment command
+        takes ``--lanes`` (only ``repro profile`` does), and ``bench``'s
+        executor line names no lane width."""
+        for command in ("fig14", "fig15", "fig16", "stalls", "bench"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--lanes", "4"])
+        capsys.readouterr()
         assert main(["bench", "fig15", "--scale", "0.05",
-                     "--kernels", "gcc.mix", "--jobs", "2", "--lanes", "4",
+                     "--kernels", "gcc.mix", "--jobs", "1",
                      "--no-cache"]) == 0
         out = capsys.readouterr().out
-        assert "workers=2, lanes=1," in out
-        assert "lane batches" not in out
+        assert "workers=1, cache off" in out
+        assert "lane" not in out

@@ -1,10 +1,11 @@
-"""Lane-batched engine: stack storage, lockstep driver, harness wiring.
+"""Lane-batched engine: stack storage, lockstep driver, profiler.
 
 The contract under test: any lane width is a storage-layout/throughput
 optimisation that is *field-identical* per cell to the serial engine —
 including mid-batch retirement and refill and a deadlocking cell
 isolated from its batch-mates.  The scalar path (``slot=None``
-everywhere) must be byte-for-byte untouched.
+everywhere) must be byte-for-byte untouched.  No sweep runs on this
+engine; its callers are ``repro profile --lanes`` and the benchmarks.
 """
 
 import dataclasses
@@ -13,15 +14,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.harness.parallel as parallel
 from repro.core import LaneStack, check
-from repro.harness import RunOptions, jobs_for, run_config, \
-    run_config_with_criticality, run_suite
 from repro.isa import ProgramBuilder, trace_program
-from repro.pipeline import (DeadlockError, LaneBatch, LaneCell,
-                            LaneDivergence, O3Core, base_config)
-from repro.pipeline.config import COMMITS
-from repro.pipeline.lanes import crosscheck
+from repro.pipeline import DeadlockError, LaneBatch, LaneCell, O3Core, \
+    base_config
 from repro.pipeline.vectorstages import lane_vectorizable
 from repro.workloads import build_suite, build_trace
 
@@ -130,7 +126,7 @@ class TestLaneBatch:
         report = batch.run(cells)
         assert len(report.outcomes) == 3
         for outcome in report.outcomes:
-            assert outcome.error is None and not outcome.timed_out
+            assert outcome.error is None
             assert fields(outcome.stats) == want[outcome.index]
         assert report.steps > 0
         assert 1.0 <= report.mean_active() <= 2.0
@@ -155,35 +151,11 @@ class TestLaneBatch:
             assert fields(outcome.stats) == \
                 fields(O3Core(traces[name], config).run())
 
-    def test_cooperative_timeout(self, trace):
-        config = base_config()
-        batch = LaneBatch(2, config.iq_size)
-        report = batch.run([LaneCell("a", trace, config)], timeout=0.0)
-        (outcome,) = report.outcomes
-        assert outcome.timed_out and outcome.stats is None
-
     def test_incompatible_cell_rejected(self, trace):
         config = base_config()
         batch = LaneBatch(2, config.iq_size + 1)
         with pytest.raises(ValueError, match="not compatible"):
             batch.run([LaneCell("a", trace, config)])
-
-    def test_on_cell_fires_per_retirement(self, traces):
-        config = base_config()
-        seen = []
-        batch = LaneBatch(2, config.iq_size)
-        batch.run([LaneCell(n, t, config) for n, t in traces.items()],
-                  on_cell=lambda o: seen.append(o.index))
-        assert sorted(seen) == sorted(traces)
-
-    def test_crosscheck_accepts_and_rejects(self, trace):
-        config = base_config()
-        cell = LaneCell("a", trace, config)
-        stats = O3Core(trace, config).run()
-        crosscheck(cell, stats)                   # identical: passes
-        stats.committed += 1
-        with pytest.raises(LaneDivergence, match="committed"):
-            crosscheck(cell, stats)
 
     def test_select_crosscheck_runs_under_check(self, trace, monkeypatch):
         """REPRO_CHECK=1 wires the select kernel's cross-check against
@@ -311,106 +283,6 @@ def test_property_lane_batches_match_serial(data):
                 f"cell {outcome.index} diverged (lanes={lanes})"
 
 
-# -- harness wiring --------------------------------------------------------
-
-class TestHarnessWiring:
-    def test_default_lanes_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LANES", raising=False)
-        assert RunOptions.resolve().lanes == 1
-        monkeypatch.setenv("REPRO_LANES", "6")
-        assert RunOptions.resolve().lanes == 6
-        monkeypatch.setenv("REPRO_LANES", "0")
-        assert RunOptions.resolve().lanes == 1
-        monkeypatch.setenv("REPRO_LANES", "junk")
-        assert RunOptions.resolve().lanes == 1
-
-    def test_repro_check_samples_a_crosscheck(self, traces, monkeypatch):
-        """REPRO_CHECK=1 pays for one serial re-run per lane batch and
-        diffs it against the lane result."""
-        calls = []
-        original = parallel.crosscheck
-        monkeypatch.setattr(parallel, "crosscheck",
-                            lambda cell, stats:
-                            calls.append(cell.index) or
-                            original(cell, stats))
-        check.set_enabled(True)
-        try:
-            result = run_config("chk", base_config(), traces,
-                                workers=1, use_cache=False, lanes=2)
-        finally:
-            check.reset()
-        assert calls, "no sampled cross-check ran under REPRO_CHECK=1"
-        assert result.lane_batches
-
-    def test_lane_failures_are_annotated_holes(self, traces, monkeypatch):
-        """In-process lane mode keeps the worker-path failure contract:
-        a deadlocked cell is a typed hole, batch-mates complete."""
-        from repro.harness.resilience import CellStatus
-        # force one cell to blow its budget by shrinking max_cycles on
-        # the LaneCell the harness builds for it
-        original_cell = parallel.LaneCell
-
-        def tiny_first(index, trace, config, *args, **kwargs):
-            cell = original_cell(index, trace, config, *args, **kwargs)
-            if getattr(trace, "name", "") == "mcf.chase":
-                cell.max_cycles = 1
-            return cell
-
-        monkeypatch.setattr(parallel, "LaneCell", tiny_first)
-        result = run_config("iso", base_config(), traces,
-                            workers=1, use_cache=False, lanes=2)
-        assert result.statuses["mcf.chase"] is CellStatus.FAILED
-        assert "DeadlockError" in result.failures["mcf.chase"].message
-        for name in ("gcc.mix", "x264.divint"):
-            assert result.statuses[name] is CellStatus.OK
-            assert fields(result.stats[name]) == \
-                fields(O3Core(traces[name], base_config()).run())
-
-    def test_criticality_cells_never_lane_batch(self, traces):
-        result = run_config_with_criticality(
-            "cri", base_config(scheduler="cri"), traces, base_config(),
-            workers=1, use_cache=False, lanes=4)
-        assert result.complete()
-        assert not result.lane_batches
-
-    def test_fault_runs_never_lane_batch(self, traces, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT", "crash:no-such-cell/*")
-        result = run_config("flt", base_config(), traces,
-                            workers=1, use_cache=False, lanes=4)
-        assert result.complete()
-        assert not result.lane_batches
-
-    def test_fig15_commit_policies_share_one_batch(self, traces):
-        """The stack holds only IQ-sized columns, so Figure 15's ten
-        commit policies — in-order and out-of-order ROB release alike
-        — form one lane group: one batch at lanes=8, every cell equal
-        to its serial run."""
-        base = base_config(scheduler="age")
-        jobs = []
-        for commit in COMMITS:
-            jobs += jobs_for(commit, base.with_policies(commit=commit),
-                             traces)
-        results = run_suite(jobs, workers=1, lanes=8)
-        batches = {}
-        for result in results.values():
-            batches.update(result.lane_batches)
-        assert len(batches) == 1
-        for commit in COMMITS:
-            config = base.with_policies(commit=commit)
-            for name, trace in traces.items():
-                assert fields(results[commit].stats[name]) == \
-                    fields(O3Core(trace, config).run()), \
-                    f"{commit}/{name} diverged from serial"
-
-    def test_single_cell_group_skips_lane_driver_on_workers(self):
-        """A lone lane-eligible cell is a group of its own.  With
-        workers no group forms at all: every cell is its own task
-        (``test_parallel.py::test_workers_ignore_lanes``)."""
-        groups = parallel._lane_groups(
-            [parallel.Job("a", base_config(), "gcc.mix", SCALE)], [0])
-        assert groups == [[0]]
-
-
 # -- CLI surface -----------------------------------------------------------
 
 class TestProfileLanes:
@@ -422,13 +294,6 @@ class TestProfileLanes:
         out = capsys.readouterr().out
         assert "x2 cells on 2 lanes" in out
         assert "serial-equiv kcycles/s" in out
-
-    def test_profile_lanes_env_runs_batch(self, capsys, monkeypatch):
-        from repro.cli import main
-        monkeypatch.setenv("REPRO_LANES", "2")
-        rc = main(["profile", "gcc.mix", "--scale", "0.05"])
-        assert rc == 0
-        assert "on 2 lanes" in capsys.readouterr().out
 
     def test_profile_lanes_rejects_events(self, capsys):
         # event subscribers instrument one core's bus; a lane batch

@@ -14,11 +14,12 @@ import pytest
 
 from repro.criticality import CriticalityTagger, clear_tags
 from repro.harness import (CellStatus, Job, ResultCache, SuiteResult,
-                           cache_key, fig14, jobs_for, run_config,
+                           cache_key, fig14, fig15, jobs_for, run_config,
                            run_config_with_criticality,
                            run_criticality_suite, run_suite)
 from repro.isa import Trace
-from repro.pipeline import O3Core, base_config, ultra_config
+from repro.pipeline import (COMMITS, LaneBatch, O3Core, base_config,
+                            simulate, ultra_config)
 from repro.workloads import (build_suite, build_trace, clear_trace_cache,
                              generation_params, trace_cache_stats)
 
@@ -67,6 +68,12 @@ def cores_built(monkeypatch):
 @pytest.fixture(scope="module")
 def traces():
     return build_suite(SCALE, WORKLOADS)
+
+
+@pytest.fixture(scope="module")
+def small_traces():
+    """Three short targets for the sweeps that run many cells each."""
+    return build_suite(0.1, ["gcc.mix", "x264.divint", "mcf.chase"])
 
 
 @pytest.fixture(scope="module")
@@ -152,37 +159,58 @@ class TestDeterminism:
                     fields(serial_reference[label][name]), \
                     f"{label}/{name} diverged at chunk={chunk}"
 
-    @pytest.mark.parametrize("lanes", [1, 4, 8])
-    def test_lane_batched_identical_to_serial(self, traces,
-                                              serial_reference, lanes):
-        """The lane-stacked engine is a storage-layout optimisation:
-        any lane width (1 = the untouched reference path) must be
-        invisible in the stats, against the same golden-pinned serial
-        reference as the workers/chunk/cache paths."""
-        for label, config in CONFIGS:
-            result = run_config(label, config, traces, workers=1,
-                                use_cache=False, lanes=lanes)
-            for name in WORKLOADS:
-                assert fields(result.stats[name]) == \
-                    fields(serial_reference[label][name]), \
-                    f"{label}/{name} diverged at lanes={lanes}"
-            if lanes > 1:
-                assert result.lane_batches, \
-                    "lane path not exercised despite lanes > 1"
-                assert result.mean_lane_occupancy() > 1.0
+    def test_lanes_keyword_has_no_effect(self, traces, serial_reference,
+                                         monkeypatch):
+        """``lanes=`` is accepted and ignored, because the end-to-end
+        benchmark passes it: at one worker or two, no lane batch is
+        built and every cell is field-identical to ``lanes=1``."""
+        batches = []
+        original = LaneBatch.__init__
 
-    def test_workers_ignore_lanes(self, traces, serial_reference):
-        """Lane batching is in-process only: with workers every cell is
-        its own task, so ``lanes=2`` runs no lane batch and the stats
-        stay field-identical."""
-        for label, config in CONFIGS:
-            result = run_config(label, config, traces, workers=2,
-                                use_cache=False, lanes=2)
-            for name in WORKLOADS:
-                assert fields(result.stats[name]) == \
-                    fields(serial_reference[label][name]), \
-                    f"{label}/{name} diverged at workers=2, lanes=2"
-            assert not result.lane_batches
+        def spy(self, *args, **kwargs):
+            batches.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(LaneBatch, "__init__", spy)
+        laned = fig15(0.05, WORKLOADS[:2], workers=1, use_cache=False,
+                      lanes=8)
+        plain = fig15(0.05, WORKLOADS[:2], workers=1, use_cache=False,
+                      lanes=1)
+        assert not batches, "fig15(lanes=8) built a lane batch"
+        assert laned.cells() == plain.cells() == 10 * 2
+        for label, result in plain.results.items():
+            for name, stats in result.stats.items():
+                assert fields(laned.results[label].stats[name]) == \
+                    fields(stats), f"fig15 {label}/{name} diverged"
+        jobs = [job for label, config in CONFIGS
+                for job in jobs_for(label, config, traces)]
+        for workers in (1, 2):
+            results = run_suite(jobs, workers=workers, use_cache=False,
+                                lanes=8)
+            for label, _ in CONFIGS:
+                for name in WORKLOADS:
+                    assert fields(results[label].stats[name]) == \
+                        fields(serial_reference[label][name]), \
+                        f"{label}/{name} diverged at workers={workers}"
+        assert not batches, "run_suite(lanes=8) built a lane batch"
+
+    def test_fig15_commit_policies_in_one_sweep_match_simulate(
+            self, small_traces):
+        """Figure 15's ten commit policies, in-order and out-of-order
+        ROB release alike, in one in-process sweep: every cell equals
+        its own ``simulate``."""
+        base = base_config(scheduler="age")
+        jobs = [job for commit in COMMITS
+                for job in jobs_for(commit, base.with_policies(commit=commit),
+                                    small_traces)]
+        results = run_suite(jobs, workers=1, use_cache=False)
+        assert list(results) == list(COMMITS) and len(COMMITS) == 10
+        for commit in COMMITS:
+            config = base.with_policies(commit=commit)
+            for name, trace in small_traces.items():
+                assert fields(results[commit].stats[name]) == \
+                    fields(simulate(trace, config)), \
+                    f"{commit}/{name} diverged from its own simulate"
 
     def test_cache_hits_bit_identical(self, traces, serial_reference,
                                       tmp_path):
@@ -253,7 +281,7 @@ class TestExecutor:
         clear_trace_cache()
         jobs = [Job(label, config, name, 0.05)
                 for label, config in CONFIGS for name in WORKLOADS]
-        results = run_suite(jobs, workers=1, cache=None, lanes=1)
+        results = run_suite(jobs, workers=1, cache=None)
         assert trace_cache_stats()["misses"] == len(WORKLOADS)
         assert list(results) == [label for label, _ in CONFIGS]
         for result in results.values():
@@ -288,8 +316,7 @@ class TestExecutor:
     def test_fig14_builds_one_core_per_cell(self, cores_built):
         """Figure 14 profiles under its AGE column's config, so the AGE
         cells are the CRI columns' profiles: one core per cell."""
-        result = fig14(SCALE, WORKLOADS[:2], workers=1, use_cache=False,
-                       lanes=1)
+        result = fig14(SCALE, WORKLOADS[:2], workers=1, use_cache=False)
         assert result.cells() == 5 * 2
         assert len(cores_built) == result.cells()
 
@@ -314,7 +341,7 @@ class TestExecutor:
         jobs = jobs_for("AGE", age, traces)
         for label, config in CRI_CONFIGS:
             jobs += jobs_for(label, config, traces, age)
-        results = run_suite(jobs, workers=1, cache=cache, lanes=1)
+        results = run_suite(jobs, workers=1, cache=cache)
         assert cores_built[:len(WORKLOADS)] == [age] * len(WORKLOADS)
         assert len(cores_built) == 3 * len(WORKLOADS)
         assert len(list(tmp_path.glob("*.profile.json"))) == len(WORKLOADS)
@@ -335,7 +362,7 @@ class TestExecutor:
                  for label, config in CRI_CONFIGS]
         holes = []
         for workers in (1, 2):
-            results = run_suite(jobs, workers=workers, cache=None, lanes=1)
+            results = run_suite(jobs, workers=workers, cache=None)
             assert results["bad"].statuses["gcc.mix"] is CellStatus.FAILED
             failure = results["bad"].failures["gcc.mix"]
             assert failure.kind == "exception"
@@ -369,57 +396,72 @@ class TestExecutor:
         for trace in traces.values():
             assert not any(instr.critical for instr in trace)
 
-    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_cell_is_the_same_hole_at_any_worker_count(
-            self, traces, serial_reference, lanes):
+            self, traces, serial_reference, workers):
         """A cell that raises in its task function (here at core
-        construction) is an annotated hole with a crash bundle, whether
-        it ran in-process, in a lane batch (``lanes=2`` at one worker)
-        or in a worker, and its healthy neighbour is unaffected."""
+        construction) is the same annotated hole with a crash bundle,
+        whether it ran in-process or in a worker, and its healthy
+        neighbour is unaffected."""
         label, config = CONFIGS[0]
         jobs = [Job("bad", base_config(lq_size=0), "gcc.mix", SCALE),
                 Job(label, config, "gcc.mix", SCALE)]
-        holes = []
-        for workers in (1, 2):
-            results = run_suite(jobs, workers=workers, cache=None,
-                                lanes=lanes)
-            assert results["bad"].statuses["gcc.mix"] is CellStatus.FAILED
-            failure = results["bad"].failures["gcc.mix"]
-            assert failure.kind == "exception"
-            assert failure.bundle is not None
-            assert pathlib.Path(failure.bundle).is_file()
-            holes.append(failure.message)
-            assert results[label].statuses["gcc.mix"] is CellStatus.OK
-            assert fields(results[label].stats["gcc.mix"]) == \
-                fields(serial_reference[label]["gcc.mix"])
-        assert holes[0] == holes[1] == \
-            "ValueError: queue size must be positive"
+        results = run_suite(jobs, workers=workers, cache=None)
+        assert results["bad"].statuses["gcc.mix"] is CellStatus.FAILED
+        failure = results["bad"].failures["gcc.mix"]
+        assert failure.kind == "exception"
+        assert failure.bundle is not None
+        assert pathlib.Path(failure.bundle).is_file()
+        assert failure.message == "ValueError: queue size must be positive"
+        assert results[label].statuses["gcc.mix"] is CellStatus.OK
+        assert fields(results[label].stats["gcc.mix"]) == \
+            fields(serial_reference[label]["gcc.mix"])
 
-    def test_adhoc_traces_fall_back_to_serial(self):
-        registry_trace = build_trace("gcc.mix", SCALE)
-        adhoc = Trace(registry_trace.instrs, name="custom")
-        result = run_config("x", base_config(), {"custom": adhoc},
-                            workers=4, use_cache=False)
-        assert result.stats["custom"].committed > 0
-        assert result.cached == {"custom": False}
+    def test_mid_run_failure_is_an_isolated_hole(self, small_traces,
+                                                 monkeypatch):
+        """A cell that raises partway through its run (here a cycle
+        budget of 1 on mcf.chase) is a ``FAILED`` hole naming the error
+        when it runs in-process, and the cells around it equal their
+        own serial runs."""
+        original = O3Core.run
 
-    def test_adhoc_criticality_matches_the_executor(self, traces,
-                                                    cores_built):
-        """Ad-hoc traces profile in-process by running the profile
-        config as a cell, then tag: the same stats as the executor's
-        criticality cell of the same instructions."""
-        adhoc = Trace(build_trace("gcc.mix", SCALE).instrs, name="custom")
-        cri_label, cri = CRI_CONFIGS[1]
-        result = run_config_with_criticality(
-            cri_label, cri, {"custom": adhoc}, base_config(), workers=1,
-            use_cache=False)
-        assert cores_built == [base_config(), cri]
-        executor = run_config_with_criticality(
-            cri_label, cri, {"gcc.mix": traces["gcc.mix"]}, base_config(),
-            workers=1, use_cache=False)
-        stats = result.stats["custom"]         # named after its trace
-        assert fields(stats) == fields(dataclasses.replace(
-            executor.stats["gcc.mix"], name=stats.name))
+        def budget_of_one_on_mcf(self, max_cycles=5_000_000):
+            if self.state.trace.name == "mcf.chase":
+                max_cycles = 1
+            return original(self, max_cycles)
+
+        monkeypatch.setattr(O3Core, "run", budget_of_one_on_mcf)
+        result = run_config("iso", base_config(), small_traces, workers=1,
+                            use_cache=False)
+        monkeypatch.undo()
+        assert result.statuses["mcf.chase"] is CellStatus.FAILED
+        failure = result.failures["mcf.chase"]
+        assert failure.kind == "exception"
+        assert failure.message == \
+            "DeadlockError: cycle budget exhausted at 1"
+        for name in ("gcc.mix", "x264.divint"):
+            assert result.statuses[name] is CellStatus.OK
+            assert fields(result.stats[name]) == \
+                fields(simulate(small_traces[name], base_config()))
+
+    def test_adhoc_traces_are_rejected(self, cores_built):
+        """A trace the registry cannot rebuild has no sweep path:
+        ``run_config`` and ``run_config_with_criticality`` raise the
+        ``ValueError`` of :func:`jobs_for`, which names both ways to
+        run it, before any core is built."""
+        adhoc = {"custom": Trace(build_trace("gcc.mix", SCALE).instrs,
+                                 name="custom")}
+        runs = (lambda: run_config("x", base_config(), adhoc, workers=1,
+                                   use_cache=False),
+                lambda: run_config_with_criticality(
+                    *CRI_CONFIGS[1], adhoc, base_config(), workers=1,
+                    use_cache=False))
+        for run in runs:
+            with pytest.raises(ValueError, match="not rebuildable") as info:
+                run()
+            assert "repro.workloads.add_trace_target" in str(info.value)
+            assert "repro.pipeline.simulate" in str(info.value)
+        assert cores_built == []
 
     def test_jobs_for_rejects_non_registry_traces(self):
         adhoc = Trace([], name="custom")

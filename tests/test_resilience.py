@@ -406,7 +406,7 @@ class TestInterrupt:
         jobs = _jobs("AGE") + _jobs("CRI", config=cri,
                                     profile_config=base_config())
         with pytest.raises(SuiteInterrupted) as excinfo:
-            run_suite(jobs, workers=1, cache=None, lanes=1)
+            run_suite(jobs, workers=1, cache=None)
         assert excinfo.value.total == len(jobs)
         assert excinfo.value.completed == ["AGE/gcc.mix"]
 
@@ -498,7 +498,7 @@ class TestChunkedDispatch:
                                                      "rob", "ecl"))
                 for job in _jobs(label, workloads,
                                  base_config(commit=commit))]
-        results = run_suite(jobs, workers=2, lanes=1)
+        results = run_suite(jobs, workers=2)
         assert all(result.complete() for result in results.values())
         assert [[task.cell_id for task, _ in chunk] for chunk in sent][:2] \
             == [["A/gcc.mix", "B/gcc.mix", "C/gcc.mix"], ["D/gcc.mix"]]

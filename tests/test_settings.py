@@ -2,10 +2,10 @@
 and one table of every ``REPRO_*`` variable the program reads.
 
 :meth:`repro.harness.RunOptions.resolve` is the only code that turns
-``$REPRO_JOBS``, ``$REPRO_CACHE``, ``$REPRO_CELL_TIMEOUT`` and
-``$REPRO_LANES`` into settings.  The ten sweep entry points forward
-their execution keywords to ``run_suite`` unchanged, so a misspelt one
-raises ``TypeError`` wherever it is passed.
+``$REPRO_JOBS``, ``$REPRO_CACHE`` and ``$REPRO_CELL_TIMEOUT`` into
+settings.  The ten sweep entry points forward their execution keywords
+to ``run_suite`` unchanged, so a misspelt one raises ``TypeError``
+wherever it is passed.
 """
 
 import ast
@@ -33,14 +33,12 @@ class TestResolve:
     def test_keyword_wins_over_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
         monkeypatch.setenv("REPRO_CELL_TIMEOUT", "5")
-        monkeypatch.setenv("REPRO_LANES", "6")
         monkeypatch.setenv("REPRO_CACHE", "0")
         assert RunOptions.resolve() == RunOptions(
-            workers=3, cache=None, timeout=5.0, lanes=6)
-        options = RunOptions.resolve(workers=2, timeout=7.0, lanes=1,
+            workers=3, cache=None, timeout=5.0)
+        options = RunOptions.resolve(workers=2, timeout=7.0,
                                      use_cache=True)
-        assert (options.workers, options.timeout, options.lanes) == \
-            (2, 7.0, 1)
+        assert (options.workers, options.timeout) == (2, 7.0)
         assert options.cache is not None
 
     def test_cache_object_wins_over_use_cache(self, tmp_path):
@@ -95,7 +93,8 @@ ENTRY_POINTS = {
         "x", CRI, _traces(), PROFILE, **kw),
 }
 
-#: the entry points that take traces, called with ad-hoc ones
+#: the entry points that take traces, called with ones the registry
+#: cannot rebuild
 ADHOC_ENTRY_POINTS = {
     "run_config": lambda **kw: run_config("x", PROFILE, _adhoc(), **kw),
     "run_criticality_suite": lambda **kw: run_criticality_suite(
@@ -138,10 +137,10 @@ class TestPassThrough:
             ENTRY_POINTS[name](worker=2)
 
     @pytest.mark.parametrize("name", sorted(ADHOC_ENTRY_POINTS))
-    def test_misspelt_keyword_raises_for_adhoc_traces(self, name, calls):
-        with pytest.raises(TypeError, match="'worker'"):
-            ADHOC_ENTRY_POINTS[name](worker=2)
-        assert calls == []                  # ad-hoc traces run in-process
+    def test_adhoc_traces_are_rejected(self, name, calls):
+        with pytest.raises(ValueError, match="not rebuildable"):
+            ADHOC_ENTRY_POINTS[name](workers=1)
+        assert calls == []                  # rejected before run_suite
 
 
 def _settings_table():

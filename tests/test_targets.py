@@ -2,8 +2,8 @@
 
 The acceptance pin lives here: a trace recorded from a kernel and
 re-imported as a trace-file target must simulate field-identical to
-the in-memory kernel across the serial, ``--jobs 2``, ``--lanes 4``,
-and cache-hit execution paths.
+the in-memory kernel across the serial, ``--jobs 2`` and cache-hit
+execution paths, and in a 4-lane batch of the lane engine.
 """
 
 import dataclasses
@@ -13,7 +13,7 @@ import pytest
 
 from repro.harness import CellStatus, ResultCache, jobs_for, run_config
 from repro.isa import save_trace
-from repro.pipeline import O3Core, base_config
+from repro.pipeline import LaneBatch, LaneCell, O3Core, base_config
 from repro.workloads import (InterleaveTarget, TraceFileTarget,
                              add_trace_target, build_trace, ensure_target,
                              get_target, has_target, kernel_names,
@@ -215,9 +215,16 @@ class TestTraceFileDeterminismPin:
                        use_cache=False), "--jobs 2")
 
     def test_lanes_4(self):
-        self._assert_matches(
-            run_config("pin", self.config, self.traces, workers=1,
-                       lanes=4, use_cache=False), "--lanes 4")
+        # the lane engine, driven directly: no sweep batches lanes
+        trace = self.traces["ext.gcc"]
+        report = LaneBatch(4, self.config.iq_size).run(
+            [LaneCell(i, trace, self.config) for i in range(4)])
+        assert len(report.outcomes) == 4
+        for outcome in report.outcomes:
+            assert outcome.error is None, outcome.error_tb
+            assert self._numeric(outcome.stats) == self.reference, \
+                "trace-file target diverged from source kernel in a " \
+                "4-lane batch"
 
     def test_cache_hit(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

@@ -26,8 +26,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.core import AgeMatrix                          # noqa: E402
 from repro.pipeline import O3Core, base_config            # noqa: E402
-from repro.pipeline.lanes import (LaneBatch, LaneCell,    # noqa: E402
-                                  lane_key)
+from repro.pipeline.lanes import LaneBatch, LaneCell     # noqa: E402
 from repro.pipeline.resources import FUType               # noqa: E402
 from repro.scheduler import (AgeSelect, SelectContext,    # noqa: E402
                              grant_age, order_key)
@@ -122,9 +121,8 @@ class TestMixedBatchIdentity:
             O3Core(trace, vec_config).run(),
             O3Core(trace, fallback_config).run(),
         ]
-        key = lane_key(vec_config)
-        assert key == lane_key(fallback_config)
-        batch = LaneBatch(2, *key)
+        assert vec_config.iq_size == fallback_config.iq_size
+        batch = LaneBatch(2, vec_config.iq_size)
         report = batch.run([
             LaneCell(0, trace, vec_config),
             LaneCell(1, trace, fallback_config),

@@ -17,11 +17,12 @@ from repro.harness import (CellStatus, Job, ResultCache, SuiteResult,
                            cache_key, fig14, fig15, jobs_for, run_config,
                            run_config_with_criticality,
                            run_criticality_suite, run_suite)
-from repro.isa import Trace
+from repro.isa import Trace, save_trace
 from repro.pipeline import (COMMITS, LaneBatch, O3Core, base_config,
                             simulate, ultra_config)
-from repro.workloads import (build_suite, build_trace, clear_trace_cache,
-                             generation_params, trace_cache_stats)
+from repro.workloads import (add_trace_target, build_suite, build_trace,
+                             clear_trace_cache, generation_params,
+                             trace_cache_stats, unregister_target)
 
 WORKLOADS = ["gcc.mix", "x264.divint", "perl.branchy"]
 SCALE = 0.25
@@ -62,6 +63,20 @@ def cores_built(monkeypatch):
         original(self, trace, config, *args, **kwargs)
 
     monkeypatch.setattr(O3Core, "__init__", counting)
+    return built
+
+
+@pytest.fixture
+def lane_batches(monkeypatch):
+    """The arguments of every ``LaneBatch`` built during the test."""
+    built = []
+    original = LaneBatch.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(LaneBatch, "__init__", spy)
     return built
 
 
@@ -159,40 +174,52 @@ class TestDeterminism:
                     fields(serial_reference[label][name]), \
                     f"{label}/{name} diverged at chunk={chunk}"
 
-    def test_lanes_keyword_has_no_effect(self, traces, serial_reference,
-                                         monkeypatch):
+    @pytest.mark.parametrize("lanes", [1, 4, 8])
+    def test_lane_batched_identical_to_serial(self, traces,
+                                              serial_reference,
+                                              lane_batches, lanes):
         """``lanes=`` is accepted and ignored, because the end-to-end
-        benchmark passes it: at one worker or two, no lane batch is
-        built and every cell is field-identical to ``lanes=1``."""
-        batches = []
-        original = LaneBatch.__init__
+        benchmark passes it: in-process, any lane width builds no lane
+        batch and every cell is field-identical to the golden-pinned
+        serial reference."""
+        for label, config in CONFIGS:
+            result = run_config(label, config, traces, workers=1,
+                                use_cache=False, lanes=lanes)
+            for name in WORKLOADS:
+                assert fields(result.stats[name]) == \
+                    fields(serial_reference[label][name]), \
+                    f"{label}/{name} diverged at lanes={lanes}"
+        assert not lane_batches, f"lanes={lanes} built a lane batch"
 
-        def spy(self, *args, **kwargs):
-            batches.append(args)
-            original(self, *args, **kwargs)
+    def test_workers_ignore_lanes(self, traces, serial_reference,
+                                  lane_batches):
+        """With workers every cell is its own task too: ``run_suite``
+        at two workers and ``lanes=8`` builds no lane batch and the
+        stats stay field-identical."""
+        jobs = [job for label, config in CONFIGS
+                for job in jobs_for(label, config, traces)]
+        results = run_suite(jobs, workers=2, use_cache=False, lanes=8)
+        for label, _ in CONFIGS:
+            for name in WORKLOADS:
+                assert fields(results[label].stats[name]) == \
+                    fields(serial_reference[label][name]), \
+                    f"{label}/{name} diverged at workers=2, lanes=8"
+        assert not lane_batches, "run_suite(lanes=8) built a lane batch"
 
-        monkeypatch.setattr(LaneBatch, "__init__", spy)
+    def test_lanes_keyword_has_no_effect(self, lane_batches):
+        """An experiment passes ``lanes=`` through untouched:
+        ``fig15(lanes=8)`` builds no lane batch and every cell is
+        field-identical to ``lanes=1``."""
         laned = fig15(0.05, WORKLOADS[:2], workers=1, use_cache=False,
                       lanes=8)
         plain = fig15(0.05, WORKLOADS[:2], workers=1, use_cache=False,
                       lanes=1)
-        assert not batches, "fig15(lanes=8) built a lane batch"
+        assert not lane_batches, "fig15(lanes=8) built a lane batch"
         assert laned.cells() == plain.cells() == 10 * 2
         for label, result in plain.results.items():
             for name, stats in result.stats.items():
                 assert fields(laned.results[label].stats[name]) == \
                     fields(stats), f"fig15 {label}/{name} diverged"
-        jobs = [job for label, config in CONFIGS
-                for job in jobs_for(label, config, traces)]
-        for workers in (1, 2):
-            results = run_suite(jobs, workers=workers, use_cache=False,
-                                lanes=8)
-            for label, _ in CONFIGS:
-                for name in WORKLOADS:
-                    assert fields(results[label].stats[name]) == \
-                        fields(serial_reference[label][name]), \
-                        f"{label}/{name} diverged at workers={workers}"
-        assert not batches, "run_suite(lanes=8) built a lane batch"
 
     def test_fig15_commit_policies_in_one_sweep_match_simulate(
             self, small_traces):
@@ -444,24 +471,57 @@ class TestExecutor:
             assert fields(result.stats[name]) == \
                 fields(simulate(small_traces[name], base_config()))
 
-    def test_adhoc_traces_are_rejected(self, cores_built):
+    def test_adhoc_traces_fall_back_to_serial(self, traces, cores_built):
         """A trace the registry cannot rebuild has no sweep path:
-        ``run_config`` and ``run_config_with_criticality`` raise the
-        ``ValueError`` of :func:`jobs_for`, which names both ways to
-        run it, before any core is built."""
-        adhoc = {"custom": Trace(build_trace("gcc.mix", SCALE).instrs,
-                                 name="custom")}
-        runs = (lambda: run_config("x", base_config(), adhoc, workers=1,
-                                   use_cache=False),
-                lambda: run_config_with_criticality(
-                    *CRI_CONFIGS[1], adhoc, base_config(), workers=1,
-                    use_cache=False))
-        for run in runs:
-            with pytest.raises(ValueError, match="not rebuildable") as info:
-                run()
-            assert "repro.workloads.add_trace_target" in str(info.value)
-            assert "repro.pipeline.simulate" in str(info.value)
+        ``run_config`` raises the ``ValueError`` of :func:`jobs_for`
+        before any core is built, naming ``simulate`` as the serial
+        fallback, and that fallback gives the stats of the executor's
+        cell of the same instructions."""
+        adhoc = Trace(build_trace("gcc.mix", SCALE).instrs, name="custom")
+        with pytest.raises(ValueError, match="not rebuildable") as info:
+            run_config("x", base_config(), {"custom": adhoc}, workers=4,
+                       use_cache=False)
+        assert "repro.pipeline.simulate" in str(info.value)
         assert cores_built == []
+        stats = simulate(adhoc, base_config())
+        executor = run_config("x", base_config(),
+                              {"gcc.mix": traces["gcc.mix"]}, workers=1,
+                              use_cache=False)
+        assert stats.committed > 0
+        assert fields(stats) == fields(dataclasses.replace(
+            executor.stats["gcc.mix"], name=stats.name))
+
+    def test_adhoc_criticality_matches_the_executor(self, traces,
+                                                    cores_built, tmp_path):
+        """``run_config_with_criticality`` rejects an ad-hoc trace
+        before any core is built, naming ``add_trace_target``; once the
+        trace is recorded and registered that way, its criticality cell
+        profiles, tags and runs to the stats of the executor's cell of
+        the same instructions."""
+        adhoc = Trace(build_trace("gcc.mix", SCALE).instrs, name="custom")
+        cri_label, cri = CRI_CONFIGS[1]
+        with pytest.raises(ValueError, match="not rebuildable") as info:
+            run_config_with_criticality(
+                cri_label, cri, {"custom": adhoc}, base_config(),
+                workers=1, use_cache=False)
+        assert "repro.workloads.add_trace_target" in str(info.value)
+        assert cores_built == []
+        path = tmp_path / "custom.jsonl"
+        save_trace(adhoc, path)
+        add_trace_target(path, name="custom")
+        try:
+            result = run_config_with_criticality(
+                cri_label, cri, {"custom": build_trace("custom", SCALE)},
+                base_config(), workers=1, use_cache=False)
+        finally:
+            unregister_target("custom")
+        assert cores_built == [base_config(), cri]
+        executor = run_config_with_criticality(
+            cri_label, cri, {"gcc.mix": traces["gcc.mix"]}, base_config(),
+            workers=1, use_cache=False)
+        stats = result.stats["custom"]         # named after its trace
+        assert fields(stats) == fields(dataclasses.replace(
+            executor.stats["gcc.mix"], name=stats.name))
 
     def test_jobs_for_rejects_non_registry_traces(self):
         adhoc = Trace([], name="custom")

@@ -9,8 +9,8 @@ paper artefacts), this is a standalone script measuring how fast the
 Each suite kernel is simulated ``--reps`` times and the fastest rep
 kept (min-of-reps rejects background-load noise).  With ``--jobs N``
 the same cells are also run through the harness executor
-(:func:`repro.harness.run_config` — the chunked dispatcher real
-experiments use) to measure true end-to-end parallel wall-clock
+(:func:`repro.harness.run_config` — the dispatcher real experiments
+use) to measure true end-to-end parallel wall-clock
 against the serial sweep wall, and the parallel stats are checked
 bit-identical against the serial ones.  ``--gate RATIO`` turns the
 comparison into a pass/fail check for CI: exit 1 if parallel wall
@@ -92,18 +92,18 @@ def _serial_pass(kernels, scale, scheduler, commit, reps):
     return results, stats_by_kernel, sweep_wall
 
 
-def _parallel_pass(traces, scheduler, commit, jobs, chunk,
-                   serial_stats, serial_wall):
+def _parallel_pass(traces, scheduler, commit, jobs, serial_stats,
+                   serial_wall):
     """End-to-end executor run over the same cells, vs the serial wall.
 
-    Uses the chunked dispatcher real experiments use (worker spawn,
-    batched pipe round-trips, in-worker trace rebuild + LRU), so the
+    Uses the dispatcher real experiments use (worker spawn, one pipe
+    round-trip per cell, in-worker trace rebuild + LRU), so the
     measured wall is what a user actually waits for ``--jobs N``.
     """
     config = base_config(scheduler=scheduler, commit=commit)
     start = time.perf_counter()
     result = run_config("bench", config, traces, workers=jobs,
-                        use_cache=False, chunk=chunk)
+                        use_cache=False)
     wall = time.perf_counter() - start
     shutdown_pools()
     identical = all(result.stats.get(name) == serial_stats[name]
@@ -111,7 +111,6 @@ def _parallel_pass(traces, scheduler, commit, jobs, chunk,
     total_cycles = sum(stats.cycles for stats in result.stats.values())
     return {
         "jobs": jobs,
-        "chunk": chunk if chunk is not None else "factoring",
         "wall_seconds": round(wall, 4),
         "serial_wall_seconds": round(serial_wall, 4),
         "speedup": round(serial_wall / wall, 3) if wall > 0 else 0.0,
@@ -276,10 +275,7 @@ def main(argv=None) -> int:
                         help="serial reps per cell; fastest kept")
     parser.add_argument("--jobs", type=int, default=0, metavar="N",
                         help="also measure end-to-end wall over N "
-                             "executor workers (chunked dispatch)")
-    parser.add_argument("--chunk", type=int, default=None, metavar="K",
-                        help="cells per dispatch chunk for --jobs "
-                             "(default: factoring)")
+                             "executor workers")
     parser.add_argument("--gate", type=float, default=None, metavar="R",
                         help="fail if parallel wall > R x serial wall "
                              "(requires --jobs; skipped on 1-CPU hosts); "
@@ -313,7 +309,7 @@ def main(argv=None) -> int:
     geomean = math.exp(sum(math.log(row["kcps"])
                            for row in serial.values()) / len(serial))
     report = {
-        "schema": "bench-speed/5",
+        "schema": "bench-speed/6",
         "scale": scale,
         "reps": max(1, args.reps),
         "scheduler": args.scheduler,
@@ -330,8 +326,8 @@ def main(argv=None) -> int:
     }
     if args.jobs > 1:
         report["parallel"] = _parallel_pass(
-            traces, args.scheduler, args.commit, args.jobs, args.chunk,
-            serial_stats, serial_wall)
+            traces, args.scheduler, args.commit, args.jobs, serial_stats,
+            serial_wall)
     if args.lanes > 1:
         report["lane"] = _saturated_pass(
             traces, args.scheduler, args.commit, args.lanes,
@@ -360,7 +356,7 @@ def main(argv=None) -> int:
           f"kcps (geomean {summary['geomean_kcps']:.1f})")
     if "parallel" in report:
         par = report["parallel"]
-        print(f"  parallel x{par['jobs']} (chunk {par['chunk']}): "
+        print(f"  parallel x{par['jobs']}: "
               f"{par['wall_seconds']:.3f}s wall vs "
               f"{par['serial_wall_seconds']:.3f}s serial "
               f"({par['speedup']:.2f}x, {par['kcps']:.1f} kcps, "

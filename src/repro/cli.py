@@ -105,13 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub.add_parser(
         "characterize", help="profile the workload suite"))
 
-    save = sub.add_parser("save-trace",
-                          help="emulate a kernel and save its trace "
-                               "(alias of `trace record`)")
-    save.add_argument("kernel")
-    save.add_argument("path")
-    save.add_argument("--scale", type=float, default=1.0)
-
     trace = sub.add_parser(
         "trace", help="trace-file tools: record a target's trace, "
                       "convert old files, validate before import")
@@ -379,13 +372,6 @@ def _dispatch(args) -> int:
         print(format_characterization(scale=args.scale,
                                       names=args.kernels,
                                       **_exec_opts(args)))
-    elif command == "save-trace":
-        trace = build_trace(args.kernel, args.scale)
-        target = get_target(args.kernel)
-        save_trace(trace, args.path,
-                   meta={"source": args.kernel, "scale": args.scale,
-                         "provenance": target.provenance()})
-        print(f"wrote {len(trace)} instructions to {args.path}")
     elif command == "fig14":
         result = fig14(scale=args.scale, names=args.kernels,
                        **_exec_opts(args))

@@ -124,8 +124,8 @@ def jobs_for(label: str, config: CoreConfig, traces: Dict[str, object],
 # in-process LRU (:func:`repro.workloads.fetch_trace` — rebuilt on a
 # miss, never pickled), apply the payload's faults, simulate, and return
 # ("ok", value) or ("error", failure dict with a crash bundle).  Workers
-# persist across chunks and run_suite calls, and same-workload cells
-# share a chunk, so successive cells reuse one trace.
+# persist across tasks and run_suite calls, and an idle worker stays
+# with the workload it last ran, so successive cells reuse one trace.
 
 def _simulate_cell(trace, config: CoreConfig,
                    profile: Optional[ProfileData] = None,
@@ -229,7 +229,6 @@ class RunOptions:
     workers: int = 1                  # 1 runs every cell in-process
     cache: Optional[ResultCache] = None
     timeout: Optional[float] = None   # seconds per cell; None: no limit
-    chunk: Optional[int] = None       # cells per dispatch; None: factoring
     retries: int = 1                  # retries of a cell whose worker died
 
     @classmethod
@@ -238,7 +237,6 @@ class RunOptions:
                 cache: Optional[ResultCache] = None,
                 timeout: Optional[float] = None,
                 lanes: Optional[int] = None,
-                chunk: Optional[int] = None,
                 retries: int = 1) -> "RunOptions":
         """The options of these keywords, unset ones from the
         environment: ``workers`` from ``$REPRO_JOBS`` (default 1) and
@@ -258,8 +256,7 @@ class RunOptions:
         if timeout is None:
             timeout = env_float("REPRO_CELL_TIMEOUT")
         return cls(workers, cache,
-                   timeout if timeout and timeout > 0 else None,
-                   chunk, retries)
+                   timeout if timeout and timeout > 0 else None, retries)
 
 
 def run_suite(jobs: Sequence[Job], **execution) -> Dict[str, "SuiteResult"]:
@@ -276,9 +273,10 @@ def run_suite(jobs: Sequence[Job], **execution) -> Dict[str, "SuiteResult"]:
     completion callback either way) in two calls: first the units
     whose per-PC profile a dependent still needs, then the rest, each
     dependent carrying its profile.  Both calls run cells grouped by
-    (workload, scale), so consecutive cells hit the trace LRU (a
-    worker's, on the pool path), and a factored chunk never spans two
-    such groups.
+    (workload, scale), so consecutive cells hit the trace LRU (on the
+    pool path, a worker's: each task carries the group as its affinity
+    key, and an idle worker takes the next cell of the group it last
+    ran).
 
     The cache short-circuits units (and profiles) already on disk —
     resolved before dispatch, so a fully warm sweep never spawns a
@@ -387,8 +385,7 @@ def run_suite(jobs: Sequence[Job], **execution) -> Dict[str, "SuiteResult"]:
     def run(keys: List[str]) -> None:
         specs = [task(key) for key in keys]
         outcomes = run_tasks(specs, workers, timeout=options.timeout,
-                             retries=options.retries,
-                             on_complete=cell_done, chunk=options.chunk)
+                             retries=options.retries, on_complete=cell_done)
         for spec in specs:                 # backstop: no task goes missing
             if spec.task_id not in outcomes:
                 cell_done(spec, TaskOutcome(CellStatus.FAILED, failure=(

@@ -12,27 +12,16 @@ built for graceful degradation:
   :func:`multiprocessing.connection.wait` call that collects results.
   A SIGKILLed worker can never leave a shared lock held (there is
   none) and never wedges the parent.
-* **Batched (chunked) dispatch.**  Short cells used to pay one pipe
-  round-trip each; :meth:`ResilientPool.run` now sends each worker a
-  *chunk* of tasks per message, sized by factoring: each idle worker
-  takes half its even share of the fresh backlog, so chunks shrink as
-  the queue drains, and a chunk never spans two affinity keys
-  (a ``chunk`` argument fixes the size instead).  The worker
-  streams **one result per cell** back up the pipe as it finishes, so
-  per-cell statuses, timeout accounting, and interrupt reporting are
-  unchanged — the chunk is a transport optimisation, not a unit of
-  failure.  The cell a worker is executing is always the first chunk
-  member without a result (cells run in order), which is how a
-  mid-chunk death is attributed to the right cell: finished
-  chunk-mates keep their results, the in-flight cell is retried or
-  failed, and not-yet-started chunk-mates are re-queued with no
-  attempt penalty.  Cells on their retry attempt are dispatched alone
-  so a hard-crashing cell cannot repeatedly evict innocent
-  chunk-mates.
+* **One task in flight per worker.**  Each message carries one task
+  and each reply one result, so a death or a timeout belongs to the
+  one task the worker holds.  An idle worker takes the next task with
+  the affinity key it last ran, so its in-process caches (the workload
+  trace LRU) keep hitting, else one whose key no other worker holds.
 * **Per-cell timeouts.**  Every in-flight cell carries a deadline
   (the ``timeout`` argument; zero or less is no limit); a cell past
   its deadline has its worker killed, the cell is recorded as
-  ``timeout``, and a replacement worker is spawned.
+  ``timeout``, and a replacement worker is spawned.  No other cell
+  waits behind a hung one.
 * **Crash isolation + retries.**  A worker that dies mid-cell
   (segfault, ``os._exit``, OOM kill) is detected, the pool is
   replenished, and the cell is retried with capped exponential
@@ -134,9 +123,10 @@ class TaskSpec:
     cell_id: str
     func: Callable
     payload: tuple
-    #: tasks with equal keys cost about the same and share worker-side
-    #: caches (the harness keys cells by ``(workload, scale)``); a
-    #: factored chunk never spans two keys
+    #: tasks with equal keys share worker-side caches (the harness keys
+    #: cells by ``(workload, scale)``): an idle worker takes the next
+    #: task with the key it last ran, else one whose key no other
+    #: worker last ran (:meth:`ResilientPool._pick`)
     affinity: Hashable = None
 
 
@@ -189,15 +179,12 @@ def task_outcome(status: str, value, attempt: int,
 # -- worker side -----------------------------------------------------------
 
 def _worker_main(conn) -> None:
-    """Worker loop: recv a *chunk* ``[(task_id, func, payload,
-    attempt), ...]`` → send one ``(task_id, status, value)`` per cell,
-    in order, as each finishes.  Results stream back immediately so
-    the parent always knows which cell is in flight (the first one it
-    has no result for) and a mid-chunk death loses at most one cell's
-    work.  Any in-process memoisation the task funcs maintain (the
-    workload trace LRU) naturally persists across chunks because the
-    process does.  SIGINT is ignored so Ctrl-C interrupts only the
-    parent, which then tears the pool down deliberately."""
+    """Worker loop: recv ``(task_id, func, payload, attempt)`` → run it
+    → send ``(task_id, status, value)``.  Any in-process memoisation
+    the task funcs maintain (the workload trace LRU) persists across
+    tasks because the process does.  SIGINT is ignored so Ctrl-C
+    interrupts only the parent, which then tears the pool down
+    deliberately."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
         try:
@@ -206,29 +193,22 @@ def _worker_main(conn) -> None:
             break
         if message is None:
             break
-        for task_id, func, payload, attempt in message:
-            try:
-                status, value = func(payload, attempt)
-            except BaseException as exc:  # belt and braces: guarded
-                status = "error"          # funcs should not raise
-                value = exception_failure(exc, traceback.format_exc())
-            try:
-                conn.send((task_id, status, value))
-            except (BrokenPipeError, OSError):
-                return
+        task_id, func, payload, attempt = message
+        try:
+            status, value = func(payload, attempt)
+        except BaseException as exc:  # belt and braces: guarded
+            status = "error"          # funcs should not raise
+            value = exception_failure(exc, traceback.format_exc())
+        try:
+            conn.send((task_id, status, value))
+        except (BrokenPipeError, OSError):
+            return
 
 
 class _WorkerHandle:
-    """A live worker process plus its pipe and current chunk.
+    """A live worker process, its pipe, and the one task it holds."""
 
-    ``chunk[cursor]`` is the in-flight cell: cells run strictly in
-    chunk order and results stream back per cell, so the first member
-    without a result is — by construction — the one a death or
-    timeout must be attributed to.
-    """
-
-    __slots__ = ("proc", "conn", "chunk", "cursor", "deadline",
-                 "dispatched_at")
+    __slots__ = ("proc", "conn", "inflight", "key", "deadline")
 
     def __init__(self, ctx):
         parent_conn, child_conn = ctx.Pipe()
@@ -237,19 +217,14 @@ class _WorkerHandle:
         self.proc.start()
         child_conn.close()
         self.conn = parent_conn
-        self.chunk: List["_Pending"] = []
-        self.cursor = 0
+        self.inflight: Optional["_Pending"] = None
+        #: affinity key of the last task sent to this worker
+        self.key: Hashable = None
         self.deadline: Optional[float] = None
-        #: when the in-flight cell was handed to the worker (monotonic)
-        self.dispatched_at = 0.0
 
     @property
     def busy(self) -> bool:
-        return self.cursor < len(self.chunk)
-
-    @property
-    def inflight(self) -> "_Pending":
-        return self.chunk[self.cursor]
+        return self.inflight is not None
 
     def close(self, kill: bool = False) -> None:
         try:
@@ -274,8 +249,10 @@ class _Pending:
     attempt: int = 1
     eligible_at: float = 0.0
     #: when the task entered this run's queue (monotonic); survives
-    #: chunk re-queues so queued_s reports true waiting time
+    #: retries so queued_s reports true waiting time
     enqueued_at: float = 0.0
+    #: seconds from enqueue to its latest dispatch
+    queued: float = 0.0
 
 
 class ResilientPool:
@@ -293,9 +270,6 @@ class ResilientPool:
     BACKOFF_CAP = 4.0
     #: dispatch-loop poll ceiling (seconds)
     POLL = 0.5
-    #: hard ceiling on factored chunks: limits how much of a long
-    #: single-key sweep one early chunk can hold
-    CHUNK_CAP = 32
 
     def __init__(self, workers: int):
         self.workers = workers
@@ -340,15 +314,15 @@ class ResilientPool:
             chunk: Optional[int] = None) -> Dict[int, TaskOutcome]:
         """Execute every task; return ``{task_id: TaskOutcome}``.
 
-        ``chunk`` fixes the number of cells per dispatch message;
-        ``None`` sizes each chunk by factoring as it is sent (see
-        :meth:`_factored`), so chunks shrink as the queue drains, stay
-        within one affinity key, and the workers finish close
-        together.  The ``timeout`` stays **per cell**: the deadline
-        re-arms each time a chunk member's result arrives; zero or
-        less is no limit.  Never raises for a failing *task*; whatever
-        escapes (Ctrl-C as :class:`SuiteInterrupted`) kills the pool,
-        and the next run spawns ``workers`` fresh processes.
+        Each worker holds one task at a time (see :meth:`_pick` for
+        which one).  ``timeout`` bounds each task; zero or less is no
+        limit.  ``chunk`` is ignored: every dispatch is one task, which
+        ``chunk=1`` used to ask for.  It stays only because the
+        end-to-end benchmark passes it (``benchmarks/e2e/child.py``),
+        and goes with ROADMAP item 2.  Never raises for a failing
+        *task*; whatever escapes (Ctrl-C as :class:`SuiteInterrupted`)
+        kills the pool, and the next run spawns ``workers`` fresh
+        processes.
         """
         if not self.handles:
             self.resize(self.workers)
@@ -358,7 +332,6 @@ class ResilientPool:
         pending: List[_Pending] = [_Pending(task, enqueued_at=start)
                                    for task in tasks]
         completed_cells: List[str] = []
-        fixed = chunk if chunk and chunk > 0 else None
 
         def finish(task: TaskSpec, outcome: TaskOutcome) -> None:
             outcomes[task.task_id] = outcome
@@ -370,7 +343,7 @@ class ResilientPool:
         try:
             while len(outcomes) < len(tasks):
                 now = time.monotonic()
-                self._assign(pending, now, timeout, fixed)
+                self._assign(pending, now, timeout)
                 busy = [h for h in self.handles if h.busy]
                 if not busy:
                     if not pending:
@@ -379,30 +352,22 @@ class ResilientPool:
                     delay = min(p.eligible_at for p in pending) - now
                     time.sleep(min(max(delay, 0.01), self.POLL))
                     continue
-                self._wait(busy, pending, now, timeout)
+                self._wait(busy, now, timeout)
                 now = time.monotonic()
                 for handle in busy:
-                    if not handle.busy:
-                        continue
                     # a dead worker's pipe end reads as EOF, so poll()
-                    # is True for results AND for death — _collect
-                    # disambiguates and reports EOF as not-collected.
-                    # Drain every buffered result: a dying worker's
-                    # completed chunk-mates are collected before the
-                    # death is handled, so their work is never lost.
-                    dead = False
-                    while handle.busy and handle.conn.poll():
-                        if not self._collect(handle, finish, timeout):
-                            dead = True
-                            break
-                    if not handle.busy:
-                        continue
-                    if dead or not handle.proc.is_alive():
+                    # is True for a result AND for death — _collect
+                    # disambiguates and reports EOF as not-collected
+                    if handle.conn.poll():
+                        if not self._collect(handle, finish):
+                            self._on_death(handle, pending, retries, now,
+                                           finish)
+                    elif not handle.proc.is_alive():
                         self._on_death(handle, pending, retries, now,
                                        finish)
                     elif (handle.deadline is not None
                           and now >= handle.deadline):
-                        self._on_timeout(handle, pending, finish)
+                        self._on_timeout(handle, finish)
         except BaseException as exc:
             # kill, don't drain: a hung worker would block a graceful
             # close, and a live one would hand this run's results to
@@ -417,58 +382,52 @@ class ResilientPool:
 
     # -- loop steps --------------------------------------------------------
 
-    def _factored(self, pending: List[_Pending],
-                  fresh: List[int]) -> List[int]:
-        """Factoring (Hummel, Schonberg & Flynn, CACM 1992): an idle
-        worker takes the first ``ceil(len(fresh) / (2 * workers))``
-        fresh cells, capped at ``CHUNK_CAP`` and cut where the
-        affinity key changes.  Early chunks amortise the round-trip;
-        the tail is single cells, so no worker is left running a long
-        last chunk while the others sit idle.  Factoring assumes cells
-        of about equal cost, which holds within a key but not across
-        keys: the cut keeps two adjacent costly workloads from riding
-        in one chunk."""
-        size = min(self.CHUNK_CAP, -(-len(fresh) // (2 * self.workers)))
-        key = pending[fresh[0]].task.affinity
-        return list(itertools.takewhile(
-            lambda i: pending[i].task.affinity == key, fresh[:size]))
+    def _pick(self, handle: _WorkerHandle, pending: List[_Pending],
+              now: float) -> Optional[int]:
+        """Index in ``pending`` of the task ``handle`` runs next, or
+        ``None`` while every task backs off.  It is the next eligible
+        task with the key the worker last ran, so its caches keep
+        hitting; else the first whose key no other worker last ran, so
+        two workers do not build the same traces; else the first."""
+        others = {h.key for h in self.handles if h is not handle}
+        first = free = None
+        for i, item in enumerate(pending):
+            if item.eligible_at > now:
+                continue
+            key = item.task.affinity
+            if key == handle.key:
+                return i
+            if first is None:
+                first = i
+            if free is None and key not in others:
+                free = i
+        return first if free is None else free
 
     def _assign(self, pending: List[_Pending], now: float,
-                timeout: Optional[float], chunk: Optional[int]) -> None:
+                timeout: Optional[float]) -> None:
         for handle in self.handles:
             if handle.busy:
                 continue
-            eligible = [i for i, p in enumerate(pending)
-                        if p.eligible_at <= now]
-            if not eligible:
-                return
-            # retry attempts ride alone: a hard-crashing cell must not
-            # take fresh chunk-mates down with it on every attempt
-            if pending[eligible[0]].attempt > 1:
-                take = eligible[:1]
-            else:
-                fresh = [i for i in eligible if pending[i].attempt == 1]
-                take = fresh[:chunk] if chunk else \
-                    self._factored(pending, fresh)
-            items = [pending[i] for i in take]
             if not handle.proc.is_alive():   # died while idle
                 handle = self._respawn(handle)
+            i = self._pick(handle, pending, now)
+            if i is None:
+                return
+            item = pending[i]
             try:
-                handle.conn.send([(p.task.task_id, p.task.func,
-                                   p.task.payload, p.attempt)
-                                  for p in items])
+                handle.conn.send((item.task.task_id, item.task.func,
+                                  item.task.payload, item.attempt))
             except (BrokenPipeError, OSError):
                 self._respawn(handle)        # retry next loop iteration
                 return
-            for i in reversed(take):
-                del pending[i]
-            handle.chunk = items
-            handle.cursor = 0
-            handle.dispatched_at = now
+            del pending[i]
+            item.queued = now - item.enqueued_at
+            handle.inflight = item
+            handle.key = item.task.affinity
             handle.deadline = (now + timeout) if timeout else None
 
-    def _wait(self, busy: List[_WorkerHandle], pending: List[_Pending],
-              now: float, timeout: Optional[float]) -> None:
+    def _wait(self, busy: List[_WorkerHandle], now: float,
+              timeout: Optional[float]) -> None:
         poll = self.POLL
         if timeout is not None:
             poll = min(poll, max(0.0, min(h.deadline for h in busy) - now))
@@ -477,46 +436,23 @@ class ResilientPool:
             multiprocessing.connection.wait(waitable, timeout=poll)
 
     def _collect(self, handle: _WorkerHandle,
-                 finish: Callable[[TaskSpec, TaskOutcome], None],
-                 timeout: Optional[float]) -> bool:
-        """Consume one result; False when poll() was EOF (dead worker)."""
+                 finish: Callable[[TaskSpec, TaskOutcome], None]) -> bool:
+        """Consume the result; False when poll() was EOF (dead worker)."""
         item = handle.inflight
         try:
-            task_id, status, value = handle.conn.recv()
+            _, status, value = handle.conn.recv()
         except (EOFError, OSError):
             return False                 # pipe closed: the worker died
-        if task_id != item.task.task_id:  # cannot happen: in-order
-            return True                   # streaming; drop stale data
-        task, attempt = item.task, item.attempt
-        queued = max(0.0, handle.dispatched_at - item.enqueued_at)
-        handle.cursor += 1
-        if handle.busy:
-            # the next chunk member started in-worker the moment this
-            # result was sent: re-arm its per-cell deadline and stamp
-            # its dispatch time
-            now = time.monotonic()
-            handle.dispatched_at = now
-            handle.deadline = (now + timeout) if timeout else None
-        else:
-            handle.chunk, handle.cursor = [], 0
-            handle.deadline = None
-        finish(task, task_outcome(status, value, attempt, queued))
+        handle.inflight = handle.deadline = None
+        finish(item.task, task_outcome(status, value, item.attempt,
+                                       item.queued))
         return True
-
-    def _requeue_survivors(self, handle: _WorkerHandle,
-                           pending: List[_Pending], now: float) -> None:
-        """Chunk members after the in-flight cell never started: put
-        them back at the head of the queue with no attempt penalty."""
-        for item in reversed(handle.chunk[handle.cursor + 1:]):
-            item.eligible_at = now
-            pending.insert(0, item)
 
     def _on_death(self, handle: _WorkerHandle, pending: List[_Pending],
                   retries: int, now: float,
                   finish: Callable[[TaskSpec, TaskOutcome], None]) -> None:
         item = handle.inflight           # the cell that killed it
         task, attempt = item.task, item.attempt
-        self._requeue_survivors(handle, pending, now)
         handle.proc.join(timeout=5)      # EOF can precede process exit
         exitcode = handle.proc.exitcode
         self._respawn(handle)
@@ -533,23 +469,19 @@ class ResilientPool:
                      f"{task.cell_id}"),
             exitcode=exitcode, attempts=attempt)
         finish(task, TaskOutcome(CellStatus.FAILED, failure=failure,
-                                 attempts=attempt,
-                                 queued_s=max(0.0, handle.dispatched_at
-                                              - item.enqueued_at)))
+                                 attempts=attempt, queued_s=item.queued))
 
-    def _on_timeout(self, handle: _WorkerHandle, pending: List[_Pending],
+    def _on_timeout(self, handle: _WorkerHandle,
                     finish: Callable[[TaskSpec, TaskOutcome], None]) -> None:
         item = handle.inflight
-        task, attempt = item.task, item.attempt
-        queued = max(0.0, handle.dispatched_at - item.enqueued_at)
-        self._requeue_survivors(handle, pending, time.monotonic())
         self._respawn(handle, kill=True)
         failure = CellFailure(
             kind="timeout",
-            message=f"cell {task.cell_id} exceeded its timeout",
-            attempts=attempt)
-        finish(task, TaskOutcome(CellStatus.TIMEOUT, failure=failure,
-                                 attempts=attempt, queued_s=queued))
+            message=f"cell {item.task.cell_id} exceeded its timeout",
+            attempts=item.attempt)
+        finish(item.task, TaskOutcome(CellStatus.TIMEOUT, failure=failure,
+                                      attempts=item.attempt,
+                                      queued_s=item.queued))
 
 
 # -- pool registry ---------------------------------------------------------
@@ -581,8 +513,8 @@ def get_pool(workers: int) -> ResilientPool:
 def run_tasks(tasks: Sequence[TaskSpec], workers: int,
               timeout: Optional[float] = None, retries: int = 0,
               on_complete: Optional[Callable[[TaskSpec, TaskOutcome],
-                                             None]] = None,
-              chunk: Optional[int] = None) -> Dict[int, TaskOutcome]:
+                                             None]] = None
+              ) -> Dict[int, TaskOutcome]:
     """Execute every task; return ``{task_id: TaskOutcome}``.
 
     ``workers > 1`` is :meth:`ResilientPool.run` on the shared pool.
@@ -590,7 +522,7 @@ def run_tasks(tasks: Sequence[TaskSpec], workers: int,
     ``on_complete`` receives the outcome a worker's result would have
     become, so callers keep one completion path at every worker count.
     In this process nothing can time out or die and be retried, so
-    ``timeout``, ``retries`` and ``chunk`` only apply to the pool.  An
+    ``timeout`` and ``retries`` only apply to the pool.  An
     empty task list spawns no workers.  Ctrl-C raises
     :class:`SuiteInterrupted` naming the tasks that finished.
     """
@@ -599,7 +531,7 @@ def run_tasks(tasks: Sequence[TaskSpec], workers: int,
     if workers > 1:
         return get_pool(workers).run(tasks, timeout=timeout,
                                      retries=retries,
-                                     on_complete=on_complete, chunk=chunk)
+                                     on_complete=on_complete)
     outcomes: Dict[int, TaskOutcome] = {}
     completed: List[str] = []
     try:

@@ -40,7 +40,7 @@ from typing import Optional
 from ..isa import Trace
 from .config import CoreConfig
 from .events import CycleEvent, EventBus, EventType, RunEndEvent
-from .fastforward import FastForward, enabled_by_env
+from .fastforward import FastForward
 from .stages import (CommitStage, DispatchStage, ExecuteStage, FetchStage,
                      InflightOp, IssueStage, MemoryStage, PipelineState,
                      SquashUnit, WritebackStage)
@@ -108,7 +108,7 @@ class O3Core:
         self.commit_stage = commit
         #: quiescent-cycle fast-forward (see pipeline.fastforward);
         #: per-instance so tests can force the exact path on one core
-        self.fast_forward_enabled = enabled_by_env()
+        self.fast_forward_enabled = True
         # prebound tick methods: the driver loop calls these 7 times per
         # cycle, so skip the per-call stage.tick attribute lookup
         self._ticks = tuple(stage.tick for stage in self.stages)

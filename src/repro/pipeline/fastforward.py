@@ -38,16 +38,16 @@ weighted evaluation stands in for all of them.
 
 Bit-exactness is enforced by ``tests/test_fastforward.py`` (field
 identical stats with the feature on and off across policies) and by
-the golden end-to-end snapshots.  ``REPRO_NO_FASTFORWARD=1`` disables
-the feature; instrumented runs (any subscriber on per-cycle event
-types) disable it automatically so event streams stay complete.
+the golden end-to-end snapshots.  A core's ``fast_forward_enabled``
+switches the feature off for that core; instrumented runs (any
+subscriber on per-cycle event types) disable it automatically so event
+streams stay complete.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from ..envutil import env_flag
 from .events import EventType
 from .stats import SimStats
 
@@ -81,10 +81,6 @@ _SAMPLED = frozenset((
 _TRACKED = tuple(
     f.name for f in dataclasses.fields(SimStats)
     if f.name not in ("name", "memory", "predictor_accuracy"))
-
-
-def enabled_by_env() -> bool:
-    return not env_flag("REPRO_NO_FASTFORWARD", default=False)
 
 
 class FastForward:

@@ -16,6 +16,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ...commit import make_commit_policy
 from ...frontend import FetchUnit, make_predictor
 from ...isa import DynInstr, Trace
 from ...lsq import LSQUnit
@@ -139,10 +140,6 @@ class PipelineState:
 
     def __init__(self, trace: Trace, config: CoreConfig,
                  bus: Optional[EventBus] = None, slot=None):
-        # deferred: repro.commit imports pipeline.events at module
-        # level, so importing it here (not at state.py import time)
-        # keeps the package import graph acyclic
-        from ...commit import make_commit_policy
         if slot is not None and slot.iq_size != config.iq_size:
             raise ValueError(
                 f"lane slot shape (iq={slot.iq_size}) does not match "

@@ -77,8 +77,8 @@ _scenarios.register_default_scenarios()
 
 
 # traces are megabytes of DynInstr, so the cache is a bounded LRU:
-# chunked harness dispatch affines same-workload cells to one process,
-# which keeps the working set small and the hit rate high even with a
+# harness dispatch keeps a worker on the workload it last ran, which
+# keeps the working set small and the hit rate high even with a
 # handful of slots.  ``$REPRO_TRACE_CACHE`` overrides the bound.
 _trace_cache: "OrderedDict[tuple, Trace]" = OrderedDict()
 _trace_hits = 0

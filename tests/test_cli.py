@@ -74,14 +74,6 @@ class TestNewCommands:
                      "--kernels", "gcc.mix"]) == 0
         assert "Workload characterization" in capsys.readouterr().out
 
-    def test_save_trace(self, tmp_path, capsys):
-        path = tmp_path / "t.jsonl"
-        assert main(["save-trace", "gcc.mix", str(path),
-                     "--scale", "0.2"]) == 0
-        assert path.exists()
-        from repro.isa import load_trace
-        assert len(load_trace(path)) > 100
-
     def test_fig15_includes_bars(self, capsys):
         assert main(["fig15", "--scale", "0.2",
                      "--kernels", "x264.divint"]) == 0

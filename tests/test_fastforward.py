@@ -15,7 +15,6 @@ import pytest
 
 from repro.pipeline import O3Core, base_config
 from repro.pipeline.events import CycleEvent, EventType
-from repro.pipeline.fastforward import enabled_by_env
 from repro.workloads import build_trace
 
 
@@ -91,13 +90,3 @@ def test_instrumented_run_disables_fast_forward():
     assert all(isinstance(event, CycleEvent) for event in seen)
     cycles = [event.cycle for event in seen]
     assert cycles == list(range(stats.cycles))
-
-
-def test_env_kill_switch(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_FASTFORWARD", raising=False)
-    assert enabled_by_env()
-    monkeypatch.setenv("REPRO_NO_FASTFORWARD", "1")
-    assert not enabled_by_env()
-    trace = build_trace("mcf.chase", scale=0.05)
-    core = O3Core(trace, base_config())
-    assert not core.fast_forward_enabled

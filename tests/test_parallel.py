@@ -148,7 +148,7 @@ class TestDeterminism:
                 assert got == golden[label][name], \
                     f"{label}/{name} diverged from the golden"
 
-    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_workers_bit_identical_to_serial(self, traces,
                                              serial_reference, workers):
         for label, config in CONFIGS:
@@ -158,21 +158,6 @@ class TestDeterminism:
                 assert fields(result.stats[name]) == \
                     fields(serial_reference[label][name]), \
                     f"{label}/{name} diverged at workers={workers}"
-
-    @pytest.mark.parametrize("chunk", [1, 4, None],
-                             ids=["chunk1", "chunk4", "auto"])
-    def test_chunked_dispatch_bit_identical_to_serial(self, traces,
-                                                      serial_reference,
-                                                      chunk):
-        """Batched dispatch is a transport optimisation: any chunk
-        size (fixed or factored) must be invisible in the stats."""
-        for label, config in CONFIGS:
-            result = run_config(label, config, traces, workers=2,
-                                use_cache=False, chunk=chunk)
-            for name in WORKLOADS:
-                assert fields(result.stats[name]) == \
-                    fields(serial_reference[label][name]), \
-                    f"{label}/{name} diverged at chunk={chunk}"
 
     @pytest.mark.parametrize("lanes", [1, 4, 8])
     def test_lane_batched_identical_to_serial(self, traces,
@@ -288,12 +273,12 @@ class TestExecutor:
             assert all(t >= 0.0 for t in result.timings.values())
 
     def test_affinity_chunking_hits_worker_trace_lru(self, traces):
-        """Same-workload cells across configs are sorted adjacent and
-        share a dispatch chunk, so at most one trace build per
-        (workload, worker) — every other cell is a trace-LRU hit."""
+        """Same-workload cells across configs are sorted adjacent, and
+        an idle worker takes the next cell of the workload it last ran,
+        so a worker builds a workload's trace at most once."""
         jobs = (jobs_for("A", CONFIGS[0][1], traces)
                 + jobs_for("B", CONFIGS[1][1], traces))
-        results = run_suite(jobs, workers=2, chunk=2)
+        results = run_suite(jobs, workers=2)
         hits = sum(result.trace_cache_hits()
                    for result in results.values())
         assert hits >= len(WORKLOADS), \

@@ -49,8 +49,9 @@ costliest program, within a budget of Python-level calls and of
 C-level ``set.add`` calls.  The searches merge futures with set unions,
 so ``set.add`` runs once per terminal state, not once per future.
 
-The second half exercises ``REPRO_CHECK=1``: a checked run must match
-an unchecked one.
+The second half exercises ``REPRO_CHECK=1`` where it checks
+something, the lane engine's select kernel: a checked lane batch must
+run the cross-check and match unchecked plain cores.
 """
 
 import enum
@@ -437,20 +438,38 @@ class TestReproCheck:
 
     @pytest.mark.parametrize("scheduler,commit", [
         ("age", "ioc"),
-        ("orinoco", "orinoco"),
-        ("mult", "rob"),
+        ("age", "orinoco"),
+        ("age", "rob"),
     ])
-    def test_checked_run_matches_unchecked(self, scheduler, commit):
-        """A checked run must complete without CheckError and produce
-        the same statistics as the unchecked engine."""
+    def test_checked_run_matches_unchecked(self, scheduler, commit,
+                                           monkeypatch):
+        """A plain core reads no ``REPRO_CHECK``, so the checked run
+        is a two-lane batch on configs the select kernel serves: it
+        must run the select cross-check, raise no ``CheckError`` in
+        either lane, and give each lane the statistics of an unchecked
+        plain core, field by field."""
         import dataclasses
         trace = build_trace("xalanc.hash", scale=0.3)
         config = base_config(scheduler=scheduler, commit=commit)
         check.set_enabled(False)
-        baseline = O3Core(trace, config).run()
+        baseline = dataclasses.asdict(O3Core(trace, config).run())
         check.set_enabled(True)
         try:
-            checked = O3Core(trace, config).run()
+            batch = LaneBatch(2, config.iq_size)
+            calls = []
+            original = batch.engine._check_select
+            monkeypatch.setattr(
+                batch.engine, "_check_select",
+                lambda core, oldest: calls.append(oldest) or
+                original(core, oldest))
+            report = batch.run([LaneCell(i, trace, config)
+                                for i in range(2)])
         finally:
             check.reset()
-        assert dataclasses.asdict(checked) == dataclasses.asdict(baseline)
+        assert calls
+        assert len(report.outcomes) == 2
+        for outcome in report.outcomes:
+            assert outcome.error is None, outcome.error_tb
+            checked = dataclasses.asdict(outcome.stats)
+            assert [name for name in baseline
+                    if checked[name] != baseline[name]] == []

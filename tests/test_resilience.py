@@ -11,6 +11,7 @@ through every scenario bit-identical to the serial reference.
 
 import _thread
 import json
+import multiprocessing.connection
 import os
 import threading
 import time
@@ -46,6 +47,11 @@ def _jobs(label, workloads=WORKLOADS, config=None, profile_config=None):
 def _noop(payload, attempt):
     """Pool task that does no work, so only the schedule is tested."""
     return "ok", payload
+
+
+def _pid(payload, attempt):
+    """Pool task that returns the pid of the worker that ran it."""
+    return "ok", os.getpid()
 
 
 def _crash_first_attempt(payload, attempt):
@@ -334,10 +340,8 @@ class TestInterrupt:
         watcher = threading.Thread(target=interrupt_when_flushed,
                                    daemon=True)
         watcher.start()
-        # chunk=1: with batching, mcf.chase would queue behind a hung
-        # chunk-mate and never complete before the interrupt
         with pytest.raises(SuiteInterrupted) as excinfo:
-            run_suite(jobs, workers=2, cache=cache, chunk=1)
+            run_suite(jobs, workers=2, cache=cache)
         watcher.join(timeout=10)
         assert "I/mcf.chase" in excinfo.value.completed
         assert "I/gcc.mix" not in excinfo.value.completed
@@ -360,8 +364,7 @@ class TestInterrupt:
 
         monkeypatch.setenv("REPRO_FAULT", "hang:F/mcf.chase")
         with pytest.raises(OSError):
-            run_suite(_jobs("F"), workers=2, cache=FullDisk(tmp_path),
-                      chunk=1)
+            run_suite(_jobs("F"), workers=2, cache=FullDisk(tmp_path))
         monkeypatch.delenv("REPRO_FAULT")
         jobs = _jobs("F1") + _jobs("F2", config=base_config(commit="rob"))
         after = run_suite(jobs, workers=2)
@@ -412,10 +415,10 @@ class TestInterrupt:
 
 
 class TestChunkedDispatch:
-    """The factored chunk schedule, and partial-chunk failure
-    semantics: a fault in one chunk cell must never poison its
-    chunk-mates — finished mates keep their results, unstarted mates
-    are re-queued and complete bit-identically."""
+    """One task in flight per worker, and failure isolation around it:
+    a fault in one cell must never poison the cells around it, which
+    complete bit-identically.  (The class name dates from chunked
+    dispatch, which sent several cells per message.)"""
 
     CHUNK_WORKLOADS = ("gcc.mix", "mcf.chase", "perl.branchy")
 
@@ -425,97 +428,40 @@ class TestChunkedDispatch:
                            workers=1)["ref3"]
         return result.stats
 
-    @pytest.fixture(scope="class")
+    @pytest.fixture
     def pool(self):
         pool = ResilientPool(2)
         yield pool
         pool.shutdown(kill=True)
 
     @staticmethod
-    def _record(pool, monkeypatch):
-        """Record every chunk ``pool`` sends, as a list of
-        ``[(task, attempt), ...]`` lists."""
-        sent, seen = [], []
-        assign = pool._assign
-
-        def recording(*args):
-            assign(*args)
-            for handle in pool.handles:
-                if handle.chunk and \
-                        not any(handle.chunk is chunk for chunk in seen):
-                    seen.append(handle.chunk)
-                    sent.append([(p.task, p.attempt) for p in handle.chunk])
-
-        monkeypatch.setattr(pool, "_assign", recording)
-        return sent
-
-    def _run_recorded(self, pool, monkeypatch, funcs, keys=None, **kwargs):
+    def _run_recorded(pool, monkeypatch, funcs, keys=None, **kwargs):
         """Run one task per entry of ``funcs`` (affinity keys from
         ``keys``, default none); return the tasks, their outcomes and
-        every chunk sent."""
-        sent = self._record(pool, monkeypatch)
+        every message sent down a worker pipe, as ``(task, attempt)``
+        pairs, after checking that each message holds one task."""
+        messages = []
+        send = multiprocessing.connection.Connection.send
+
+        def recording(conn, message):
+            if message is not None:          # None retires a worker
+                messages.append(message)
+            send(conn, message)
+
+        monkeypatch.setattr(multiprocessing.connection.Connection, "send",
+                            recording)
         keys = keys or [None] * len(funcs)
         tasks = [TaskSpec(next_task_id(), f"noop/{i}", func, i,
                           affinity=key)
                  for i, (func, key) in enumerate(zip(funcs, keys))]
-        return tasks, pool.run(tasks, **kwargs), sent
-
-    def test_factoring_schedule(self, pool, monkeypatch):
-        # the sizes depend only on the fresh backlog, never on which
-        # worker asks first, so the sequence is exact
-        tasks, outcomes, sent = self._run_recorded(
-            pool, monkeypatch, [_noop] * 50)
-        assert [len(chunk) for chunk in sent] == \
-            [13, 10, 7, 5, 4, 3, 2, 2, 1, 1, 1, 1]
-        assert [outcomes[t.task_id].status for t in tasks] == \
-            [CellStatus.OK] * 50
-        assert [outcomes[t.task_id].value for t in tasks] == list(range(50))
-
-    def test_factored_chunks_stay_within_one_key(self, pool, monkeypatch):
-        # three affinity runs of 20, 4 and 26 cells: each factored
-        # chunk ends where the key changes, so two runs of costly
-        # cells can never land on one worker as a single chunk
-        keys = ["a"] * 20 + ["b"] * 4 + ["c"] * 26
-        tasks, outcomes, sent = self._run_recorded(
-            pool, monkeypatch, [_noop] * 50, keys=keys)
-        assert [len(chunk) for chunk in sent] == \
-            [13, 7, 4, 7, 5, 4, 3, 2, 2, 1, 1, 1]
-        assert all(len({task.affinity for task, _ in chunk}) == 1
-                   for chunk in sent)
-        assert all(outcomes[t.task_id].status is CellStatus.OK
-                   for t in tasks)
-
-    def test_run_suite_keys_chunks_by_workload(self, monkeypatch):
-        # 4 cells per workload: the second factored chunk (3 cells)
-        # would take gcc.mix's last cell and two of mcf.chase's.  Each
-        # label has its own config, since jobs sharing a cache key are
-        # one unit and so one task
-        from repro.harness.resilience import get_pool
-        monkeypatch.delenv("REPRO_CHUNK", raising=False)
-        sent = self._record(get_pool(2), monkeypatch)
-        workloads = ("gcc.mix", "mcf.chase", "sjeng.listupd")
-        jobs = [job for label, commit in zip("ABCD", ("ioc", "orinoco",
-                                                     "rob", "ecl"))
-                for job in _jobs(label, workloads,
-                                 base_config(commit=commit))]
-        results = run_suite(jobs, workers=2)
-        assert all(result.complete() for result in results.values())
-        assert [[task.cell_id for task, _ in chunk] for chunk in sent][:2] \
-            == [["A/gcc.mix", "B/gcc.mix", "C/gcc.mix"], ["D/gcc.mix"]]
-        assert all(len({task.affinity for task, _ in chunk}) == 1
-                   for chunk in sent)
-
-    def test_factored_chunks_are_capped(self, pool, monkeypatch):
-        _, outcomes, sent = self._run_recorded(pool, monkeypatch,
-                                               [_noop] * 300)
-        assert len(sent[0]) == ResilientPool.CHUNK_CAP == 32
-        assert sum(len(chunk) for chunk in sent) == len(outcomes) == 300
-
-    def test_explicit_chunk_stays_fixed(self, pool, monkeypatch):
-        # a fixed size is taken as given, across affinity keys too
-        _, _, sent = self._run_recorded(pool, monkeypatch, [_noop] * 50,
-                                        keys=["a", "b"] * 25, chunk=4)
-        assert [len(chunk) for chunk in sent] == [4] * 12 + [2]
+        outcomes = pool.run(tasks, **kwargs)
+        by_id = {task.task_id: task for task in tasks}
+        for message in messages:
+            # one (task_id, func, payload, attempt), not a list of them
+            assert isinstance(message, tuple) and len(message) == 4
+            assert message[2] == by_id[message[0]].payload
+        return tasks, outcomes, [(by_id[task_id], attempt)
+                                 for task_id, _, _, attempt in messages]
 
     def test_crash_retry_is_sent_alone(self, pool, monkeypatch):
         funcs = [_noop] * 10
@@ -523,21 +469,39 @@ class TestChunkedDispatch:
         tasks, outcomes, sent = self._run_recorded(pool, monkeypatch,
                                                    funcs, retries=1)
         crasher = tasks[1]
-        assert len(sent[0]) == 3 and sent[0][1] == (crasher, 1)
-        assert [(crasher, 2)] in sent
+        assert (crasher, 2) in sent
         assert outcomes[crasher.task_id].attempts == 2
         assert all(outcomes[t.task_id].status is CellStatus.OK
                    for t in tasks)
 
+    def test_idle_worker_keeps_its_key(self, pool, monkeypatch):
+        """An idle worker takes the next task with the key it last ran,
+        else one whose key no other worker last ran: the two workers
+        start on different keys, and neither returns to a key after
+        leaving it."""
+        tasks, outcomes, sent = self._run_recorded(
+            pool, monkeypatch, [_pid] * 30, keys=["a", "b", "c"] * 10)
+        assert all(outcomes[t.task_id].status is CellStatus.OK
+                   for t in tasks)
+        runs = {}                  # worker pid -> the keys it ran, in order
+        for task, _ in sent:
+            keys = runs.setdefault(outcomes[task.task_id].value, [])
+            if not keys or keys[-1] != task.affinity:
+                keys.append(task.affinity)
+        assert len(runs) == 2
+        first, second = runs.values()        # in order of first dispatch
+        assert first[0] != second[0]
+        for keys in runs.values():
+            assert len(keys) == len(set(keys)), keys
+
     def test_mid_chunk_crash_names_the_right_cell(self, monkeypatch,
                                                   chunk_reference):
         # affinity order sorts gcc.mix < mcf.chase < perl.branchy, so
-        # with chunk=3 the faulty cell is the *middle* chunk member:
-        # the finished mate ahead of it and the unstarted mate behind
-        # it must both survive, and the crash must name mcf.chase
+        # the faulty cell runs between two healthy ones: both must
+        # survive, and the crash must name mcf.chase
         monkeypatch.setenv("REPRO_FAULT", "crash:A/mcf.chase")
         result = run_suite(_jobs("A", self.CHUNK_WORKLOADS), workers=2,
-                           retries=0, chunk=3)["A"]
+                           retries=0)["A"]
         assert result.statuses["mcf.chase"] is CellStatus.FAILED
         failure = result.failures["mcf.chase"]
         assert failure.kind == "crash"
@@ -552,7 +516,7 @@ class TestChunkedDispatch:
                                              chunk_reference):
         monkeypatch.setenv("REPRO_FAULT", "crash:A/mcf.chase:1")
         result = run_suite(_jobs("A", self.CHUNK_WORKLOADS), workers=2,
-                           retries=1, chunk=3)["A"]
+                           retries=1)["A"]
         assert result.complete()
         for name in self.CHUNK_WORKLOADS:
             assert result.stats[name] == chunk_reference[name], name
@@ -561,7 +525,7 @@ class TestChunkedDispatch:
                                            chunk_reference):
         monkeypatch.setenv("REPRO_FAULT", "hang:A/mcf.chase")
         result = run_suite(_jobs("A", self.CHUNK_WORKLOADS), workers=2,
-                           timeout=3.0, chunk=3)["A"]
+                           timeout=3.0)["A"]
         assert result.statuses["mcf.chase"] is CellStatus.TIMEOUT
         assert result.statuses["gcc.mix"] is CellStatus.OK
         assert result.statuses["perl.branchy"] is CellStatus.OK

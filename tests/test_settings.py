@@ -17,7 +17,8 @@ import pytest
 from repro.harness import (ResultCache, RunOptions, SuiteResult,
                            characterize, experiments, measured_activities,
                            run_config, run_config_with_criticality,
-                           run_criticality_suite, runner, table2_measured)
+                           run_criticality_suite, run_suite, runner,
+                           table2_measured)
 from repro.isa import Trace
 from repro.pipeline import base_config
 from repro.workloads import build_suite, build_trace
@@ -57,12 +58,16 @@ class TestResolve:
         assert RunOptions.resolve().timeout is None
 
     def test_chunk_and_retries_are_keywords_only(self, monkeypatch):
+        """``retries`` is a keyword only, and ``chunk`` is no setting
+        at all: every pool dispatch is one task."""
         monkeypatch.setenv("REPRO_CHUNK", "3")        # no longer read
         monkeypatch.setenv("REPRO_RETRIES", "0")
-        options = RunOptions.resolve()
-        assert (options.chunk, options.retries) == (None, 1)
-        options = RunOptions.resolve(chunk=3, retries=0)
-        assert (options.chunk, options.retries) == (3, 0)
+        assert RunOptions.resolve().retries == 1
+        assert RunOptions.resolve(retries=0).retries == 0
+        with pytest.raises(TypeError, match="'chunk'"):
+            RunOptions.resolve(chunk=3)
+        with pytest.raises(TypeError, match="'chunk'"):
+            run_suite([], chunk=2)
 
 
 def _traces():
@@ -127,7 +132,7 @@ class TestPassThrough:
                                                 tmp_path):
         execution = dict(workers=2, use_cache=True,
                          cache=ResultCache(tmp_path), timeout=5.0,
-                         lanes=3, chunk=4, retries=0)
+                         lanes=3, retries=0)
         ENTRY_POINTS[name](**execution)
         assert calls == [execution]
 

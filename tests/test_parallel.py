@@ -17,6 +17,7 @@ from repro.harness import (CellStatus, Job, ResultCache, SuiteResult,
                            cache_key, fig14, fig15, jobs_for, run_config,
                            run_config_with_criticality,
                            run_criticality_suite, run_suite)
+from repro.harness.resilience import ResilientPool
 from repro.isa import Trace, save_trace
 from repro.pipeline import (COMMITS, LaneBatch, O3Core, base_config,
                             simulate, ultra_config)
@@ -148,7 +149,7 @@ class TestDeterminism:
                 assert got == golden[label][name], \
                     f"{label}/{name} diverged from the golden"
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("workers", [1, 4])
     def test_workers_bit_identical_to_serial(self, traces,
                                              serial_reference, workers):
         for label, config in CONFIGS:
@@ -158,6 +159,32 @@ class TestDeterminism:
                 assert fields(result.stats[name]) == \
                     fields(serial_reference[label][name]), \
                     f"{label}/{name} diverged at workers={workers}"
+
+    @pytest.mark.parametrize("chunk", [1, 4, None],
+                             ids=["chunk1", "chunk4", "auto"])
+    def test_chunked_dispatch_bit_identical_to_serial(self, traces,
+                                                      serial_reference,
+                                                      monkeypatch, chunk):
+        """``ResilientPool.run`` accepts ``chunk=`` and ignores it,
+        because the end-to-end benchmark passes it: a two-worker sweep
+        whose pool runs receive any chunk size is field-identical to
+        the serial reference."""
+        received = []
+        original = ResilientPool.run
+
+        def passing_chunk(self, tasks, **kwargs):
+            received.append(chunk)
+            return original(self, tasks, chunk=chunk, **kwargs)
+
+        monkeypatch.setattr(ResilientPool, "run", passing_chunk)
+        for label, config in CONFIGS:
+            result = run_config(label, config, traces, workers=2,
+                                use_cache=False)
+            for name in WORKLOADS:
+                assert fields(result.stats[name]) == \
+                    fields(serial_reference[label][name]), \
+                    f"{label}/{name} diverged at chunk={chunk}"
+        assert received, "the sweep never reached the pool"
 
     @pytest.mark.parametrize("lanes", [1, 4, 8])
     def test_lane_batched_identical_to_serial(self, traces,

@@ -18,12 +18,8 @@ Public API tour:
   (:func:`~repro.circuit.table2`, ``overhead_report``...).
 """
 
-# pipeline before commit: the pipeline's state imports repro.commit,
-# whose policies import repro.pipeline.events, which resolves only
-# while repro.pipeline is already importing
-from . import pipeline
 from . import (circuit, commit, core, criticality, frontend, harness, isa,
-               lsq, memory, queues, rename, scheduler, workloads)
+               lsq, memory, pipeline, queues, rename, scheduler, workloads)
 from .pipeline import (CoreConfig, O3Core, SimStats, base_config,
                        make_config, pro_config, simulate, ultra_config)
 

@@ -16,7 +16,10 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ...commit import make_commit_policy
+# the package, not its names: repro.commit's policies import
+# pipeline.events, so repro.commit may still be initialising when this
+# module is; make_commit_policy is read when a core is built
+from ... import commit
 from ...frontend import FetchUnit, make_predictor
 from ...isa import DynInstr, Trace
 from ...lsq import LSQUnit
@@ -156,7 +159,7 @@ class PipelineState:
                                config.redirect_penalty,
                                model_wrong_path=config.model_wrong_path)
         self.rename = RenameUnit(config.rf_size, config.rename_scheme)
-        self.commit_policy = make_commit_policy(config.commit)
+        self.commit_policy = commit.make_commit_policy(config.commit)
         self.select_policy = make_select_policy(config.scheduler)
 
         # IQ: non-collapsible free list.  Readiness is each op's

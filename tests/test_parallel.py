@@ -17,7 +17,8 @@ from repro.harness import (CellStatus, Job, ResultCache, SuiteResult,
                            cache_key, fig14, fig15, jobs_for, run_config,
                            run_config_with_criticality,
                            run_criticality_suite, run_suite)
-from repro.harness.resilience import ResilientPool
+from repro.harness.resilience import (ResilientPool, TaskSpec, get_pool,
+                                      next_task_id, shutdown_pools)
 from repro.isa import Trace, save_trace
 from repro.pipeline import (COMMITS, LaneBatch, O3Core, base_config,
                             simulate, ultra_config)
@@ -51,6 +52,12 @@ CRI_CONFIGS = [
 
 def fields(stats):
     return dataclasses.asdict(stats)
+
+
+def _simulate_cell(payload, attempt):
+    """Pool task: the stats of one cell as a field dict."""
+    config, name = payload
+    return "ok", fields(simulate(build_trace(name, SCALE), config))
 
 
 @pytest.fixture
@@ -149,7 +156,7 @@ class TestDeterminism:
                 assert got == golden[label][name], \
                     f"{label}/{name} diverged from the golden"
 
-    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_workers_bit_identical_to_serial(self, traces,
                                              serial_reference, workers):
         for label, config in CONFIGS:
@@ -162,29 +169,25 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("chunk", [1, 4, None],
                              ids=["chunk1", "chunk4", "auto"])
-    def test_chunked_dispatch_bit_identical_to_serial(self, traces,
+    def test_chunked_dispatch_bit_identical_to_serial(self,
                                                       serial_reference,
-                                                      monkeypatch, chunk):
+                                                      chunk):
         """``ResilientPool.run`` accepts ``chunk=`` and ignores it,
-        because the end-to-end benchmark passes it: a two-worker sweep
-        whose pool runs receive any chunk size is field-identical to
-        the serial reference."""
-        received = []
-        original = ResilientPool.run
-
-        def passing_chunk(self, tasks, **kwargs):
-            received.append(chunk)
-            return original(self, tasks, chunk=chunk, **kwargs)
-
-        monkeypatch.setattr(ResilientPool, "run", passing_chunk)
-        for label, config in CONFIGS:
-            result = run_config(label, config, traces, workers=2,
-                                use_cache=False)
-            for name in WORKLOADS:
-                assert fields(result.stats[name]) == \
-                    fields(serial_reference[label][name]), \
-                    f"{label}/{name} diverged at chunk={chunk}"
-        assert received, "the sweep never reached the pool"
+        because the end-to-end benchmark calls it with ``chunk=1``: a
+        two-worker pool given this chunk size returns every cell
+        field-identical to the serial reference.  The three cases
+        differ only in the ignored value, deliberately."""
+        cells = [(label, config, name) for label, config in CONFIGS
+                 for name in WORKLOADS]
+        tasks = [TaskSpec(next_task_id(), f"{label}/{name}", _simulate_cell,
+                          (config, name))
+                 for label, config, name in cells]
+        outcomes = get_pool(2).run(tasks, chunk=chunk)
+        for task, (label, _, name) in zip(tasks, cells):
+            outcome = outcomes[task.task_id]
+            assert outcome.status is CellStatus.OK, outcome.failure
+            assert outcome.value == fields(serial_reference[label][name]), \
+                f"{label}/{name} diverged at chunk={chunk}"
 
     @pytest.mark.parametrize("lanes", [1, 4, 8])
     def test_lane_batched_identical_to_serial(self, traces,
@@ -299,17 +302,37 @@ class TestExecutor:
             assert set(result.timings) == set(WORKLOADS)
             assert all(t >= 0.0 for t in result.timings.values())
 
-    def test_affinity_chunking_hits_worker_trace_lru(self, traces):
-        """Same-workload cells across configs are sorted adjacent, and
-        an idle worker takes the next cell of the workload it last ran,
-        so a worker builds a workload's trace at most once."""
+    def test_affinity_chunking_hits_worker_trace_lru(self, traces,
+                                                     monkeypatch):
+        """Every pool task carries its cell's ``(workload, scale)`` as
+        its affinity key, and an idle worker takes the next cell of the
+        key it last ran.  On fresh workers the cells run grouped as
+        gcc.mix, perl.branchy, x264.divint: the first worker takes both
+        gcc.mix cells, the second starts on perl.branchy, and the first
+        worker to free up after that takes both x264.divint cells, so
+        the second cell of each short workload is a trace-LRU hit.  The
+        long perl.branchy pair may split: a worker that runs out of
+        other work takes the cell the other worker's key still has."""
+        shutdown_pools()                 # fresh workers, empty LRUs
+        sent = []
+        run = ResilientPool.run
+
+        def recording(self, tasks, **kwargs):
+            sent.extend(tasks)
+            return run(self, tasks, **kwargs)
+
+        monkeypatch.setattr(ResilientPool, "run", recording)
         jobs = (jobs_for("A", CONFIGS[0][1], traces)
                 + jobs_for("B", CONFIGS[1][1], traces))
         results = run_suite(jobs, workers=2)
-        hits = sum(result.trace_cache_hits()
-                   for result in results.values())
-        assert hits >= len(WORKLOADS), \
-            f"expected >= {len(WORKLOADS)} trace-LRU hits, got {hits}"
+        assert sorted(task.cell_id for task in sent) == \
+            sorted(job.cell_id for job in jobs)
+        for task in sent:
+            assert task.affinity == (task.cell_id.split("/")[1], SCALE)
+        for name in ("gcc.mix", "x264.divint"):
+            assert not results["A"].trace_hits[name], name
+            assert results["B"].trace_hits[name], \
+                f"B/{name} rebuilt the trace A/{name} built"
 
     def test_in_process_path_builds_each_trace_once(self, monkeypatch):
         """``workers=1`` runs cells grouped by (workload, scale): with a

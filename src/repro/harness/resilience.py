@@ -315,9 +315,10 @@ class ResilientPool:
         """Execute every task; return ``{task_id: TaskOutcome}``.
 
         Each worker holds one task at a time (see :meth:`_pick` for
-        which one).  ``timeout`` bounds each task; zero or less is no
-        limit.  ``chunk`` is ignored: every dispatch is one task, which
-        ``chunk=1`` used to ask for.  It stays only because the
+        which one), and gets its next before ``on_complete`` sees the
+        last one's outcome.  ``timeout`` bounds each task; zero or less
+        is no limit.  ``chunk`` is ignored: every dispatch is one task,
+        which ``chunk=1`` used to ask for.  It stays only because the
         end-to-end benchmark passes it (``benchmarks/e2e/child.py``),
         and goes with ROADMAP item 2.  Never raises for a failing
         *task*; whatever escapes (Ctrl-C as :class:`SuiteInterrupted`)
@@ -354,20 +355,26 @@ class ResilientPool:
                     continue
                 self._wait(busy, now, timeout)
                 now = time.monotonic()
+                done = []                # (task, outcome) to report
+                report = lambda task, outcome: done.append((task, outcome))
                 for handle in busy:
                     # a dead worker's pipe end reads as EOF, so poll()
                     # is True for a result AND for death — _collect
                     # disambiguates and reports EOF as not-collected
                     if handle.conn.poll():
-                        if not self._collect(handle, finish):
+                        if not self._collect(handle, report):
                             self._on_death(handle, pending, retries, now,
-                                           finish)
+                                           report)
                     elif not handle.proc.is_alive():
                         self._on_death(handle, pending, retries, now,
-                                       finish)
+                                       report)
                     elif (handle.deadline is not None
                           and now >= handle.deadline):
-                        self._on_timeout(handle, finish)
+                        self._on_timeout(handle, report)
+                # refill freed workers first: on_complete overlaps them
+                self._assign(pending, now, timeout)
+                for task, outcome in done:
+                    finish(task, outcome)
         except BaseException as exc:
             # kill, don't drain: a hung worker would block a graceful
             # close, and a live one would hand this run's results to
